@@ -1,6 +1,7 @@
 #include "catalog/table.h"
 
 #include <algorithm>
+#include <cmath>
 #include <unordered_set>
 #include <utility>
 
@@ -375,6 +376,23 @@ Result<Value> Table::CoerceForColumn(Value v, size_t col) const {
   return v.CastTo(schema_.column(col).type);
 }
 
+Status Table::CheckKey(const Value& key, uint64_t rid) const {
+  // NaN compares equal to every number (Value::Compare), so it can neither
+  // be told apart from other keys nor found by a hash lookup.
+  if (key.is_null() ||
+      (key.type() == DataType::kReal && std::isnan(key.real_value()))) {
+    return Status::ConstraintViolation("PRIMARY KEY of " + name_ +
+                                       " may not be " +
+                                       (key.is_null() ? "NULL" : "NaN"));
+  }
+  auto it = pk_to_rid_.find(key);
+  if (it != pk_to_rid_.end() && it->second != rid) {
+    return Status::ConstraintViolation("duplicate PRIMARY KEY " +
+                                       key.ToSqlLiteral() + " in " + name_);
+  }
+  return Status::OK();
+}
+
 Status Table::ValidateRow(const Row& row) const {
   if (row.size() != schema_.num_columns()) {
     return Status::InvalidArgument(
@@ -400,15 +418,7 @@ Status Table::UpdateAt(size_t pos, size_t col, Value v) {
   storage::StatementScope txn(storage_->pager(), write_txn_);
   auto pk = schema_.primary_key_index();
   if (pk && *pk == col) {
-    if (coerced.is_null()) {
-      return Status::ConstraintViolation("PRIMARY KEY of " + name_ +
-                                         " may not be NULL");
-    }
-    auto it = pk_to_rid_.find(coerced);
-    if (it != pk_to_rid_.end() && it->second != rid) {
-      return Status::ConstraintViolation("duplicate PRIMARY KEY " +
-                                         coerced.ToSqlLiteral() + " in " + name_);
-    }
+    DS_RETURN_IF_ERROR(CheckKey(coerced, rid));
     DS_ASSIGN_OR_RETURN(Value old_key, storage_->Get(SlotOf(rid), col));
     pk_to_rid_.erase(old_key);
     pk_to_rid_[coerced] = rid;
@@ -433,16 +443,7 @@ Status Table::InsertRowAtWithRid(size_t pos, Row row, uint64_t rid) {
     DS_ASSIGN_OR_RETURN(row[c], CoerceForColumn(std::move(row[c]), c));
   }
   auto pk = schema_.primary_key_index();
-  if (pk) {
-    if (row[*pk].is_null()) {
-      return Status::ConstraintViolation("PRIMARY KEY of " + name_ +
-                                         " may not be NULL");
-    }
-    if (pk_to_rid_.count(row[*pk]) > 0) {
-      return Status::ConstraintViolation("duplicate PRIMARY KEY " +
-                                         row[*pk].ToSqlLiteral() + " in " + name_);
-    }
-  }
+  if (pk) DS_RETURN_IF_ERROR(CheckKey(row[*pk], rid));
   // Statement bracket: recovery applies the records below only if the
   // closing kTxnCommit survived, so a crash mid-insert rolls the whole row
   // away — Attach's torn-statement reconciliation is now a fallback for
@@ -670,15 +671,7 @@ Status Table::UpdateByKey(const Value& key, size_t col, Value v) {
   }
   storage::StatementScope txn(storage_->pager(), write_txn_);
   if (col == *pk) {
-    if (coerced.is_null()) {
-      return Status::ConstraintViolation("PRIMARY KEY of " + name_ +
-                                         " may not be NULL");
-    }
-    auto clash = pk_to_rid_.find(coerced);
-    if (clash != pk_to_rid_.end() && clash->second != rid) {
-      return Status::ConstraintViolation("duplicate PRIMARY KEY " +
-                                         coerced.ToSqlLiteral() + " in " + name_);
-    }
+    DS_RETURN_IF_ERROR(CheckKey(coerced, rid));
     pk_to_rid_.erase(key);
     pk_to_rid_[coerced] = rid;
   }

@@ -141,12 +141,23 @@ class Table {
 
   // ---- Primary key ----------------------------------------------------------
 
-  /// Display position of the row whose PK equals `key`, if the table has a PK.
-  /// O(n): position recovery scans the order index; prefer the key-direct
-  /// accessors below on hot paths.
+  // The key accessors below find a row through the primary-key hash index,
+  // which holds each key as stored (coerced to the column type). A lookup
+  // finds exactly the rows SQL `=` matches only for a `key` of the column's
+  // type or its exact numeric equivalent; beyond 2^53 `Value::Hash` and
+  // `Value::Compare` disagree across INTEGER/REAL. SQL callers go through
+  // MatchKeyEquality (src/exec/key_match.h), which only hands out such keys.
+  // All three return NotFound for a missing key and InvalidArgument for a
+  // table without a PRIMARY KEY.
+
+  /// Display position of the row with primary key `key`. A miss costs one
+  /// hash probe; a hit then walks the whole order index to recover the
+  /// position (rows do not track their position, since a middle insert
+  /// would shift all of them): O(n).
   Result<size_t> FindByKey(const Value& key) const;
 
-  /// Whole tuple with PK equal to `key`; O(1) expected (hash index).
+  /// Whole tuple with primary key `key`: one hash probe plus one storage
+  /// read per column. O(1) expected, independent of the table size.
   Result<Row> GetRowByKey(const Value& key) const;
 
   /// Updates one attribute of the row with PK `key` without resolving its
@@ -206,6 +217,9 @@ class Table {
   Table(std::string name, Schema schema, std::unique_ptr<TableStorage> storage);
 
   Status ValidateRow(const Row& row) const;
+  /// The primary-key constraint for giving row `rid` the (coerced) key
+  /// `key`: not NULL, not NaN, and not held by another row.
+  Status CheckKey(const Value& key, uint64_t rid) const;
   Result<Value> CoerceForColumn(Value v, size_t col) const;
   /// InsertRowAt with the row id chosen by the caller — the undo-delete
   /// path re-inserts under the original rid; the public path passes

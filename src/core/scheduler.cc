@@ -21,66 +21,45 @@ bool Scheduler::EnqueueUnique(Priority priority, const std::string& key,
   return true;
 }
 
-bool Scheduler::PopLocked(Entry* out) {
-  for (auto& queue : queues_) {
+bool Scheduler::PopLocked(Entry* out, size_t* band) {
+  for (size_t b = 0; b < 3; ++b) {
+    std::deque<Entry>& queue = queues_[b];
     if (!queue.empty()) {
       *out = std::move(queue.front());
       queue.pop_front();
       if (!out->key.empty()) pending_keys_.erase(out->key);
+      *band = b;
+      in_flight_ += 1;
       return true;
     }
   }
   return false;
 }
 
-bool Scheduler::RunOne() {
-  Entry entry;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!PopLocked(&entry)) return false;
-    in_flight_ += 1;
-  }
+void Scheduler::RunPopped(Entry& entry, size_t band) {
   entry.task();
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    executed_[band] += 1;
     in_flight_ -= 1;
-    // Priority attribution for stats: approximate by re-deriving from key
-    // order is overkill; count against the band the entry came from instead.
   }
   cv_.notify_all();
+}
+
+bool Scheduler::RunOne() {
+  Entry entry;
+  size_t band = 0;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!PopLocked(&entry, &band)) return false;
+  }
+  RunPopped(entry, band);
   return true;
 }
 
 size_t Scheduler::RunUntilIdle(size_t max_tasks) {
   size_t n = 0;
-  while (n < max_tasks) {
-    Entry entry;
-    size_t band = 0;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      bool found = false;
-      for (size_t b = 0; b < 3; ++b) {
-        if (!queues_[b].empty()) {
-          entry = std::move(queues_[b].front());
-          queues_[b].pop_front();
-          if (!entry.key.empty()) pending_keys_.erase(entry.key);
-          band = b;
-          found = true;
-          break;
-        }
-      }
-      if (!found) break;
-      in_flight_ += 1;
-    }
-    entry.task();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      executed_[band] += 1;
-      in_flight_ -= 1;
-    }
-    ++n;
-  }
-  cv_.notify_all();
+  while (n < max_tasks && RunOne()) ++n;
   return n;
 }
 
@@ -98,32 +77,11 @@ void Scheduler::StartWorker() {
       size_t band = 0;
       {
         std::unique_lock<std::mutex> lock(mutex_);
-        cv_.wait(lock, [this]() {
-          return stopping_ || !queues_[0].empty() || !queues_[1].empty() ||
-                 !queues_[2].empty();
-        });
+        // Wakes holding a popped task, or to stop (pending tasks stay queued).
+        cv_.wait(lock, [&] { return stopping_ || PopLocked(&entry, &band); });
         if (stopping_) return;
-        bool found = false;
-        for (size_t b = 0; b < 3; ++b) {
-          if (!queues_[b].empty()) {
-            entry = std::move(queues_[b].front());
-            queues_[b].pop_front();
-            if (!entry.key.empty()) pending_keys_.erase(entry.key);
-            band = b;
-            found = true;
-            break;
-          }
-        }
-        if (!found) continue;
-        in_flight_ += 1;
       }
-      entry.task();
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        executed_[band] += 1;
-        in_flight_ -= 1;
-      }
-      cv_.notify_all();
+      RunPopped(entry, band);
     }
   });
 }

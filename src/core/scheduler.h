@@ -48,8 +48,8 @@ class Scheduler {
   /// Returns false if coalesced.
   bool EnqueueUnique(Priority priority, const std::string& key, Task task);
 
-  /// Runs the highest-priority pending task on the calling thread.
-  /// Returns false when the queue was empty.
+  /// Runs the highest-priority pending task on the calling thread and counts
+  /// it in executed() under its band. Returns false when the queue was empty.
   bool RunOne();
 
   /// Drains the queue on the calling thread (tasks may enqueue more tasks);
@@ -77,7 +77,12 @@ class Scheduler {
     Task task;
   };
 
-  bool PopLocked(Entry* out);
+  /// Pops the highest-priority pending entry into `out`, reports its band,
+  /// and marks it in flight. False when every band is empty. Needs mutex_.
+  bool PopLocked(Entry* out, size_t* band);
+  /// Runs a popped entry on the calling thread, then counts it against its
+  /// band in executed() and clears its in-flight mark.
+  void RunPopped(Entry& entry, size_t band);
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;

@@ -10,6 +10,7 @@
 #include "common/str_util.h"
 #include "exec/binder.h"
 #include "exec/expr_eval.h"
+#include "exec/key_match.h"
 #include "exec/planner.h"
 #include "sql/parser.h"
 
@@ -24,6 +25,26 @@ Scope TableScope(const Table& table) {
     scope.columns.push_back(Scope::Column{table.name(), c.name, true});
   }
   return scope;
+}
+
+/// The scan path of UPDATE and DELETE: calls `fn` on every row `where` (null =
+/// all) selects, in display order, stopping at the first error.
+Status ScanWhere(const Table& table, const sql::Expr* where,
+                 const std::function<Status(size_t pos, const Row&)>& fn) {
+  Status status = Status::OK();
+  table.Scan([&](size_t pos, const Row& row) {
+    if (where != nullptr) {
+      auto pass = EvalPredicate(*where, &row);
+      if (!pass.ok()) {
+        status = pass.status();
+        return false;
+      }
+      if (!pass.value()) return true;
+    }
+    status = fn(pos, row);
+    return status.ok();
+  });
+  return status;
 }
 
 /// Evaluates a bound expression with no input row (literals, RANGEVALUE
@@ -721,57 +742,47 @@ Result<ResultSet> Database::ExecuteUpdate(Session& session,
   if (stmt.where != nullptr) {
     DS_RETURN_IF_ERROR(BindExpr(stmt.where.get(), scope, resolver,
                                 /*allow_aggregates=*/false));
+    FoldConstants(stmt.where.get());
   }
 
-  // Key-direct fast path: `WHERE <pk> = <literal>` skips the table scan —
-  // the interface-aware point update driving Figure 2c edits.
-  auto pk = table->schema().primary_key_index();
-  if (pk && stmt.where != nullptr &&
-      stmt.where->kind == sql::ExprKind::kBinary && stmt.where->op == "=") {
-    const sql::Expr* lhs = stmt.where->args[0].get();
-    const sql::Expr* rhs = stmt.where->args[1].get();
-    if (rhs->kind == sql::ExprKind::kColumnRef) std::swap(lhs, rhs);
-    if (lhs->kind == sql::ExprKind::kColumnRef &&
-        lhs->bound_column == static_cast<int>(*pk) &&
-        rhs->kind == sql::ExprKind::kLiteral) {
-      auto row = table->GetRowByKey(rhs->literal);
-      ResultSet rs;
-      if (!row.ok()) {
-        if (row.status().code() == StatusCode::kNotFound) {
-          rs.affected_rows = 0;
-          session.last_commit_end_lsn_ = guard.Commit();
-          return rs;
-        }
-        return row.status();
-      }
-      // Evaluate all assignments against the fetched row, then apply with
-      // rollback on a mid-statement failure.
-      std::vector<Value> new_values, old_values;
-      Value key = rhs->literal;
-      for (size_t i = 0; i < stmt.assignments.size(); ++i) {
-        DS_ASSIGN_OR_RETURN(Value v,
-                            EvalScalar(*stmt.assignments[i].second,
-                                       &row.value()));
-        new_values.push_back(std::move(v));
-        old_values.push_back(row.value()[target_cols[i]]);
-      }
-      storage::StatementScope txn(pager_, guard.txn());
-      for (size_t i = 0; i < new_values.size(); ++i) {
-        Status s = table->UpdateByKey(key, target_cols[i], new_values[i]);
-        if (target_cols[i] == *pk && s.ok()) key = new_values[i];
-        if (!s.ok()) {
-          for (size_t j = i; j-- > 0;) {
-            (void)table->UpdateByKey(key, target_cols[j], old_values[j]);
-            if (target_cols[j] == *pk) key = old_values[j];
-          }
-          return s;  // the scope + guard close the bracket with kTxnAbort
-        }
-      }
-      (void)txn.Commit();
+  // Key-direct path (DESIGN.md §6a): `WHERE <pk> = <literal>` skips the
+  // table scan — the interface-aware point update driving Figure 2c edits.
+  if (auto key = MatchKeyEquality(stmt.where.get(), table->schema())) {
+    const size_t pk = *table->schema().primary_key_index();
+    const DataType pk_type = table->schema().column(pk).type;
+    auto row = table->GetRowByKey(*key);
+    ResultSet rs;
+    if (!row.ok()) {
+      if (row.status().code() != StatusCode::kNotFound) return row.status();
       session.last_commit_end_lsn_ = guard.Commit();
-      rs.affected_rows = 1;
-      return rs;
+      return rs;  // no such key: 0 rows affected
     }
+    // Evaluate all assignments against the fetched row, then apply with
+    // rollback on a mid-statement failure.
+    std::vector<Value> new_values, old_values;
+    for (size_t i = 0; i < stmt.assignments.size(); ++i) {
+      DS_ASSIGN_OR_RETURN(
+          Value v, EvalScalar(*stmt.assignments[i].second, &row.value()));
+      new_values.push_back(std::move(v));
+      old_values.push_back(row.value()[target_cols[i]]);
+    }
+    storage::StatementScope txn(pager_, guard.txn());
+    for (size_t i = 0; i < new_values.size(); ++i) {
+      Status s = table->UpdateByKey(*key, target_cols[i], new_values[i]);
+      if (!s.ok()) {
+        for (size_t j = i; j-- > 0;) {
+          (void)table->UpdateByKey(*key, target_cols[j], old_values[j]);
+          if (target_cols[j] == pk) *key = old_values[j];
+        }
+        return s;  // the scope + guard close the bracket with kTxnAbort
+      }
+      // Re-key by the value as stored: `SET id = '7'` stores INTEGER 7.
+      if (target_cols[i] == pk) *key = new_values[i].CastTo(pk_type).value();
+    }
+    (void)txn.Commit();
+    session.last_commit_end_lsn_ = guard.Commit();
+    rs.affected_rows = 1;
+    return rs;
   }
 
   // Phase 1: evaluate all updates against the pre-statement state.
@@ -782,29 +793,16 @@ Result<ResultSet> Database::ExecuteUpdate(Session& session,
     Value old_value;
   };
   std::vector<PendingUpdate> pending;
-  Status scan_status = Status::OK();
-  table->Scan([&](size_t pos, const Row& row) {
-    if (stmt.where != nullptr) {
-      auto pass = EvalPredicate(*stmt.where, &row);
-      if (!pass.ok()) {
-        scan_status = pass.status();
-        return false;
-      }
-      if (!pass.value()) return true;
-    }
-    for (size_t i = 0; i < stmt.assignments.size(); ++i) {
-      auto v = EvalScalar(*stmt.assignments[i].second, &row);
-      if (!v.ok()) {
-        scan_status = v.status();
-        return false;
-      }
-      pending.push_back(PendingUpdate{pos, target_cols[i],
-                                      std::move(v).value(),
-                                      row[target_cols[i]]});
-    }
-    return true;
-  });
-  DS_RETURN_IF_ERROR(scan_status);
+  DS_RETURN_IF_ERROR(ScanWhere(
+      *table, stmt.where.get(), [&](size_t pos, const Row& row) -> Status {
+        for (size_t i = 0; i < stmt.assignments.size(); ++i) {
+          DS_ASSIGN_OR_RETURN(Value v,
+                              EvalScalar(*stmt.assignments[i].second, &row));
+          pending.push_back(PendingUpdate{pos, target_cols[i], std::move(v),
+                                          row[target_cols[i]]});
+        }
+        return Status::OK();
+      }));
 
   // Phase 2: apply inside one statement bracket, with rollback on failure.
   storage::StatementScope txn(pager_, guard.txn());
@@ -842,22 +840,23 @@ Result<ResultSet> Database::ExecuteDelete(Session& session,
   if (stmt.where != nullptr) {
     DS_RETURN_IF_ERROR(BindExpr(stmt.where.get(), scope, resolver,
                                 /*allow_aggregates=*/false));
+    FoldConstants(stmt.where.get());
   }
   std::vector<size_t> positions;
-  Status scan_status = Status::OK();
-  table->Scan([&](size_t pos, const Row& row) {
-    if (stmt.where != nullptr) {
-      auto pass = EvalPredicate(*stmt.where, &row);
-      if (!pass.ok()) {
-        scan_status = pass.status();
-        return false;
-      }
-      if (!pass.value()) return true;
+  if (auto key = MatchKeyEquality(stmt.where.get(), table->schema())) {
+    // Key-direct path (DESIGN.md §6a): no scan, and no row is built.
+    auto pos = table->FindByKey(*key);
+    if (pos.ok()) positions.push_back(pos.value());
+    if (!pos.ok() && pos.status().code() != StatusCode::kNotFound) {
+      return pos.status();
     }
-    positions.push_back(pos);
-    return true;
-  });
-  DS_RETURN_IF_ERROR(scan_status);
+  } else {
+    DS_RETURN_IF_ERROR(ScanWhere(*table, stmt.where.get(),
+                                 [&](size_t pos, const Row&) {
+                                   positions.push_back(pos);
+                                   return Status::OK();
+                                 }));
+  }
   // Delete from the highest position down so earlier positions stay valid,
   // all inside one statement bracket.
   storage::StatementScope txn(pager_, guard.txn());

@@ -90,6 +90,36 @@ Result<bool> TableScanOp::Next(RowBatch* out) {
 }
 
 // ---------------------------------------------------------------------------
+// KeyLookupOp
+// ---------------------------------------------------------------------------
+
+Status KeyLookupOp::Open() {
+  auto row = table_->GetRowByKey(key_);
+  pending_ = row.ok();
+  if (pending_) {
+    row_ = std::move(row).value();
+  } else if (row.status().code() != StatusCode::kNotFound) {
+    return row.status();
+  }
+  return Status::OK();
+}
+
+Result<bool> KeyLookupOp::Next(Row* out) {
+  if (!pending_) return false;
+  pending_ = false;
+  *out = std::move(row_);
+  return true;
+}
+
+Result<bool> KeyLookupOp::Next(RowBatch* out) {
+  out->Reset(table_->schema().num_columns());
+  if (!pending_) return false;
+  pending_ = false;
+  out->AppendRowMove(std::move(row_));
+  return true;
+}
+
+// ---------------------------------------------------------------------------
 // RowsScanOp
 // ---------------------------------------------------------------------------
 

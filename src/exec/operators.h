@@ -69,6 +69,25 @@ class TableScanOp : public Operator {
   size_t batch_index_ = 0;
 };
 
+/// The key-direct leaf (DESIGN.md §6a): the one row of `table` whose primary
+/// key equals `key`, or no row. The lookup runs at Open() — through the
+/// table's primary-key hash index, O(1) expected — so a plan opened later
+/// sees the table as it is then.
+class KeyLookupOp : public Operator {
+ public:
+  KeyLookupOp(const Table* table, Value key)
+      : table_(table), key_(std::move(key)) {}
+  Status Open() override;
+  Result<bool> Next(Row* out) override;
+  Result<bool> Next(RowBatch* out) override;
+
+ private:
+  const Table* table_;
+  Value key_;
+  Row row_;
+  bool pending_ = false;  // row_ found and not yet emitted
+};
+
 /// Scan over materialized rows (RANGETABLE contents, join build sides, ...).
 /// The batch path moves values out of the shared vector into batch columns
 /// instead of copying a Row per call; the vector's tuples must not be read

@@ -5,6 +5,7 @@
 #include "common/str_util.h"
 #include "exec/binder.h"
 #include "exec/expr_eval.h"
+#include "exec/key_match.h"
 #include "exec/morsel.h"
 
 namespace dataspread {
@@ -79,11 +80,11 @@ ExprPtr MakeBoundColumn(std::string name, int index) {
   return e;
 }
 
-/// Plan-time constant folding over every expression the plan evaluates.
-/// Runs once, after binding and ORDER BY resolution; both execution modes
-/// then see the same folded AST.
+/// Plan-time constant folding over every expression the plan evaluates
+/// except WHERE, which is folded as soon as it is bound (the key-direct
+/// matcher needs its folded form). Runs once, after binding and ORDER BY
+/// resolution; both execution modes then see the same folded AST.
 void FoldStmtConstants(SelectStmt* stmt) {
-  FoldConstants(stmt->where.get());
   for (sql::JoinClause& join : stmt->joins) FoldConstants(join.on.get());
   for (sql::SelectItem& item : stmt->items) {
     if (!item.star) FoldConstants(item.expr.get());
@@ -112,12 +113,16 @@ Result<PlannedQuery> PlanSelect(SelectStmt* stmt, Catalog& catalog,
   size_t leaf_start = 0;
   size_t leaf_count = kScanAll;
   const Expr* leaf_where = nullptr;
+  // The table of a single-table FROM (no joins): the key-direct leaf's
+  // candidate.
+  const Table* key_table = nullptr;
 
   // ---- FROM clause: sources and joins ----
   if (stmt->from.has_value()) {
     DS_ASSIGN_OR_RETURN(BoundSource first,
                         BindTableRef(*stmt->from, catalog, resolver));
     AppendToScope(first, &scope);
+    if (stmt->joins.empty()) key_table = first.table;
     if (exec.num_threads >= 1 && !exec.row_at_a_time && stmt->joins.empty()) {
       leaf_table = first.table;  // null for RANGETABLE sources → serial
     }
@@ -219,6 +224,17 @@ Result<PlannedQuery> PlanSelect(SelectStmt* stmt, Catalog& catalog,
   if (stmt->where != nullptr) {
     DS_RETURN_IF_ERROR(BindExpr(stmt->where.get(), scope, resolver,
                                 /*allow_aggregates=*/false));
+    FoldConstants(stmt->where.get());
+    // Key-direct leaf (DESIGN.md §6a): `WHERE <pk> = <literal>` reads its 0
+    // or 1 rows from the primary-key index instead of scanning. It takes
+    // precedence over the morsel-parallel leaf (and a WHERE already rules
+    // out the window pushdown); the FilterOp below still checks the row.
+    if (key_table != nullptr) {
+      if (auto key = MatchKeyEquality(stmt->where.get(), key_table->schema())) {
+        root = std::make_unique<KeyLookupOp>(key_table, std::move(*key));
+        leaf_table = nullptr;
+      }
+    }
     if (leaf_table != nullptr) {
       // The predicate rides inside the parallel leaf (each worker filters
       // its own morsels) instead of a FilterOp above the scan.

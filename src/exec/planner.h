@@ -36,7 +36,10 @@ struct PlannedQuery {
 ///  - a bare `SELECT ... FROM t LIMIT n OFFSET k` (no predicates or ordering)
 ///    pushes the window straight into the positional-index scan — the
 ///    interface-aware pane fetch of paper §2.2 ("the burden of supplying or
-///    refreshing the current window is placed on the relational database").
+///    refreshing the current window is placed on the relational database");
+///  - a single-table `WHERE <pk> = <literal>` (MatchKeyEquality) reads from a
+///    KeyLookupOp leaf — the primary-key index — instead of a scan, ahead of
+///    the morsel-parallel leaf.
 ///
 /// `exec` shapes execution: batch size for the vectorized pipeline (also the
 /// table scan's fetch granularity) and the row-at-a-time fallback switch.

@@ -330,6 +330,70 @@ TEST(DropTableTest, DropSurvivesCrashAndOrphansAreSwept) {
 }
 
 // ---------------------------------------------------------------------------
+// The key index after a crash: Attach rebuilds it from data, and point
+// SELECTs (the key-direct path, DESIGN.md §6a) must agree with scans
+// (`id + 0 = k`, never key-direct) on every row, and on misses.
+// ---------------------------------------------------------------------------
+
+TEST(KeyIndexRecoveryTest, PointSelectsAgreeWithScansAfterCrash) {
+  for (StorageModel model : kAllModels) {
+    DurablePair pair(std::string("key_index_") + StorageModelName(model));
+    {
+      Database db(pair.Options(/*cap=*/8));
+      ASSERT_TRUE(db.CreateTable("t",
+                                 Schema({ColumnDef{"id", DataType::kInt, true},
+                                         ColumnDef{"v", DataType::kText,
+                                                   false}}),
+                                 model)
+                      .ok());
+      for (int i = 0; i < 200; ++i) {
+        ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (" + std::to_string(i) +
+                               ", 'v" + std::to_string(i) + "')")
+                        .ok());
+      }
+      for (int i = 0; i < 200; i += 7) {
+        ASSERT_TRUE(
+            db.Execute("DELETE FROM t WHERE id = " + std::to_string(i)).ok());
+      }
+      for (int i = 3; i < 200; i += 11) {
+        ASSERT_TRUE(db.Execute("UPDATE t SET id = " + std::to_string(i + 1000) +
+                               " WHERE id = " + std::to_string(i))
+                        .ok());
+      }
+      ASSERT_TRUE(db.Execute("BEGIN").ok());
+      ASSERT_TRUE(db.Execute("UPDATE t SET v = 'txn' WHERE id = 1").ok());
+      ASSERT_TRUE(db.Execute("DELETE FROM t WHERE id = 2").ok());
+      ASSERT_TRUE(db.Execute("COMMIT").ok());
+      ASSERT_TRUE(db.Execute("BEGIN").ok());
+      ASSERT_TRUE(db.Execute("DELETE FROM t WHERE id = 5").ok());
+      db.pager().SyncWal();
+      db.pager().CrashForTesting();  // the open transaction never commits
+    }
+    Database db(pair.Options(/*cap=*/8));
+    ResultSet ids = db.Execute("SELECT id FROM t").ValueOrDie();
+    ASSERT_EQ(ids.num_rows(), 200u - 29u - 1u) << StorageModelName(model);
+    std::vector<std::string> probes = {"2", "3", "5", "1003", "99999"};
+    for (const Row& row : ids.rows) probes.push_back(row[0].ToDisplayString());
+    for (const std::string& k : probes) {
+      ResultSet keyed =
+          db.Execute("SELECT * FROM t WHERE id = " + k).ValueOrDie();
+      ResultSet scanned =
+          db.Execute("SELECT * FROM t WHERE id + 0 = " + k).ValueOrDie();
+      ASSERT_EQ(keyed.num_rows(), scanned.num_rows())
+          << StorageModelName(model) << " id " << k;
+      for (size_t r = 0; r < keyed.num_rows(); ++r) {
+        EXPECT_EQ(keyed.rows[r], scanned.rows[r])
+            << StorageModelName(model) << " id " << k;
+      }
+    }
+    EXPECT_EQ(db.Execute("SELECT v FROM t WHERE id = 1").ValueOrDie().rows,
+              (std::vector<Row>{{Value::Text("txn")}}));
+    EXPECT_EQ(db.Execute("SELECT v FROM t WHERE id = 5").ValueOrDie().num_rows(),
+              1u);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Close() seals the database
 // ---------------------------------------------------------------------------
 

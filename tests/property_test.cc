@@ -725,6 +725,13 @@ TEST_P(BatchTransparencyTest, RowAndBatchPipelinesProduceIdenticalResults) {
       "SELECT id FROM t LIMIT 7 OFFSET 3",                    // pushdown
       "SELECT id FROM t WHERE id >= 0 ORDER BY id LIMIT 7 OFFSET 3",
       "SELECT id FROM t LIMIT 5 OFFSET 148",                  // clipped window
+      // Key-direct leaf: hit, hit with the literal first, REAL literal on
+      // the INTEGER key, aggregate over the leaf, miss.
+      "SELECT * FROM t WHERE id = 42",
+      "SELECT grp, x FROM t WHERE 7 = id",
+      "SELECT id, x FROM t WHERE id = 3.0",
+      "SELECT COUNT(*), SUM(x) FROM t WHERE id = 149",
+      "SELECT id FROM t WHERE id = 1000",
   };
 
   for (size_t cap : kPools) {
@@ -833,6 +840,10 @@ TEST_P(ParallelTransparencyTest, SerialAndParallelPipelinesAgree) {
       {"SELECT id FROM t WHERE id % 4 = 1 LIMIT 11", true},  // early stop
       {"SELECT * FROM t", false},
       {"SELECT id, grp FROM t WHERE id % 4 = 1", false},
+      // The key-direct leaf takes precedence over the morsel leaf.
+      {"SELECT * FROM t WHERE id = 42", true},
+      {"SELECT COUNT(*), SUM(x) FROM t WHERE id = 149", true},
+      {"SELECT id FROM t WHERE id = 1000", true},
       // Joins are not morsel-eligible: the fallback must stay transparent.
       {"SELECT t.id, u.tag FROM t JOIN u ON t.grp = u.grp "
        "ORDER BY t.id, u.tag",
@@ -1254,6 +1265,189 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ConcurrentTxnEquivalenceTest,
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelTransparencyTest,
                          ::testing::Values(11u, 211u, 3111u));
+
+// ---------------------------------------------------------------------------
+// Invariant 13: the key-direct access path is invisible (DESIGN.md §6a). One
+// random tape of point SELECT / UPDATE / DELETE statements (plus INSERTs that
+// refill the table) runs against two databases: one as written,
+// `WHERE id = <literal>`, which the key-direct matcher may serve from the
+// primary-key index, and a twin that gets every predicate as
+// `id + 0 = <literal>`, which the matcher never takes. Literals hit, miss,
+// are NULL, INTEGER, REAL, and TEXT, and sit around ±2^53 where INTEGER and
+// REAL compare equal but hash apart. ResultSets, affected_rows, status codes
+// and the final table contents must match exactly (values and types, in
+// display order), for every storage model and pool size, on an INTEGER key
+// and on a REAL key.
+// ---------------------------------------------------------------------------
+
+class KeyPathTransparencyTest : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(KeyPathTransparencyTest, KeyedAndScannedStatementsAgree) {
+  constexpr StorageModel kModels[] = {StorageModel::kRow,
+                                      StorageModel::kColumn,
+                                      StorageModel::kRcv,
+                                      StorageModel::kHybrid};
+  constexpr size_t kPools[] = {0, 64, 4};  // unbounded, roomy, tiny
+  // Keys around 2^53 = 9007199254740992, spelled as INTEGER and as REAL.
+  const std::vector<std::string> kEdgeLiterals = {
+      "9007199254740991",     "9007199254740992",     "9007199254740993",
+      "-9007199254740993",    "9007199254740991.0",   "9007199254740992.0",
+      "9007199254740994.0",   "-9007199254740992.0",  "'9007199254740993'",
+  };
+  // Both tables are seeded with small keys plus keys on both sides of 2^53.
+  const std::vector<std::string> kSeedKeys = {
+      "9007199254740991", "9007199254740992", "9007199254740993",
+      "-9007199254740993"};
+
+  std::mt19937 rng(GetParam());
+  auto literal = [&]() -> std::string {
+    int64_t k = static_cast<int64_t>(rng() % 40);
+    switch (rng() % 10) {
+      case 0: case 1: case 2:
+        return std::to_string(k);                        // INTEGER
+      case 3:
+        return std::to_string(k) + ".0";                 // integral REAL
+      case 4:
+        return std::to_string(k) + ".5";                 // fractional REAL
+      case 5:
+        return "NULL";
+      case 6:
+        return "'" + std::to_string(k) + "'";            // TEXT
+      case 7:
+        return "-" + std::to_string(k);                  // folds to a literal
+      default:
+        return kEdgeLiterals[rng() % kEdgeLiterals.size()];
+    }
+  };
+  // One tape; `{K}` marks the key column reference in each predicate.
+  std::vector<std::string> tape;
+  for (int i = 0; i < 160; ++i) {
+    std::string table = rng() % 3 == 0 ? "r" : "t";
+    std::string lit = literal();
+    switch (rng() % 8) {
+      case 0:
+        tape.push_back("SELECT * FROM " + table + " WHERE {K} = " + lit);
+        break;
+      case 1:
+        tape.push_back("SELECT v, id FROM " + table + " WHERE " + lit +
+                       " = {K}");
+        break;
+      case 2:
+        tape.push_back("SELECT COUNT(*), SUM(v) FROM " + table +
+                       " WHERE {K} = " + lit);
+        break;
+      case 3:
+        tape.push_back("UPDATE " + table + " SET v = v + 1 WHERE {K} = " + lit);
+        break;
+      case 4:  // moves the key, possibly onto another row's (an error)
+        tape.push_back("UPDATE " + table + " SET v = 0, id = " + literal() +
+                       " WHERE {K} = " + lit);
+        break;
+      case 5:
+        tape.push_back("DELETE FROM " + table + " WHERE {K} = " + lit);
+        break;
+      default:
+        tape.push_back("INSERT INTO " + table + " VALUES (" + literal() +
+                       ", " + std::to_string(rng() % 100) + ")");
+    }
+  }
+  auto spell = [](std::string sql, const std::string& key) {
+    size_t at = sql.find("{K}");
+    if (at != std::string::npos) sql.replace(at, 3, key);
+    return sql;
+  };
+  auto contents = [](Database& db, const std::string& name) {
+    Table* table = db.catalog().GetTable(name).ValueOrDie();
+    std::vector<Row> rows;
+    for (size_t r = 0; r < table->num_rows(); ++r) {
+      rows.push_back(table->GetRowAt(r).ValueOrDie());
+    }
+    return rows;
+  };
+  auto expect_same_rows = [](const std::vector<Row>& have,
+                             const std::vector<Row>& want,
+                             const std::string& what) {
+    ASSERT_EQ(have.size(), want.size()) << what;
+    for (size_t r = 0; r < want.size(); ++r) {
+      ASSERT_EQ(have[r].size(), want[r].size()) << what << " row " << r;
+      for (size_t c = 0; c < want[r].size(); ++c) {
+        ASSERT_EQ(have[r][c], want[r][c]) << what << " row " << r << " col " << c;
+        ASSERT_EQ(have[r][c].type(), want[r][c].type())
+            << what << " row " << r << " col " << c;
+      }
+    }
+  };
+
+  for (size_t cap : kPools) {
+    for (StorageModel model : kModels) {
+      const std::string config = std::string(" model ") +
+                                 StorageModelName(model) + " pool " +
+                                 std::to_string(cap);
+      DatabaseOptions options;
+      options.pager.max_resident_pages = cap;
+      Database keyed(options), scanned(options);
+      for (Database* db : {&keyed, &scanned}) {
+        ASSERT_TRUE(db->CreateTable("t",
+                                    Schema({ColumnDef{"id", DataType::kInt,
+                                                      true},
+                                            ColumnDef{"v", DataType::kInt,
+                                                      false}}),
+                                    model)
+                        .ok());
+        ASSERT_TRUE(db->CreateTable("r",
+                                    Schema({ColumnDef{"id", DataType::kReal,
+                                                      true},
+                                            ColumnDef{"v", DataType::kInt,
+                                                      false}}),
+                                    model)
+                        .ok());
+        for (const char* table : {"t", "r"}) {
+          for (int k = 0; k < 30; ++k) {
+            ASSERT_TRUE(db->Execute(std::string("INSERT INTO ") + table +
+                                    " VALUES (" + std::to_string(k) + ", " +
+                                    std::to_string(k * 10) + ")")
+                            .ok());
+          }
+          for (const std::string& key : kSeedKeys) {
+            // On the REAL key, 2^53 and 2^53 + 1 collide; the second fails
+            // identically on both sides.
+            (void)db->Execute(std::string("INSERT INTO ") + table +
+                              " VALUES (" + key + ", 1)");
+          }
+        }
+      }
+      size_t hits = 0, errors = 0;  // the tape must exercise both outcomes
+      for (const std::string& stmt : tape) {
+        const std::string sql = spell(stmt, "id");
+        auto have = keyed.Execute(sql);
+        auto want = scanned.Execute(spell(stmt, "id + 0"));
+        ASSERT_EQ(have.status().code(), want.status().code())
+            << sql << config << ": " << have.status().ToString() << " vs "
+            << want.status().ToString();
+        if (!want.ok()) {
+          ++errors;
+          continue;
+        }
+        if (want.value().affected_rows > 0 || want.value().num_rows() > 0) {
+          ++hits;
+        }
+        ASSERT_EQ(have.value().columns, want.value().columns) << sql;
+        ASSERT_EQ(have.value().affected_rows, want.value().affected_rows)
+            << sql << config;
+        expect_same_rows(have.value().rows, want.value().rows, sql + config);
+      }
+      EXPECT_GT(hits, tape.size() / 4) << config;
+      EXPECT_GT(errors, 0u) << config;
+      for (const char* table : {"t", "r"}) {
+        expect_same_rows(contents(keyed, table), contents(scanned, table),
+                         std::string("final ") + table + config);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, KeyPathTransparencyTest,
+                         ::testing::Values(13u, 1313u, 131313u));
 
 }  // namespace
 }  // namespace dataspread

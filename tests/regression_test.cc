@@ -93,6 +93,73 @@ TEST_F(RegressionTest, UpdatePkViaFastPathRepointsKey) {
   EXPECT_EQ(Run("UPDATE t SET v = 0 WHERE id = 777").affected_rows, 0u);
 }
 
+// The key-direct path used to look any literal up in the key index as is.
+// Above 2^53 `Value::Hash` and `Value::Compare` disagree across INTEGER and
+// REAL: 9007199254740993 compares equal to 9007199254740992.0 (the INTEGER
+// rounds on conversion) but hashes apart, so the keyed UPDATE matched 0 rows
+// where the scan matched 1.
+TEST_F(RegressionTest, KeyedUpdateAgreesWithScanBeyondTwoTo53) {
+  Run("CREATE TABLE t (id INT PRIMARY KEY, v INT)");
+  Run("INSERT INTO t VALUES (9007199254740993, 1)");
+  EXPECT_EQ(Run("SELECT * FROM t WHERE id = 9007199254740992.0").num_rows(),
+            1u);
+  EXPECT_EQ(Run("UPDATE t SET v = 2 WHERE id = 9007199254740992.0")
+                .affected_rows,
+            1u);
+  EXPECT_EQ(Run("UPDATE t SET v = 3 WHERE id + 0 = 9007199254740992.0")
+                .affected_rows,
+            1u);
+  EXPECT_EQ(Run("DELETE FROM t WHERE id = 9007199254740992.0").affected_rows,
+            1u);
+  EXPECT_EQ(Run("SELECT * FROM t").num_rows(), 0u);
+}
+
+// Comparing an INTEGER key with TEXT is a TypeError on the scan path (and in
+// SELECT); the keyed UPDATE used to report 0 rows affected instead.
+TEST_F(RegressionTest, KeyedUpdateTextLiteralOnIntKeyIsTypeError) {
+  Run("CREATE TABLE t (id INT PRIMARY KEY, v INT)");
+  Run("INSERT INTO t VALUES (9007199254740993, 1)");
+  for (const char* sql :
+       {"UPDATE t SET v = 4 WHERE id = '9007199254740993'",
+        "UPDATE t SET v = 4 WHERE id + 0 = '9007199254740993'",
+        "SELECT * FROM t WHERE id = '9007199254740993'",
+        "DELETE FROM t WHERE id = '9007199254740993'"}) {
+    auto r = ds_.Sql(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kTypeError) << sql;
+  }
+  EXPECT_EQ(Run("SELECT v FROM t").rows[0][0], Value::Int(1));
+}
+
+// A keyed UPDATE that sets the key to a value of another type re-keys by the
+// value as stored: `SET id = '7'` stores INTEGER 7, and the next assignment
+// must find the row under 7, not '7' (it used to fail with NotFound after
+// the key had already moved, leaving the statement half applied).
+TEST_F(RegressionTest, KeyedUpdateRekeysByStoredKey) {
+  Run("CREATE TABLE t (id INT PRIMARY KEY, v INT)");
+  Run("INSERT INTO t VALUES (5, 1)");
+  EXPECT_EQ(Run("UPDATE t SET id = '7', v = 9 WHERE id = 5").affected_rows,
+            1u);
+  ResultSet rs = Run("SELECT id, v FROM t");
+  ASSERT_EQ(rs.num_rows(), 1u);
+  EXPECT_EQ(rs.rows[0][0], Value::Int(7));
+  EXPECT_EQ(rs.rows[0][1], Value::Int(9));
+}
+
+// NaN compares equal to every number, so a NaN key would make `id = x`
+// match it for every x while the key index could never find it.
+TEST_F(RegressionTest, NanPrimaryKeyIsRejected) {
+  Run("CREATE TABLE r (id REAL PRIMARY KEY, v INT)");
+  Run("INSERT INTO r VALUES (5.0, 1)");
+  auto r = ds_.Sql("INSERT INTO r VALUES (1e308 * 10 - 1e308 * 10, 2)");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kConstraintViolation);
+  r = ds_.Sql("UPDATE r SET id = 1e308 * 10 - 1e308 * 10 WHERE id = 5");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kConstraintViolation);
+  EXPECT_EQ(Run("SELECT id FROM r WHERE id + 0 = 5").num_rows(), 1u);
+}
+
 TEST_F(RegressionTest, InsertSelectRespectsColumnList) {
   Run("CREATE TABLE src (a INT, b TEXT)");
   Run("INSERT INTO src VALUES (1, 'x')");

@@ -75,6 +75,35 @@ TEST(SchedulerTest, ExecutedCounters) {
   EXPECT_EQ(s.total_executed(), 2u);
 }
 
+// RunOne, RunUntilIdle, and the worker share one pop-and-count path: every
+// task counts once, under the band it was queued in.
+TEST(SchedulerTest, EveryDrainPathCountsByBand) {
+  Scheduler s;
+  s.Enqueue(Priority::kBackground, [] {});
+  s.Enqueue(Priority::kNear, [] {});
+  EXPECT_TRUE(s.RunOne());
+  EXPECT_EQ(s.executed(Priority::kNear), 1u);
+  EXPECT_EQ(s.executed(Priority::kBackground), 0u);
+  EXPECT_TRUE(s.RunOne());
+  EXPECT_EQ(s.executed(Priority::kBackground), 1u);
+  EXPECT_FALSE(s.RunOne());
+  EXPECT_EQ(s.total_executed(), 2u);
+
+  s.Enqueue(Priority::kVisible, [] {});
+  EXPECT_EQ(s.RunUntilIdle(1), 1u);
+  EXPECT_EQ(s.executed(Priority::kVisible), 1u);
+
+  s.StartWorker();
+  for (int i = 0; i < 5; ++i) s.Enqueue(Priority::kVisible, [] {});
+  s.Enqueue(Priority::kNear, [] {});
+  s.WaitIdle();
+  s.StopWorker();
+  EXPECT_EQ(s.executed(Priority::kVisible), 6u);
+  EXPECT_EQ(s.executed(Priority::kNear), 2u);
+  EXPECT_EQ(s.executed(Priority::kBackground), 1u);
+  EXPECT_EQ(s.total_executed(), 9u);
+}
+
 TEST(SchedulerTest, BackgroundWorkerDrains) {
   Scheduler s;
   s.StartWorker();

@@ -67,6 +67,32 @@ TEST_P(TxnSqlTest, RollbackRestoresThePreTransactionState) {
   EXPECT_EQ(rs.rows[0][0], Value::Text("keep"));
 }
 
+// Point SELECTs take the key-direct path (DESIGN.md §6a); inside a
+// transaction it must see the transaction's own INSERT, key UPDATE, and
+// DELETE, and after ROLLBACK the restored key index.
+TEST_P(TxnSqlTest, PointSelectSeesOwnWritesAndRollback) {
+  Run("INSERT INTO t VALUES (1, 'a'), (2, 'b'), (3, 'c')");
+  auto point = [&](int id) {
+    ResultSet rs = Run("SELECT v FROM t WHERE id = " + std::to_string(id));
+    return rs.num_rows() == 0 ? std::string("-")
+                              : rs.rows[0][0].ToDisplayString();
+  };
+  Run("BEGIN");
+  Run("INSERT INTO t VALUES (4, 'd')");
+  EXPECT_EQ(point(4), "d");
+  Run("UPDATE t SET id = 20, v = 'b2' WHERE id = 2");
+  EXPECT_EQ(point(2), "-");
+  EXPECT_EQ(point(20), "b2");
+  Run("DELETE FROM t WHERE id = 3");
+  EXPECT_EQ(point(3), "-");
+  Run("ROLLBACK");
+  EXPECT_EQ(point(1), "a");
+  EXPECT_EQ(point(2), "b");
+  EXPECT_EQ(point(3), "c");
+  EXPECT_EQ(point(4), "-");
+  EXPECT_EQ(point(20), "-");
+}
+
 TEST_P(TxnSqlTest, RollbackRestoresDisplayOrderAndRowIds) {
   for (int i = 0; i < 4; ++i) {
     Run("INSERT INTO t VALUES (" + std::to_string(i) + ", 'r" +
