@@ -6,7 +6,7 @@
 // scan-resistant ring (DESIGN.md §5a "Scan resistance & cursors") routes the
 // scan's pages through a dedicated FIFO so hot-set faults stay flat.
 //
-// Each benchmark interleaves chunked GetRows scans with batches of hot-set
+// Each benchmark interleaves chunked GatherRows scans with batches of hot-set
 // point lookups behind a 64-frame pool and reports
 //   hot_faults  — demand faults incurred by the point-lookup batches alone
 //                 (the number the eviction policy is judged on),
@@ -69,12 +69,20 @@ MixedResult RunMixedPass(TableStorage& s, size_t rows, std::mt19937& rng) {
   // stats() returns a snapshot by value (it merges backend counters), so
   // the fault delta brackets each lookup batch with two snapshots.
   MixedResult result;
+  std::vector<size_t> columns(kCols);
+  for (size_t c = 0; c < kCols; ++c) columns[c] = c;
+  std::vector<std::vector<Value>> values(kCols);
+  std::vector<std::vector<Value>*> out;
+  for (std::vector<Value>& v : values) out.push_back(&v);
+  std::vector<size_t> slots;
   for (size_t i = 0; i < rows; i += kScanChunkRows) {
+    size_t n = std::min(kScanChunkRows, rows - i);
+    slots.resize(n);
+    for (size_t k = 0; k < n; ++k) slots[k] = i + k;
+    for (std::vector<Value>& v : values) v.clear();
+    (void)s.GatherRows(slots.data(), n, columns, out.data());
     int64_t chunk_sum = 0;
-    (void)s.VisitRows(i, std::min(kScanChunkRows, rows - i),
-                      [&chunk_sum](size_t, const Value* values) {
-                        chunk_sum += values[0].int_value();
-                      });
+    for (const Value& v : values[0]) chunk_sum += v.int_value();
     result.checksum += chunk_sum;
     uint64_t faults_before = s.pager().stats().faults;
     for (size_t k = 0; k < kLookupsPerChunk; ++k) {

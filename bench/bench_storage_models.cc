@@ -68,13 +68,26 @@ void ReportPagerCounters(benchmark::State& state, const std::string& run,
        {"op_ms", state.counters["op_ms"]}});
 }
 
-/// Full scan through the zero-materialization VisitRows (PageCursor) path:
-/// tuples are consumed straight out of the pinned pages, no Row per tuple.
+/// Full scan through the GatherRows (PageCursor) bulk read, in executor-
+/// sized chunks: every column of every tuple is copied into reused column
+/// vectors, one page pin per data page per chunk.
 int64_t ScanAll(TableStorage& s, size_t rows) {
+  constexpr size_t kChunk = 1024;
+  std::vector<size_t> columns(s.num_columns());
+  for (size_t c = 0; c < columns.size(); ++c) columns[c] = c;
+  std::vector<std::vector<Value>> values(columns.size());
+  std::vector<std::vector<Value>*> out;
+  for (std::vector<Value>& v : values) out.push_back(&v);
+  std::vector<size_t> slots;
   int64_t sum = 0;
-  (void)s.VisitRows(0, rows, [&sum](size_t, const Value* values) {
-    sum += values[0].int_value();
-  });
+  for (size_t start = 0; start < rows; start += kChunk) {
+    size_t n = std::min(kChunk, rows - start);
+    slots.resize(n);
+    for (size_t k = 0; k < n; ++k) slots[k] = start + k;
+    for (std::vector<Value>& v : values) v.clear();
+    (void)s.GatherRows(slots.data(), n, columns, out.data());
+    for (const Value& v : values[0]) sum += v.int_value();
+  }
   return sum;
 }
 

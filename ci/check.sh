@@ -10,8 +10,9 @@
 # (the vectorized batch pipeline must hold a >= 2x win over the row-at-a-time
 # baseline on scan->filter->aggregate at 100k rows; the morsel-parallel leaf
 # must hold >= 1.8x over the serial batch pipeline at 4 threads on >= 4-core
-# machines, and its 1-thread run must stay within 10% of serial batch), and a
-# docs-consistency check (BENCH field coverage + markdown cross-references).
+# machines, and its 1-thread run must stay within 10% of serial batch), an
+# end-to-end correctness smoke over the four user workloads (bench/e2e), and
+# a docs-consistency check (BENCH field coverage + markdown cross-references).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -414,6 +415,17 @@ if cmake --build "${TSAN_BUILD_DIR}" -j "${JOBS}" --target concurrency_test \
     --gtest_brief=1
 else
   echo "ci/check.sh: concurrency_test not built under TSan (GTest missing?); skipping"
+fi
+
+# ---------------------------------------------------------------------------
+# End-to-end smoke: bench/e2e/smoke.sh builds ds_e2e (in build-e2e/) and runs
+# all four user workloads (pan, sheet_edit, dbsql, oltp) briefly over small
+# data, checking correctness only — every cross-layer check must pass.
+# ---------------------------------------------------------------------------
+if command -v python3 >/dev/null 2>&1; then
+  bench/e2e/smoke.sh
+else
+  echo "ci/check.sh: python3 not found; skipping end-to-end smoke"
 fi
 
 # ---------------------------------------------------------------------------

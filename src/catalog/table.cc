@@ -576,31 +576,34 @@ std::vector<Row> Table::GetWindow(size_t start, size_t count) const {
   return out;
 }
 
-Status Table::VisitWindow(size_t start, size_t count,
-                          const TableStorage::RowVisitor& visit) const {
-  Status status = Status::OK();
-  VisitSlotRuns(start, count, [&](size_t, size_t slot, size_t len) {
-    if (!status.ok()) return;
-    status = storage_->VisitRows(slot, len, visit);
-  });
-  return status;
+std::vector<size_t> Table::WindowSlots(size_t start, size_t count) const {
+  std::vector<size_t> slots;
+  slots.reserve(std::min(count, order_.size() - std::min(start, order_.size())));
+  order_.VisitSpans(start, count,
+                    [&](size_t, const uint64_t* rids, size_t n) {
+                      for (size_t k = 0; k < n; ++k) {
+                        slots.push_back(SlotOf(rids[k]));
+                      }
+                    });
+  return slots;
+}
+
+Status Table::GatherWindow(size_t start, size_t count,
+                           const std::vector<size_t>& columns,
+                           std::vector<Value>* const* out) const {
+  std::vector<size_t> slots = WindowSlots(start, count);
+  return storage_->GatherRows(slots.data(), slots.size(), columns, out);
 }
 
 void Table::VisitSlotRuns(
     size_t start, size_t count,
     const std::function<void(size_t pos, size_t slot, size_t len)>& fn) const {
-  std::vector<size_t> slots;
-  slots.reserve(std::min(count, order_.size() - std::min(start, order_.size())));
-  size_t first_pos = 0;
-  order_.Visit(start, count, [&](size_t pos, uint64_t rid) {
-    if (slots.empty()) first_pos = pos;
-    slots.push_back(SlotOf(rid));
-  });
+  std::vector<size_t> slots = WindowSlots(start, count);
   size_t i = 0;
   while (i < slots.size()) {
     size_t j = i + 1;
     while (j < slots.size() && slots[j] == slots[j - 1] + 1) ++j;
-    fn(first_pos + i, slots[i], j - i);
+    fn(start + i, slots[i], j - i);
     i = j;
   }
 }

@@ -115,19 +115,19 @@ class Table {
   /// Visits all tuples in display order; `fn` returns false to stop early.
   void Scan(const std::function<bool(size_t pos, const Row&)>& fn) const;
 
-  /// The batch read path under GetWindow: visits tuples at display positions
-  /// [start, start+count) (clipped) without materializing a Row per tuple.
-  /// Display positions are resolved to storage slots up front and contiguous
-  /// slot runs are served through TableStorage::VisitRows — one page-cursor
-  /// pass per run instead of a GetRow per tuple — so a freshly loaded table
-  /// (display order == storage order) scans at full bulk-path speed. The
-  /// visitor's `row` argument is the storage slot, not the display position;
-  /// the value pointer is valid only during the call.
-  Status VisitWindow(size_t start, size_t count,
-                     const TableStorage::RowVisitor& visit) const;
+  /// The batch read path under the executor's table scan: for every i,
+  /// appends column `columns[i]` of the tuples at display positions
+  /// [start, start+count) (clipped to the table) to `*out[i]`, in display
+  /// order. The window's row ids are read one positional-index leaf span at
+  /// a time, mapped to storage slots, and handed to one
+  /// TableStorage::GatherRows call — one page-cursor sweep per touched file,
+  /// whatever the display order — so only the listed columns are read.
+  Status GatherWindow(size_t start, size_t count,
+                      const std::vector<size_t>& columns,
+                      std::vector<Value>* const* out) const;
 
-  /// The slot-run structure under VisitWindow, exposed for morsel
-  /// partitioning (src/exec/morsel.h): resolves display positions
+  /// The slot-run structure of a window, for morsel partitioning
+  /// (src/exec/morsel.h): resolves display positions
   /// [start, start+count) (clipped) to storage slots and reports each
   /// maximal run of consecutive slots as `fn(pos, slot, len)` — tuples at
   /// display positions [pos, pos+len) live at storage slots
@@ -226,6 +226,9 @@ class Table {
   /// `next_rid_`.
   Status InsertRowAtWithRid(size_t pos, Row row, uint64_t rid);
   size_t SlotOf(uint64_t rid) const { return rid_to_slot_[rid]; }
+  /// Storage slots of display positions [start, start+count) (clipped), in
+  /// display order.
+  std::vector<size_t> WindowSlots(size_t start, size_t count) const;
   void Notify(const TableChange& change);
   /// Rebuilds pk index; used after schema changes that affect the PK column.
   void RebuildPkIndex();

@@ -5,8 +5,6 @@
 #include <thread>
 #include <utility>
 
-#include "exec/expr_eval.h"
-
 namespace dataspread {
 
 std::vector<Morsel> BuildMorsels(const Table& table, size_t start,
@@ -79,6 +77,12 @@ Status DriveMorsels(
   return Status::OK();
 }
 
+std::vector<size_t> AllColumns(const Table& table) {
+  std::vector<size_t> all(table.schema().num_columns());
+  for (size_t c = 0; c < all.size(); ++c) all[c] = c;
+  return all;
+}
+
 /// One worker's private scan(→filter) pipeline, re-aimed per morsel.
 struct WorkerPipeline {
   OperatorPtr chain;
@@ -86,9 +90,11 @@ struct WorkerPipeline {
   RowBatch batch;
   std::vector<uint32_t> scratch;
 
-  void Init(const Table* table, const sql::Expr* where, size_t batch_size) {
+  void Init(const Table* table, const sql::Expr* where, size_t batch_size,
+            const std::vector<size_t>& columns) {
     if (chain != nullptr) return;
     auto s = std::make_unique<TableScanOp>(table, 0, 0, batch_size);
+    s->SetColumns(columns);
     scan = s.get();
     chain = std::move(s);
     if (where != nullptr) {
@@ -118,7 +124,8 @@ ParallelScanOp::ParallelScanOp(const Table* table, size_t start, size_t count,
       where_(where),
       exec_(exec),
       limit_hint_(limit_hint),
-      num_columns_(table->schema().num_columns()) {}
+      num_columns_(table->schema().num_columns()),
+      columns_(AllColumns(*table)) {}
 
 Status ParallelScanOp::Open() {
   built_ = false;
@@ -142,7 +149,7 @@ Status ParallelScanOp::Build() {
       &dispenser, exec_.num_threads, &morsel_status,
       [&](size_t w, const Morsel& m) -> Status {
         WorkerPipeline& p = pipelines[w];
-        p.Init(table_, where_, batch_size);
+        p.Init(table_, where_, batch_size, columns_);
         DS_RETURN_IF_ERROR(p.OpenAt(m));
         std::vector<Row>& out = per_morsel[m.index];
         while (true) {
@@ -214,7 +221,8 @@ ParallelAggregateOp::ParallelAggregateOp(
       agg_calls_(std::move(agg_calls)),
       output_exprs_(std::move(output_exprs)),
       having_(having),
-      exec_(exec) {}
+      exec_(exec),
+      columns_(AllColumns(*table)) {}
 
 Status ParallelAggregateOp::Open() {
   built_ = false;
@@ -230,117 +238,58 @@ Status ParallelAggregateOp::Build() {
   const size_t slots = std::max<size_t>(1, exec_.num_threads);
   std::vector<Status> morsel_status(dispenser.size());
   std::vector<WorkerPipeline> pipelines(slots);
-  std::vector<PartialMap> partials(slots);
-  std::vector<std::vector<std::vector<Value>>> group_vals(slots);
-  std::vector<std::vector<std::vector<Value>>> arg_vals(slots);
+  std::vector<AggregateFold> folds;
+  folds.reserve(slots);
+  for (size_t w = 0; w < slots; ++w) folds.emplace_back(group_exprs_, agg_calls_);
 
   DS_RETURN_IF_ERROR(DriveMorsels(
       &dispenser, exec_.num_threads, &morsel_status,
       [&](size_t w, const Morsel& m) -> Status {
         WorkerPipeline& p = pipelines[w];
-        p.Init(table_, where_, batch_size);
-        group_vals[w].resize(group_exprs_.size());
-        arg_vals[w].resize(agg_calls_.size());
+        p.Init(table_, where_, batch_size, columns_);
         DS_RETURN_IF_ERROR(p.OpenAt(m));
-        PartialMap& groups = partials[w];
-        // Rows processed so far in this morsel: the low half of the
-        // first-seen order key. A worker's morsel indices are increasing
-        // (the dispenser hands them out in order), so a group's key in one
-        // worker's map is its earliest sighting by that worker, and the
-        // cross-worker minimum is the global serial first-seen position.
-        uint64_t seq = 0;
+        // First-seen order key: (morsel index, live row within the morsel).
+        // A worker's morsel indices are increasing (the dispenser hands them
+        // out in order), so a group's key in one worker's fold is its
+        // earliest sighting by that worker, and the cross-worker minimum is
+        // the global serial first-seen position.
+        uint64_t seq = static_cast<uint64_t>(m.index) << 32;
         while (true) {
           DS_ASSIGN_OR_RETURN(bool more, p.chain->Next(&p.batch));
           if (!more) break;
-          const std::vector<uint32_t>& active =
-              p.batch.ActivePositions(&p.scratch);
-          // One vectorized pass per group key and aggregate argument — the
-          // same build loop as HashAggregateOp::BuildBatched, privatized.
-          for (size_t g = 0; g < group_exprs_.size(); ++g) {
-            DS_RETURN_IF_ERROR(EvalScalarBatch(*group_exprs_[g], p.batch,
-                                               active, &group_vals[w][g]));
-          }
-          for (size_t a = 0; a < agg_calls_.size(); ++a) {
-            const sql::Expr* call = agg_calls_[a];
-            if (call->op == "COUNT" && call->star) continue;
-            DS_RETURN_IF_ERROR(EvalScalarBatch(*call->args[0], p.batch,
-                                               active, &arg_vals[w][a]));
-          }
-          Row key;
-          for (uint32_t pos : active) {
-            key.clear();
-            key.reserve(group_exprs_.size());
-            for (const auto& gv : group_vals[w]) key.push_back(gv[pos]);
-            auto it = groups.find(key);
-            if (it == groups.end()) {
-              Partial partial;
-              partial.order_key = (static_cast<uint64_t>(m.index) << 32) |
-                                  (seq & 0xffffffffu);
-              partial.group.first_row = p.batch.MaterializeRow(pos);
-              partial.group.states.reserve(agg_calls_.size());
-              for (sql::Expr* call : agg_calls_) {
-                partial.group.states.emplace_back(call);
-              }
-              it = groups.emplace(key, std::move(partial)).first;
-            }
-            for (size_t a = 0; a < agg_calls_.size(); ++a) {
-              AggState& s = it->second.group.states[a];
-              if (s.needs_arg()) {
-                DS_RETURN_IF_ERROR(s.UpdateValue(arg_vals[w][a][pos]));
-              } else {
-                s.UpdateStar();
-              }
-            }
-            ++seq;
-          }
+          DS_RETURN_IF_ERROR(folds[w].Fold(p.batch, &seq));
         }
         return Status::OK();
       }));
 
-  // Single-threaded merge: fold every worker's partials into one map,
-  // keeping the smallest order key's first_row and letting the earlier
-  // partial win MIN/MAX ties (AggState::Merge's contract).
-  PartialMap merged;
-  for (PartialMap& pm : partials) {
-    for (auto& kv : pm) {
-      auto it = merged.find(kv.first);
-      if (it == merged.end()) {
-        merged.emplace(kv.first, std::move(kv.second));
+  // Single-threaded merge: fold every worker's partial groups into one
+  // list, keeping the smallest order key's first_row and letting the
+  // earlier partial win MIN/MAX ties (AggState::Merge's contract).
+  std::vector<AggGroup> merged;
+  std::unordered_map<Row, size_t, RowHash, RowEq> ids;
+  for (AggregateFold& fold : folds) {
+    for (AggGroup& incoming : fold.groups()) {
+      auto [it, inserted] = ids.emplace(incoming.key, merged.size());
+      if (inserted) {
+        merged.push_back(std::move(incoming));
         continue;
       }
-      Partial& have = it->second;
-      Partial& incoming = kv.second;
-      if (incoming.order_key < have.order_key) {
-        for (size_t a = 0; a < agg_calls_.size(); ++a) {
-          incoming.group.states[a].Merge(have.group.states[a]);
-        }
-        have = std::move(incoming);
-      } else {
-        for (size_t a = 0; a < agg_calls_.size(); ++a) {
-          have.group.states[a].Merge(incoming.group.states[a]);
-        }
+      AggGroup& have = merged[it->second];
+      if (incoming.order_key < have.order_key) std::swap(have, incoming);
+      for (size_t a = 0; a < agg_calls_.size(); ++a) {
+        have.states[a].Merge(incoming.states[a]);
       }
     }
   }
-
-  std::vector<Partial*> ordered;
-  ordered.reserve(merged.size());
-  for (auto& kv : merged) ordered.push_back(&kv.second);
-  std::sort(ordered.begin(), ordered.end(),
-            [](const Partial* a, const Partial* b) {
-              return a->order_key < b->order_key;
+  std::sort(merged.begin(), merged.end(),
+            [](const AggGroup& a, const AggGroup& b) {
+              return a.order_key < b.order_key;
             });
-  std::vector<AggGroup*> groups;
-  groups.reserve(ordered.size());
-  for (Partial* p : ordered) groups.push_back(&p->group);
   // Global aggregate over empty input still yields one group.
-  AggGroup empty_global;
-  if (groups.empty() && group_exprs_.empty()) {
-    empty_global.states.reserve(agg_calls_.size());
-    for (sql::Expr* call : agg_calls_) empty_global.states.emplace_back(call);
-    groups.push_back(&empty_global);
+  if (merged.empty() && group_exprs_.empty()) {
+    merged.push_back(MakeAggGroup(agg_calls_));
   }
-  return FinalizeAggregateGroups(output_exprs_, having_, groups, &results_);
+  return FinalizeAggregateGroups(output_exprs_, having_, merged, &results_);
 }
 
 Result<bool> ParallelAggregateOp::Next(Row* out) {

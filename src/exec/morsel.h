@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "catalog/table.h"
@@ -101,6 +100,9 @@ class ParallelScanOp : public Operator {
   Result<bool> Next(Row* out) override;
   Result<bool> Next(RowBatch* out) override;
 
+  /// Column pruning for the workers' scans (TableScanOp::SetColumns).
+  void SetColumns(std::vector<size_t> columns) { columns_ = std::move(columns); }
+
  private:
   Status Build();
 
@@ -110,19 +112,20 @@ class ParallelScanOp : public Operator {
   ExecOptions exec_;
   size_t limit_hint_;
   size_t num_columns_;
+  std::vector<size_t> columns_;  // read by the workers' scans
   bool built_ = false;
   std::vector<Row> rows_;  // morsel-order concatenation
   size_t index_ = 0;
 };
 
-/// Morsel-parallel scan→filter→aggregate leaf: each worker builds partial
-/// aggregate states over its morsels (the vectorized group-build of
-/// HashAggregateOp::BuildBatched, privatized per worker), then partials are
-/// merged single-threaded and finalized through the shared
-/// FinalizeAggregateGroups tail. Every group carries a first-seen order key
-/// (morsel index, row-within-morsel); merging keeps the smallest key's
-/// first_row and lets the earlier partial win MIN/MAX compare-equal ties, so
-/// the merged group order and contents match the serial operator's.
+/// Morsel-parallel scan→filter→aggregate leaf: each worker folds its
+/// morsels into a private AggregateFold (the same batch fold as the serial
+/// HashAggregateOp), then partial groups are merged single-threaded and
+/// finalized through the shared FinalizeAggregateGroups tail. Every group
+/// carries a first-seen order key (morsel index, live row within the
+/// morsel); merging keeps the smallest key's first_row and lets the earlier
+/// partial win MIN/MAX compare-equal ties, so the merged group order and
+/// contents match the serial operator's.
 class ParallelAggregateOp : public Operator {
  public:
   ParallelAggregateOp(const Table* table, size_t start, size_t count,
@@ -135,14 +138,10 @@ class ParallelAggregateOp : public Operator {
   Result<bool> Next(Row* out) override;
   Result<bool> Next(RowBatch* out) override;
 
- private:
-  /// One group's partial state plus its first-seen order key.
-  struct Partial {
-    AggGroup group;
-    uint64_t order_key;
-  };
-  using PartialMap = std::unordered_map<Row, Partial, RowHash, RowEq>;
+  /// Column pruning for the workers' scans (TableScanOp::SetColumns).
+  void SetColumns(std::vector<size_t> columns) { columns_ = std::move(columns); }
 
+ private:
   Status Build();
 
   const Table* table_;
@@ -153,6 +152,7 @@ class ParallelAggregateOp : public Operator {
   std::vector<const sql::Expr*> output_exprs_;
   const sql::Expr* having_;
   ExecOptions exec_;
+  std::vector<size_t> columns_;  // read by the workers' scans
   bool built_ = false;
   std::vector<Row> results_;
   size_t index_ = 0;

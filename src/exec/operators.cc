@@ -38,7 +38,11 @@ TableScanOp::TableScanOp(const Table* table, size_t start, size_t count,
       start_(start),
       remaining_(count),
       row_batch_hint_(row_batch_hint == 0 ? kDefaultExecBatchSize
-                                          : row_batch_hint) {}
+                                          : row_batch_hint) {
+  std::vector<size_t> all(table->schema().num_columns());
+  for (size_t c = 0; c < all.size(); ++c) all[c] = c;
+  SetColumns(std::move(all));
+}
 
 Status TableScanOp::Open() {
   next_pos_ = start_;
@@ -53,6 +57,11 @@ void TableScanOp::SetWindow(size_t start, size_t count) {
   next_pos_ = start;
   batch_.clear();
   batch_index_ = 0;
+}
+
+void TableScanOp::SetColumns(std::vector<size_t> columns) {
+  columns_ = std::move(columns);
+  column_out_.assign(columns_.size(), nullptr);
 }
 
 Result<bool> TableScanOp::Next(Row* out) {
@@ -75,18 +84,17 @@ Result<bool> TableScanOp::Next(RowBatch* out) {
   if (remaining_ == 0 || next_pos_ >= table_->num_rows()) return false;
   size_t want = std::min({out->capacity(), remaining_,
                           table_->num_rows() - next_pos_});
-  size_t filled = 0;
-  DS_RETURN_IF_ERROR(table_->VisitWindow(
-      next_pos_, want, [&](size_t, const Value* values) {
-        for (size_t c = 0; c < ncols; ++c) {
-          out->column(c).push_back(values[c]);
-        }
-        ++filled;
-      }));
-  out->set_size(filled);
-  next_pos_ += filled;
-  remaining_ -= filled;
-  return filled > 0;
+  for (size_t j = 0; j < columns_.size(); ++j) {
+    column_out_[j] = &out->column(columns_[j]);
+  }
+  DS_RETURN_IF_ERROR(
+      table_->GatherWindow(next_pos_, want, columns_, column_out_.data()));
+  // Pruned columns read as NULL at every position of the batch.
+  for (size_t c = 0; c < ncols; ++c) out->column(c).resize(want);
+  out->set_size(want);
+  next_pos_ += want;
+  remaining_ -= want;
+  return want > 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -557,8 +565,8 @@ Status HashAggregateOp::Open() {
 }
 
 Status HashAggregateOp::BuildRows() {
-  GroupMap groups;
-  std::vector<Row> group_order;  // deterministic output: first-seen order
+  std::vector<AggGroup> groups;  // deterministic output: first-seen order
+  std::unordered_map<Row, size_t, RowHash, RowEq> ids;
 
   Row input;
   while (true) {
@@ -572,81 +580,45 @@ Status HashAggregateOp::BuildRows() {
       if (!v.ok()) return v.status();
       key.push_back(std::move(v).value());
     }
-    auto it = groups.find(key);
-    if (it == groups.end()) {
-      Group g;
+    auto it = ids.find(key);
+    if (it == ids.end()) {
+      AggGroup g = MakeAggGroup(agg_calls_);
       g.first_row = input;
-      g.states.reserve(agg_calls_.size());
-      for (sql::Expr* call : agg_calls_) g.states.emplace_back(call);
-      it = groups.emplace(key, std::move(g)).first;
-      group_order.push_back(key);
+      it = ids.emplace(std::move(key), groups.size()).first;
+      groups.push_back(std::move(g));
     }
-    for (AggState& s : it->second.states) {
+    for (AggState& s : groups[it->second].states) {
       DS_RETURN_IF_ERROR(s.Update(input));
     }
   }
-  return ExtractResults(&groups, &group_order);
+  // Global aggregate over empty input still yields one group.
+  if (groups.empty() && group_exprs_.empty()) {
+    groups.push_back(MakeAggGroup(agg_calls_));
+  }
+  return FinalizeAggregateGroups(output_exprs_, having_, groups, &results_);
 }
 
 Status HashAggregateOp::BuildBatched(size_t batch_size) {
-  GroupMap groups;
-  std::vector<Row> group_order;
-
+  AggregateFold fold(group_exprs_, agg_calls_);
   input_.set_capacity(batch_size);
-  std::vector<uint32_t> scratch;
-  std::vector<std::vector<Value>> group_vals(group_exprs_.size());
-  std::vector<std::vector<Value>> arg_vals(agg_calls_.size());
+  uint64_t seq = 0;
   while (true) {
-    auto more = child_->Next(&input_);
-    if (!more.ok()) return more.status();
-    if (!more.value()) break;
-    const std::vector<uint32_t>& active = input_.ActivePositions(&scratch);
-    // One vectorized pass per group key and per aggregate argument.
-    for (size_t g = 0; g < group_exprs_.size(); ++g) {
-      DS_RETURN_IF_ERROR(EvalScalarBatch(*group_exprs_[g], input_, active,
-                                         &group_vals[g]));
-    }
-    for (size_t a = 0; a < agg_calls_.size(); ++a) {
-      const sql::Expr* call = agg_calls_[a];
-      if (call->op == "COUNT" && call->star) continue;  // COUNT(*): no arg
-      DS_RETURN_IF_ERROR(EvalScalarBatch(*call->args[0], input_, active,
-                                         &arg_vals[a]));
-    }
-    Row key;
-    for (uint32_t p : active) {
-      key.clear();
-      key.reserve(group_exprs_.size());
-      for (const auto& gv : group_vals) key.push_back(gv[p]);
-      auto it = groups.find(key);
-      if (it == groups.end()) {
-        Group g;
-        g.first_row = input_.MaterializeRow(p);
-        g.states.reserve(agg_calls_.size());
-        for (sql::Expr* call : agg_calls_) g.states.emplace_back(call);
-        it = groups.emplace(key, std::move(g)).first;
-        group_order.push_back(it->first);
-      }
-      for (size_t a = 0; a < agg_calls_.size(); ++a) {
-        AggState& s = it->second.states[a];
-        if (s.needs_arg()) {
-          DS_RETURN_IF_ERROR(s.UpdateValue(arg_vals[a][p]));
-        } else {
-          s.UpdateStar();
-        }
-      }
-    }
+    DS_ASSIGN_OR_RETURN(bool more, child_->Next(&input_));
+    if (!more) break;
+    DS_RETURN_IF_ERROR(fold.Fold(input_, &seq));
   }
-  return ExtractResults(&groups, &group_order);
+  std::vector<AggGroup> groups = fold.TakeGroups();
+  return FinalizeAggregateGroups(output_exprs_, having_, groups, &results_);
 }
 
 Status FinalizeAggregateGroups(
     const std::vector<const sql::Expr*>& output_exprs, const sql::Expr* having,
-    const std::vector<AggGroup*>& groups, std::vector<Row>* results) {
-  for (AggGroup* g : groups) {
+    const std::vector<AggGroup>& groups, std::vector<Row>* results) {
+  for (const AggGroup& g : groups) {
     std::vector<Value> agg_values;
-    agg_values.reserve(g->states.size());
-    for (const AggState& s : g->states) agg_values.push_back(s.Finalize());
-    const Row* first = g->first_row.empty() ? nullptr : &g->first_row;
+    agg_values.reserve(g.states.size());
+    for (const AggState& s : g.states) agg_values.push_back(s.Finalize());
+    const Row* first = g.first_row.empty() ? nullptr : &g.first_row;
     if (having != nullptr) {
       auto pass = EvalPredicate(*having, first, &agg_values);
       if (!pass.ok()) return pass.status();
@@ -662,21 +634,6 @@ Status FinalizeAggregateGroups(
     results->push_back(std::move(out));
   }
   return Status::OK();
-}
-
-Status HashAggregateOp::ExtractResults(GroupMap* groups,
-                                       std::vector<Row>* group_order) {
-  // Global aggregate over empty input still yields one group.
-  if (groups->empty() && group_exprs_.empty()) {
-    Group g;
-    for (sql::Expr* call : agg_calls_) g.states.emplace_back(call);
-    groups->emplace(Row{}, std::move(g));
-    group_order->push_back(Row{});
-  }
-  std::vector<AggGroup*> ordered;
-  ordered.reserve(group_order->size());
-  for (const Row& key : *group_order) ordered.push_back(&groups->at(key));
-  return FinalizeAggregateGroups(output_exprs_, having_, ordered, &results_);
 }
 
 Result<bool> HashAggregateOp::Next(Row* out) {

@@ -43,11 +43,16 @@ using OperatorPtr = std::unique_ptr<Operator>;
 /// implement the interface-aware LIMIT/OFFSET pushdown: a pane fetch reads
 /// exactly the window's tuples (paper §2.2 "Window").
 ///
-/// The batch path fills column vectors straight from the storage layer's
-/// zero-materialization visitor (Table::VisitWindow -> VisitRows page
-/// cursors): one value copy from the pinned page into the batch, no
-/// intermediate Row. The row path fetches GetWindow slices of
-/// `row_batch_hint` tuples (the pre-vectorization behavior).
+/// The batch path fills the batch's column vectors straight from storage:
+/// one Table::GatherWindow per batch (one GatherRows page-cursor sweep per
+/// touched file), so a tuple costs one value copy per *read* column from the
+/// pinned page into the batch — no intermediate Row, no per-row callback.
+/// SetColumns() narrows the read to the columns the plan above references
+/// (planner column pruning); every other column is filled with NULLs up to
+/// the batch length, so each column keeps the batch's size() and
+/// MaterializeRow, DISTINCT, and the join emit path stay valid. The row
+/// path fetches whole-tuple GetWindow slices of `row_batch_hint` tuples (the
+/// pre-vectorization behavior).
 class TableScanOp : public Operator {
  public:
   TableScanOp(const Table* table, size_t start, size_t count,
@@ -61,10 +66,16 @@ class TableScanOp : public Operator {
   /// constructing an operator chain per morsel (src/exec/morsel.cc).
   void SetWindow(size_t start, size_t count);
 
+  /// Restricts the batch path to the listed columns (ascending, each below
+  /// the table's column count); the others read as NULL. Default: all.
+  void SetColumns(std::vector<size_t> columns);
+
  private:
   const Table* table_;
   size_t start_, remaining_, next_pos_ = 0;
   size_t row_batch_hint_;
+  std::vector<size_t> columns_;  // read by the batch path
+  std::vector<std::vector<Value>*> column_out_;
   std::vector<Row> batch_;
   size_t batch_index_ = 0;
 };
@@ -215,33 +226,25 @@ class HashJoinOp : public Operator {
   size_t left_cursor_ = 0;
 };
 
-/// One aggregation group: the first input row seen (non-aggregate parts of
-/// the output expressions evaluate against it) plus one running state per
-/// aggregate call. Shared between the serial HashAggregateOp and the
-/// morsel-parallel partial-aggregate merge (src/exec/morsel.h).
-struct AggGroup {
-  Row first_row;
-  std::vector<AggState> states;
-};
-
 /// The aggregate finalization tail, shared by the serial and parallel paths:
 /// for each group (in the given order) finalizes its states, applies
 /// `having` (groups failing it are dropped), and evaluates `output_exprs`
 /// — aggregate call sites replaced by finalized values, everything else
 /// evaluated on the group's first row — appending one row per surviving
 /// group to `results`. Callers synthesize the empty-input global group
-/// before calling.
+/// before calling (AggregateFold::TakeGroups).
 Status FinalizeAggregateGroups(
     const std::vector<const sql::Expr*>& output_exprs, const sql::Expr* having,
-    const std::vector<AggGroup*>& groups, std::vector<Row>* results);
+    const std::vector<AggGroup>& groups, std::vector<Row>* results);
 
 /// Blocking hash aggregation. Groups by `group_exprs`; for each group the
 /// output row is `output_exprs` evaluated with aggregate call sites replaced
 /// by their finalized values and non-aggregate parts evaluated on the group's
 /// first input row. `having` (optional) filters groups. With no group
 /// expressions, produces exactly one (possibly empty-input) global group.
-/// The batch build evaluates group keys and aggregate arguments vectorized —
-/// one expression pass per batch instead of per row.
+/// The batch build is the shared AggregateFold (exec/aggregates.h): group
+/// keys and aggregate arguments are computed once per batch and each
+/// aggregate folds its argument column.
 class HashAggregateOp : public Operator {
  public:
   HashAggregateOp(OperatorPtr child, std::vector<const sql::Expr*> group_exprs,
@@ -253,15 +256,8 @@ class HashAggregateOp : public Operator {
   Result<bool> Next(RowBatch* out) override;
 
  private:
-  using Group = AggGroup;
-  using GroupMap = std::unordered_map<Row, Group, RowHash, RowEq>;
-
   Status BuildRows();
   Status BuildBatched(size_t batch_size);
-  /// Shared tail: synthesizes the empty-input global group, finalizes groups
-  /// (in first-seen order), applies HAVING, and evaluates the output
-  /// expressions into results_.
-  Status ExtractResults(GroupMap* groups, std::vector<Row>* group_order);
 
   OperatorPtr child_;
   std::vector<const sql::Expr*> group_exprs_;

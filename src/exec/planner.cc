@@ -80,6 +80,16 @@ ExprPtr MakeBoundColumn(std::string name, int index) {
   return e;
 }
 
+/// Marks every input column `e` reads (its bound column references).
+void MarkColumns(const Expr* e, std::vector<bool>* used) {
+  if (e == nullptr) return;
+  if (e->kind == ExprKind::kColumnRef && e->bound_column >= 0 &&
+      static_cast<size_t>(e->bound_column) < used->size()) {
+    (*used)[static_cast<size_t>(e->bound_column)] = true;
+  }
+  for (const ExprPtr& a : e->args) MarkColumns(a.get(), used);
+}
+
 /// Plan-time constant folding over every expression the plan evaluates
 /// except WHERE, which is folded as soon as it is bound (the key-direct
 /// matcher needs its folded form). Runs once, after binding and ORDER BY
@@ -116,6 +126,11 @@ Result<PlannedQuery> PlanSelect(SelectStmt* stmt, Catalog& catalog,
   // The table of a single-table FROM (no joins): the key-direct leaf's
   // candidate.
   const Table* key_table = nullptr;
+  // The scan leaf of a single-table FROM, serial or morsel-parallel (at most
+  // one is set): column pruning narrows it to the referenced columns.
+  TableScanOp* scan_leaf = nullptr;
+  ParallelScanOp* parallel_scan = nullptr;
+  ParallelAggregateOp* parallel_aggregate = nullptr;
 
   // ---- FROM clause: sources and joins ----
   if (stmt->from.has_value()) {
@@ -151,6 +166,9 @@ Result<PlannedQuery> PlanSelect(SelectStmt* stmt, Catalog& catalog,
     if (consumed_window) {
       stmt->limit.reset();
       stmt->offset.reset();
+    }
+    if (key_table != nullptr) {
+      scan_leaf = static_cast<TableScanOp*>(root.get());
     }
 
     for (sql::JoinClause& join : stmt->joins) {
@@ -232,6 +250,7 @@ Result<PlannedQuery> PlanSelect(SelectStmt* stmt, Catalog& catalog,
     if (key_table != nullptr) {
       if (auto key = MatchKeyEquality(stmt->where.get(), key_table->schema())) {
         root = std::make_unique<KeyLookupOp>(key_table, std::move(*key));
+        scan_leaf = nullptr;
         leaf_table = nullptr;
       }
     }
@@ -302,9 +321,12 @@ Result<PlannedQuery> PlanSelect(SelectStmt* stmt, Catalog& catalog,
     if (leaf_table != nullptr) {
       // The whole scan→filter→aggregate leaf goes morsel-parallel; the
       // serial scan built above is discarded.
-      root = std::make_unique<ParallelAggregateOp>(
+      auto op = std::make_unique<ParallelAggregateOp>(
           leaf_table, leaf_start, leaf_count, leaf_where, group_exprs,
           std::move(agg_calls), output_exprs, stmt->having.get(), exec);
+      parallel_aggregate = op.get();
+      scan_leaf = nullptr;
+      root = std::move(op);
     } else {
       root = std::make_unique<HashAggregateOp>(std::move(root), group_exprs,
                                                std::move(agg_calls),
@@ -321,8 +343,11 @@ Result<PlannedQuery> PlanSelect(SelectStmt* stmt, Catalog& catalog,
       limit_hint = static_cast<size_t>(*stmt->limit) +
                    static_cast<size_t>(stmt->offset.value_or(0));
     }
-    root = std::make_unique<ParallelScanOp>(leaf_table, leaf_start, leaf_count,
-                                            leaf_where, exec, limit_hint);
+    auto op = std::make_unique<ParallelScanOp>(
+        leaf_table, leaf_start, leaf_count, leaf_where, exec, limit_hint);
+    parallel_scan = op.get();
+    scan_leaf = nullptr;
+    root = std::move(op);
   }
 
   // ---- ORDER BY ----
@@ -407,6 +432,37 @@ Result<PlannedQuery> PlanSelect(SelectStmt* stmt, Catalog& catalog,
     root = std::make_unique<LimitOp>(std::move(root),
                                      stmt->limit.value_or(-1),
                                      stmt->offset.value_or(0));
+  }
+
+  // ---- Column pruning ----
+  // A single-table leaf reads only the columns some expression above it
+  // references: select list (star expansions included), WHERE, GROUP BY,
+  // HAVING, aggregate arguments (inside the first two), and — for
+  // non-aggregate queries, which sort input rows — ORDER BY. Aggregate
+  // queries sort their output rows, so their ORDER BY reads no input column.
+  if (scan_leaf != nullptr || parallel_scan != nullptr ||
+      parallel_aggregate != nullptr) {
+    std::vector<bool> used(key_table->schema().num_columns(), false);
+    for (const Expr* e : output_exprs) MarkColumns(e, &used);
+    MarkColumns(stmt->where.get(), &used);
+    for (const ExprPtr& g : stmt->group_by) MarkColumns(g.get(), &used);
+    MarkColumns(stmt->having.get(), &used);
+    if (!any_aggregate) {
+      for (const sql::OrderItem& item : stmt->order_by) {
+        MarkColumns(item.expr.get(), &used);
+      }
+    }
+    std::vector<size_t> columns;
+    for (size_t c = 0; c < used.size(); ++c) {
+      if (used[c]) columns.push_back(c);
+    }
+    if (scan_leaf != nullptr) {
+      scan_leaf->SetColumns(std::move(columns));
+    } else if (parallel_scan != nullptr) {
+      parallel_scan->SetColumns(std::move(columns));
+    } else {
+      parallel_aggregate->SetColumns(std::move(columns));
+    }
   }
 
   // Constant folding last: ORDER BY's textual matching (case 3 above) must

@@ -299,10 +299,13 @@ Status FormulaEngine::RecalcWindow(Sheet* sheet, int64_t r0, int64_t c0,
   // Targets: closure formulas inside the window.
   std::unordered_set<CellKey, CellKeyHash> needed;
   std::deque<CellKey> frontier;
+  std::vector<CellKey> off_window;  // closure formulas outside the window
   for (const CellKey& k : closure) {
     if (k.sheet == sheet && k.row >= r0 && k.row <= r1 && k.col >= c0 &&
         k.col <= c1) {
       if (needed.insert(k).second) frontier.push_back(k);
+    } else if (formulas_.count(k) > 0) {
+      off_window.push_back(k);
     }
   }
   // Pull in dirty precedents (transitively) so window results are exact.
@@ -339,7 +342,16 @@ Status FormulaEngine::RecalcWindow(Sheet* sheet, int64_t r0, int64_t c0,
       }
     }
   }
-  return RecalcSet(needed);
+  DS_RETURN_IF_ERROR(RecalcSet(needed));
+  // RecalcSet cleared the dirty marks of the value cells it consumed (e.g. an
+  // edited parameter cell), which were the only roots leading to the
+  // closure's off-window formulas. Mark those formulas dirty themselves so
+  // the background RecalcDirty still recomputes them (unless they were
+  // pulled in as precedents and are now clean).
+  for (const CellKey& k : off_window) {
+    if (needed.count(k) == 0) dirty_.insert(k);
+  }
+  return Status::OK();
 }
 
 Status FormulaEngine::RecalcAll() {

@@ -99,7 +99,8 @@ class FormulaEngine {
   /// Recomputes the dirty closure in dependency order.
   Status RecalcDirty();
   /// Recomputes only the dirty cells needed for the given rectangle to be
-  /// consistent. Remaining dirty cells stay queued.
+  /// consistent. Remaining dirty cells stay queued, and so do the formulas
+  /// outside the rectangle that depend on a cell it consumed.
   Status RecalcWindow(Sheet* sheet, int64_t r0, int64_t c0, int64_t r1,
                       int64_t c1);
 

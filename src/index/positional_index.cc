@@ -203,13 +203,22 @@ Result<uint64_t> PositionalIndex::EraseAt(size_t pos) {
 
 void PositionalIndex::Visit(size_t begin, size_t count,
                             const std::function<void(size_t, uint64_t)>& fn) const {
+  VisitSpans(begin, count,
+             [&fn](size_t first, const uint64_t* payloads, size_t n) {
+               for (size_t k = 0; k < n; ++k) fn(first + k, payloads[k]);
+             });
+}
+
+void PositionalIndex::VisitSpans(
+    size_t begin, size_t count,
+    const std::function<void(size_t, const uint64_t*, size_t)>& fn) const {
   if (begin >= size_ || count == 0) return;
   size_t end = std::min(size_, begin + count);
   auto walk = [&](auto&& self, const Node* node, size_t base) -> void {
     if (node->leaf) {
       size_t lo = begin > base ? begin - base : 0;
       size_t hi = std::min(node->values.size(), end - base);
-      for (size_t k = lo; k < hi; ++k) fn(base + k, node->values[k]);
+      if (lo < hi) fn(base + lo, node->values.data() + lo, hi - lo);
       return;
     }
     size_t child_base = base;

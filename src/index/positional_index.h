@@ -50,6 +50,14 @@ class PositionalIndex {
   /// to size(). O(log n + count).
   void Visit(size_t begin, size_t count,
              const std::function<void(size_t, uint64_t)>& fn) const;
+  /// Calls `fn(first_position, payloads, n)` once per leaf span covering
+  /// positions [begin, begin+count) clipped to size(): payloads[0..n) sit at
+  /// positions [first_position, first_position+n). Spans arrive in position
+  /// order. O(log n + count) with one call per leaf instead of per element —
+  /// the bulk read path's way to resolve a window.
+  void VisitSpans(
+      size_t begin, size_t count,
+      const std::function<void(size_t, const uint64_t*, size_t)>& fn) const;
   /// Convenience window fetch (the pane read path).
   std::vector<uint64_t> GetRange(size_t begin, size_t count) const;
 

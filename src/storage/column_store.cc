@@ -84,42 +84,17 @@ Result<Row> ColumnStore::GetRow(size_t row) const {
   return out;
 }
 
-Status ColumnStore::GetRows(size_t start, size_t count,
-                            std::vector<Row>* out) const {
-  if (count == 0) return Status::OK();
-  DS_RETURN_IF_ERROR(CheckRowRange(start, count));
-  out->reserve(out->size() + count);
-  // One cursor per attribute file, all streaming in row order: each column's
-  // pages are pinned once per 256 rows instead of a chain lookup per cell.
-  std::vector<storage::PageCursor> cursors;
-  cursors.reserve(files_.size());
-  for (storage::FileId f : files_) cursors.emplace_back(*pager_, f);
-  for (size_t r = start; r < start + count; ++r) {
-    Row row;
-    row.reserve(files_.size());
-    for (storage::PageCursor& c : cursors) {
-      row.push_back(c.Read(r));
-    }
-    out->push_back(std::move(row));
-  }
-  return Status::OK();
-}
-
-Status ColumnStore::VisitRows(size_t start, size_t count,
-                              const RowVisitor& visit) const {
-  if (count == 0) return Status::OK();
-  DS_RETURN_IF_ERROR(CheckRowRange(start, count));
-  // Columns are decomposed, so the tuple is gathered — but into one reused
-  // scratch, with per-column streaming cursors.
-  std::vector<storage::PageCursor> cursors;
-  cursors.reserve(files_.size());
-  for (storage::FileId f : files_) cursors.emplace_back(*pager_, f);
-  Row scratch(files_.size());
-  for (size_t r = start; r < start + count; ++r) {
-    for (size_t c = 0; c < files_.size(); ++c) {
-      scratch[c] = cursors[c].Read(r);
-    }
-    visit(r, scratch.data());
+Status ColumnStore::GatherRows(const size_t* slots, size_t n,
+                               const std::vector<size_t>& columns,
+                               std::vector<Value>* const* out) const {
+  DS_RETURN_IF_ERROR(CheckGather(slots, n, columns));
+  // One cursor per listed attribute file, swept over the slot list; an
+  // unlisted attribute's pages are never touched.
+  for (size_t j = 0; j < columns.size(); ++j) {
+    storage::PageCursor cursor(*pager_, files_[columns[j]]);
+    std::vector<Value>& dst = *out[j];
+    dst.reserve(dst.size() + n);
+    for (size_t i = 0; i < n; ++i) dst.push_back(cursor.Read(slots[i]));
   }
   return Status::OK();
 }

@@ -33,10 +33,9 @@ class ColumnStore : public TableStorage {
   Result<Value> Get(size_t row, size_t col) const override;
   Status Set(size_t row, size_t col, Value v) override;
   Result<Row> GetRow(size_t row) const override;
-  Status GetRows(size_t start, size_t count,
-                 std::vector<Row>* out) const override;
-  Status VisitRows(size_t start, size_t count,
-                   const RowVisitor& visit) const override;
+  Status GatherRows(const size_t* slots, size_t n,
+                    const std::vector<size_t>& columns,
+                    std::vector<Value>* const* out) const override;
   Result<size_t> AppendRow(const Row& row) override;
   Result<size_t> DeleteRow(size_t row) override;
   Status AddColumn(const Value& default_value) override;

@@ -134,73 +134,26 @@ Result<Row> HybridStore::GetRow(size_t row) const {
   return out;
 }
 
-Status HybridStore::GetRows(size_t start, size_t count,
-                            std::vector<Row>* out) const {
-  if (count == 0) return Status::OK();
-  DS_RETURN_IF_ERROR(CheckRowRange(start, count));
-  out->reserve(out->size() + count);
-  if (groups_.size() == 1) {
-    // Single group: tuples are contiguous and col_map_ is the identity —
-    // one streaming cursor over the whole region.
-    storage::PageCursor cursor(*pager_, groups_[0].file);
-    size_t width = groups_[0].width;
-    for (size_t r = start; r < start + count; ++r) {
-      Row row;
-      cursor.ReadRange(r * width, width, &row);
-      out->push_back(std::move(row));
+Status HybridStore::GatherRows(const size_t* slots, size_t n,
+                               const std::vector<size_t>& columns,
+                               std::vector<Value>* const* out) const {
+  DS_RETURN_IF_ERROR(CheckGather(slots, n, columns));
+  // One row-major sweep per attribute group holding a listed column: the
+  // group's listed offsets are copied out of one span read per tuple, and
+  // groups holding no listed column are skipped entirely.
+  std::vector<size_t> offsets;
+  std::vector<std::vector<Value>*> dst;
+  for (size_t gi = 0; gi < groups_.size(); ++gi) {
+    offsets.clear();
+    dst.clear();
+    for (size_t j = 0; j < columns.size(); ++j) {
+      const ColumnLoc& loc = col_map_[columns[j]];
+      if (loc.group != gi) continue;
+      offsets.push_back(loc.offset);
+      dst.push_back(out[j]);
     }
-    return Status::OK();
-  }
-  // One cursor per attribute group; each streams its own file in row order.
-  std::vector<storage::PageCursor> cursors;
-  cursors.reserve(groups_.size());
-  for (const Group& g : groups_) cursors.emplace_back(*pager_, g.file);
-  for (size_t r = start; r < start + count; ++r) {
-    Row row;
-    row.reserve(col_map_.size());
-    for (const ColumnLoc& loc : col_map_) {
-      const Group& g = groups_[loc.group];
-      row.push_back(cursors[loc.group].Read(Entry(g, r, loc.offset)));
-    }
-    out->push_back(std::move(row));
-  }
-  return Status::OK();
-}
-
-Status HybridStore::VisitRows(size_t start, size_t count,
-                              const RowVisitor& visit) const {
-  if (count == 0) return Status::OK();
-  DS_RETURN_IF_ERROR(CheckRowRange(start, count));
-  constexpr uint64_t kSlotsPerPage = storage::Pager::kSlotsPerPage;
-  if (groups_.size() == 1) {
-    // Identity layout: page-resident tuples are handed out zero-copy, just
-    // like the row store.
-    storage::PageCursor cursor(*pager_, groups_[0].file);
-    size_t width = groups_[0].width;
-    Row scratch(width);
-    for (size_t r = start; r < start + count; ++r) {
-      uint64_t first = r * width;
-      uint64_t last = first + width - 1;
-      if (first / kSlotsPerPage == last / kSlotsPerPage) {
-        visit(r, cursor.ReadSpan(first, width));
-      } else {
-        for (size_t c = 0; c < width; ++c) scratch[c] = cursor.Read(first + c);
-        visit(r, scratch.data());
-      }
-    }
-    return Status::OK();
-  }
-  std::vector<storage::PageCursor> cursors;
-  cursors.reserve(groups_.size());
-  for (const Group& g : groups_) cursors.emplace_back(*pager_, g.file);
-  Row scratch(col_map_.size());
-  for (size_t r = start; r < start + count; ++r) {
-    for (size_t c = 0; c < col_map_.size(); ++c) {
-      const ColumnLoc& loc = col_map_[c];
-      const Group& g = groups_[loc.group];
-      scratch[c] = cursors[loc.group].Read(Entry(g, r, loc.offset));
-    }
-    visit(r, scratch.data());
+    GatherRowMajor(*pager_, groups_[gi].file, groups_[gi].width, slots, n,
+                   offsets.data(), dst.data(), offsets.size());
   }
   return Status::OK();
 }

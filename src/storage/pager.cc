@@ -492,7 +492,7 @@ void Pager::NoteEpochWrite(FileId file, uint64_t page_index) {
   epoch_written_.insert(PageKey{file, page_index});
 }
 
-const Value& Pager::Read(FileId file, uint64_t slot) {
+Value Pager::Read(FileId file, uint64_t slot) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   FileChain& chain = ChainOrDie(file);
   DS_PAGER_CHECK(slot < chain.pages.size() * kSlotsPerPage,

@@ -282,10 +282,11 @@ class Pager {
   // ---- Slot access ----------------------------------------------------------
 
   /// Reads slot `slot` of `file`; the slot must be below the file's capacity
-  /// (pages * kSlotsPerPage). Never-written slots read as NULL. The returned
-  /// reference is valid only until the next pager call that can evict (any
-  /// access under a bounded pool) — callers copy, as all stores do.
-  const Value& Read(FileId file, uint64_t slot);
+  /// (pages * kSlotsPerPage). Never-written slots read as NULL. Returns a
+  /// copy taken under the structural latch: the page is not pinned, so with
+  /// concurrent sessions another thread's fault-in may evict and recycle its
+  /// frame as soon as the latch drops (a returned reference would race).
+  Value Read(FileId file, uint64_t slot);
   /// Appends slots [start, start+count) to `out`. Equivalent to `count`
   /// Read() calls but resolves the file once and records one read per
   /// spanned page — the bulk path for contiguous tuple reads.

@@ -88,7 +88,7 @@ Result<std::unique_ptr<RcvStore>> RcvStore::Attach(
     ic.slot_to_row.reserve(triples);
     std::vector<uint64_t> doomed;
     for (uint64_t s = 0; s < triples; ++s) {
-      const Value& v = pager->Read(ic.backptr, s);
+      Value v = pager->Read(ic.backptr, s);
       if (v.type() != DataType::kInt) {
         return Status::Internal("rcv back-pointer file holds a non-INT");
       }
@@ -211,52 +211,25 @@ Result<Row> RcvStore::GetRow(size_t row) const {
   return out;
 }
 
-Status RcvStore::GetRows(size_t start, size_t count,
-                         std::vector<Row>* out) const {
-  if (count == 0) return Status::OK();
-  DS_RETURN_IF_ERROR(CheckRowRange(start, count));
-  out->reserve(out->size() + count);
-  // One cursor per column heap. Triple slots are not row-ordered (the heap
-  // is maintained dense by swap-with-last), so this is not a sequential
+Status RcvStore::GatherRows(const size_t* slots, size_t n,
+                            const std::vector<size_t>& columns,
+                            std::vector<Value>* const* out) const {
+  DS_RETURN_IF_ERROR(CheckGather(slots, n, columns));
+  // One cursor per listed column heap. Triple slots are not row-ordered (the
+  // heap is kept dense by swap-with-last), so this is not a sequential
   // stream — but the cursor still removes the per-triple chain hash lookup,
   // and consecutive rows of a mostly-append table usually share heap pages.
-  std::vector<storage::PageCursor> cursors;
-  cursors.reserve(columns_.size());
-  for (const InternalColumn& ic : columns_) {
-    cursors.emplace_back(*pager_, ic.file);
-  }
-  for (size_t r = start; r < start + count; ++r) {
-    Row row;
-    row.reserve(columns_.size());
-    for (size_t c = 0; c < columns_.size(); ++c) {
-      auto it = columns_[c].row_to_slot.find(r);
-      row.push_back(it == columns_[c].row_to_slot.end()
-                        ? Value::Null()
-                        : cursors[c].Read(it->second));
+  // Unmaterialized cells resolve in the point index and read no page.
+  for (size_t j = 0; j < columns.size(); ++j) {
+    const InternalColumn& ic = columns_[columns[j]];
+    storage::PageCursor cursor(*pager_, ic.file);
+    std::vector<Value>& dst = *out[j];
+    dst.reserve(dst.size() + n);
+    for (size_t i = 0; i < n; ++i) {
+      auto it = ic.row_to_slot.find(slots[i]);
+      dst.push_back(it == ic.row_to_slot.end() ? Value::Null()
+                                               : cursor.Read(it->second));
     }
-    out->push_back(std::move(row));
-  }
-  return Status::OK();
-}
-
-Status RcvStore::VisitRows(size_t start, size_t count,
-                           const RowVisitor& visit) const {
-  if (count == 0) return Status::OK();
-  DS_RETURN_IF_ERROR(CheckRowRange(start, count));
-  std::vector<storage::PageCursor> cursors;
-  cursors.reserve(columns_.size());
-  for (const InternalColumn& ic : columns_) {
-    cursors.emplace_back(*pager_, ic.file);
-  }
-  Row scratch(columns_.size());
-  for (size_t r = start; r < start + count; ++r) {
-    for (size_t c = 0; c < columns_.size(); ++c) {
-      auto it = columns_[c].row_to_slot.find(r);
-      scratch[c] = it == columns_[c].row_to_slot.end()
-                       ? Value::Null()
-                       : cursors[c].Read(it->second);
-    }
-    visit(r, scratch.data());
   }
   return Status::OK();
 }

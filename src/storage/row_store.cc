@@ -82,43 +82,13 @@ Result<Row> RowStore::GetRow(size_t row) const {
   return out;
 }
 
-Status RowStore::GetRows(size_t start, size_t count,
-                         std::vector<Row>* out) const {
-  if (count == 0) return Status::OK();
-  DS_RETURN_IF_ERROR(CheckRowRange(start, count));
-  out->reserve(out->size() + count);
-  // One cursor streams the contiguous tuple region: each data page is pinned
-  // once for its 256/num_columns tuples instead of a chain lookup per cell.
-  storage::PageCursor cursor(*pager_, file_);
-  for (size_t r = start; r < start + count; ++r) {
-    Row row;
-    cursor.ReadRange(Entry(r, 0), num_columns_, &row);
-    out->push_back(std::move(row));
-  }
-  return Status::OK();
-}
-
-Status RowStore::VisitRows(size_t start, size_t count,
-                           const RowVisitor& visit) const {
-  if (count == 0) return Status::OK();
-  DS_RETURN_IF_ERROR(CheckRowRange(start, count));
-  storage::PageCursor cursor(*pager_, file_);
-  Row scratch(num_columns_);
-  constexpr uint64_t kSlotsPerPage = storage::Pager::kSlotsPerPage;
-  for (size_t r = start; r < start + count; ++r) {
-    uint64_t first = Entry(r, 0);
-    uint64_t last = first + num_columns_ - 1;
-    if (first / kSlotsPerPage == last / kSlotsPerPage) {
-      // The whole tuple sits on one page: hand out the pinned frame's slots
-      // directly — zero copies, zero allocations.
-      visit(r, cursor.ReadSpan(first, num_columns_));
-    } else {
-      for (size_t c = 0; c < num_columns_; ++c) {
-        scratch[c] = cursor.Read(first + c);
-      }
-      visit(r, scratch.data());
-    }
-  }
+Status RowStore::GatherRows(const size_t* slots, size_t n,
+                            const std::vector<size_t>& columns,
+                            std::vector<Value>* const* out) const {
+  DS_RETURN_IF_ERROR(CheckGather(slots, n, columns));
+  // Logical column == tuple offset in the single heap.
+  GatherRowMajor(*pager_, file_, num_columns_, slots, n, columns.data(), out,
+                 columns.size());
   return Status::OK();
 }
 

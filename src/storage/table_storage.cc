@@ -5,6 +5,7 @@
 
 #include "storage/column_store.h"
 #include "storage/hybrid_store.h"
+#include "storage/page_cursor.h"
 #include "storage/rcv_store.h"
 #include "storage/row_store.h"
 
@@ -24,29 +25,53 @@ const char* StorageModelName(StorageModel model) {
   return "unknown";
 }
 
-Status TableStorage::GetRows(size_t start, size_t count,
-                             std::vector<Row>* out) const {
-  if (count == 0) return Status::OK();
-  DS_RETURN_IF_ERROR(CheckRowRange(start, count));
-  out->reserve(out->size() + count);
-  for (size_t r = start; r < start + count; ++r) {
-    auto row = GetRow(r);
-    DS_RETURN_IF_ERROR(row.status());
-    out->push_back(std::move(row).ValueOrDie());
+Status TableStorage::CheckGather(const size_t* slots, size_t n,
+                                 const std::vector<size_t>& columns) const {
+  for (size_t c : columns) {
+    if (c >= num_columns()) {
+      return Status::OutOfRange("column " + std::to_string(c) + " >= " +
+                                std::to_string(num_columns()));
+    }
+  }
+  size_t rows = num_rows();
+  for (size_t i = 0; i < n; ++i) {
+    if (slots[i] >= rows) {
+      return Status::OutOfRange("slot " + std::to_string(slots[i]) + " >= " +
+                                std::to_string(rows));
+    }
   }
   return Status::OK();
 }
 
-Status TableStorage::VisitRows(size_t start, size_t count,
-                               const RowVisitor& visit) const {
-  if (count == 0) return Status::OK();
-  DS_RETURN_IF_ERROR(CheckRowRange(start, count));
-  for (size_t r = start; r < start + count; ++r) {
-    auto row = GetRow(r);
-    DS_RETURN_IF_ERROR(row.status());
-    visit(r, row.value().data());
+void TableStorage::GatherRowMajor(storage::Pager& pager, storage::FileId file,
+                                  size_t width, const size_t* slots, size_t n,
+                                  const size_t* offsets,
+                                  std::vector<Value>* const* out, size_t k) {
+  if (k == 0 || n == 0) return;
+  // The listed offsets span [lo, hi] of each tuple: one ReadSpan over that
+  // sub-tuple per slot (so slot accounting counts what was read), then a
+  // value copy per listed column.
+  size_t lo = offsets[0], hi = offsets[0];
+  for (size_t j = 0; j < k; ++j) {
+    lo = std::min(lo, offsets[j]);
+    hi = std::max(hi, offsets[j]);
+    out[j]->reserve(out[j]->size() + n);
   }
-  return Status::OK();
+  const uint64_t span = hi - lo + 1;
+  constexpr uint64_t kSlotsPerPage = storage::Pager::kSlotsPerPage;
+  storage::PageCursor cursor(pager, file);
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t first = static_cast<uint64_t>(slots[i]) * width + lo;
+    if (first / kSlotsPerPage == (first + span - 1) / kSlotsPerPage) {
+      const Value* tuple = cursor.ReadSpan(first, span);
+      for (size_t j = 0; j < k; ++j) out[j]->push_back(tuple[offsets[j] - lo]);
+    } else {
+      // The sub-tuple straddles a page boundary: per-slot reads.
+      for (size_t j = 0; j < k; ++j) {
+        out[j]->push_back(cursor.Read(first + (offsets[j] - lo)));
+      }
+    }
+  }
 }
 
 TableStorage::TableStorage(storage::Pager* pager,

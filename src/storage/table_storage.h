@@ -1,9 +1,9 @@
 #ifndef DATASPREAD_STORAGE_TABLE_STORAGE_H_
 #define DATASPREAD_STORAGE_TABLE_STORAGE_H_
 
-#include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "storage/page.h"
@@ -84,25 +84,24 @@ class TableStorage {
   virtual Status Set(size_t row, size_t col, Value v) = 0;
   /// Reads a whole tuple.
   virtual Result<Row> GetRow(size_t row) const = 0;
-  /// Bulk scan: appends rows [start, start+count) to `out`. Every model
-  /// overrides this with a PageCursor streaming path — one page pin per data
-  /// page instead of a hash lookup per cell — which is also what classifies
-  /// the traversal as a scan for the pager's scan-resistant eviction. The
-  /// base implementation is the GetRow loop (reference semantics).
-  virtual Status GetRows(size_t start, size_t count,
-                         std::vector<Row>* out) const;
-
-  /// Called once per visited row with `values` pointing at num_columns()
-  /// cells. The pointer is valid only during the call.
-  using RowVisitor = std::function<void(size_t row, const Value* values)>;
-  /// The zero-materialization scan: visits rows [start, start+count) in
-  /// order without building a Row per tuple. Row-major layouts hand out
-  /// pointers straight into the pinned page whenever a tuple does not
-  /// straddle a page boundary; decomposed layouts gather into one reused
-  /// scratch tuple. This is the fast path full scans and aggregations should
-  /// use; GetRows is for callers that need owned rows.
-  virtual Status VisitRows(size_t start, size_t count,
-                           const RowVisitor& visit) const;
+  /// The one bulk read: for every i, appends logical column `columns[i]` of
+  /// the tuples at storage slots `slots[0..n)` — in that order, which may be
+  /// any order — to `*out[i]` (distinct vectors, one per listed column).
+  /// Columns may be listed in any order and need not cover the schema, so a
+  /// query reads only the attributes it references (column pruning).
+  ///
+  /// Every model serves this column by column with one PageCursor per file
+  /// it touches: one page pin per data page visited instead of a chain hash
+  /// lookup per cell, which also classifies the traversal as a scan for the
+  /// pager's scan-resistant eviction. Row-major files (row store, hybrid
+  /// attribute groups) copy the listed offsets out of one ReadSpan per tuple
+  /// and fall back to per-slot reads for a tuple that straddles a page.
+  /// A file holding no listed column is never touched. A slot >=
+  /// num_rows() or a column >= num_columns() fails the whole call with
+  /// OutOfRange before anything is appended.
+  virtual Status GatherRows(const size_t* slots, size_t n,
+                            const std::vector<size_t>& columns,
+                            std::vector<Value>* const* out) const = 0;
 
   /// Appends a tuple; `row.size()` must equal num_columns(). Returns the slot.
   virtual Result<size_t> AppendRow(const Row& row) = 0;
@@ -155,15 +154,18 @@ class TableStorage {
   /// shared pool (whose owner configured it).
   TableStorage(storage::Pager* pager, const storage::PagerConfig& config);
 
-  /// Shared bounds guard of every bulk row API (GetRows/VisitRows).
-  Status CheckRowRange(size_t start, size_t count) const {
-    if (start >= num_rows() || count > num_rows() - start) {
-      return Status::OutOfRange("rows [" + std::to_string(start) + ", " +
-                                std::to_string(start + count) + ") of " +
-                                std::to_string(num_rows()));
-    }
-    return Status::OK();
-  }
+  /// Bounds guard of GatherRows: every slot and every listed column must
+  /// exist.
+  Status CheckGather(const size_t* slots, size_t n,
+                     const std::vector<size_t>& columns) const;
+
+  /// GatherRows over one row-major file of `width`-slot tuples (the row
+  /// store's heap, a hybrid attribute group): appends tuple offset
+  /// `offsets[j]` of every listed slot to `*out[j]`, for j in [0, k).
+  static void GatherRowMajor(storage::Pager& pager, storage::FileId file,
+                             size_t width, const size_t* slots, size_t n,
+                             const size_t* offsets,
+                             std::vector<Value>* const* out, size_t k);
 
   Status CheckCell(size_t row, size_t col) const {
     if (row >= num_rows()) {

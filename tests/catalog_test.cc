@@ -115,6 +115,43 @@ TEST(TableTest, GetWindowClipsAndOrders) {
   EXPECT_EQ(window[9][0], Value::Int(99));
 }
 
+// GatherWindow reads display order, whatever the storage slots: after
+// mid-table inserts and deletes (which scatter display positions across
+// slots) every model gathers the listed columns of a clipped window exactly
+// as GetRowAt reads them.
+TEST(TableTest, GatherWindowFollowsFragmentedDisplayOrder) {
+  for (StorageModel model : {StorageModel::kRow, StorageModel::kColumn,
+                             StorageModel::kRcv, StorageModel::kHybrid}) {
+    auto table = Table::Create("movies", MovieSchema(), model).ValueOrDie();
+    for (int i = 0; i < 300; ++i) {
+      ASSERT_TRUE(table
+                      ->AppendRow({Value::Int(i), Value::Text("m" +
+                                                              std::to_string(i)),
+                                   Value::Int(1900 + i % 50)})
+                      .ok());
+    }
+    for (int k = 0; k < 40; ++k) {
+      ASSERT_TRUE(table->DeleteRowAt((k * 37) % table->num_rows()).ok());
+      ASSERT_TRUE(table
+                      ->InsertRowAt((k * 53) % table->num_rows(),
+                                    {Value::Int(1000 + k), Value::Text("x"),
+                                     Value::Int(k)})
+                      .ok());
+    }
+    const std::vector<size_t> columns = {2, 0};
+    std::vector<Value> years, ids;
+    std::vector<Value>* out[] = {&years, &ids};
+    ASSERT_TRUE(table->GatherWindow(250, 100, columns, out).ok());
+    ASSERT_EQ(ids.size(), 50u) << StorageModelName(model);  // clipped
+    ASSERT_EQ(years.size(), 50u);
+    for (size_t i = 0; i < ids.size(); ++i) {
+      Row row = table->GetRowAt(250 + i).ValueOrDie();
+      EXPECT_EQ(ids[i], row[0]) << StorageModelName(model) << " pos " << i;
+      EXPECT_EQ(years[i], row[2]) << StorageModelName(model) << " pos " << i;
+    }
+  }
+}
+
 TEST(TableTest, SchemaChangesPreserveData) {
   auto table = Table::Create("movies", MovieSchema()).ValueOrDie();
   for (int i = 0; i < 50; ++i) {

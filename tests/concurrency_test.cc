@@ -8,6 +8,8 @@
 //     faults, evictions, and write-backs interleave with latch-free slot
 //     reads; a single-threaded shadow replays the writer's ops and the
 //     final states must match slot for slot,
+//   - slot-API reads (Pager::Read) from several threads over a 4-frame
+//     pool, each returning its own slot's value while others evict,
 //   - group commit: concurrent committers on one durable database, every
 //     successful statement individually durable across a crash,
 //   - multi-statement transactions: readers interleave with a writer's
@@ -117,6 +119,49 @@ TEST(ConcurrentPagerTest, ReadersAndOneWriterOverABoundedPool) {
     ASSERT_EQ(pager.Read(f, s), shadow.Read(sf, s)) << "slot " << s;
   }
   EXPECT_GT(pager.stats().evictions, 0u);  // the pool was genuinely bounded
+}
+
+// Slot-API reads (Pager::Read, what GetRow and point reads use) from several
+// threads over a pool far smaller than the file: every read faults and
+// evicts, so one thread's fault-in recycles frames other threads just read
+// from. Each read must copy its value before the structural latch drops —
+// a returned reference into the frame raced with that recycling (wrong or
+// NULL values under concurrent sessions; TSan flags it here).
+/// A heap-allocated (beyond the small-string buffer) text naming `slot`.
+std::string SlotText(uint64_t slot) {
+  return "slot value number " + std::to_string(slot);
+}
+
+TEST(ConcurrentPagerTest, SlotReadsBesideEvictingReaders) {
+  constexpr uint64_t kPages = 32;  // 8x the pool
+  constexpr uint64_t kSlotCount = kPages * kSlots;
+  constexpr int kReaders = 4;
+  constexpr int kReadsPerReader = 5000;
+
+  PagerConfig config;
+  config.max_resident_pages = 4;
+  Pager pager(config);
+  FileId f = pager.CreateFile();
+  for (uint64_t s = 0; s < kSlotCount; ++s) {
+    pager.Write(f, s, Value::Text(SlotText(s)));
+  }
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      std::mt19937_64 rng(991 + r);
+      for (int i = 0; i < kReadsPerReader && !failed.load(); ++i) {
+        uint64_t slot = rng() % kSlotCount;
+        Value v = pager.Read(f, slot);
+        if (v.type() != DataType::kText || v.text_value() != SlotText(slot)) {
+          failed.store(true);
+        }
+      }
+    });
+  }
+  for (std::thread& t : readers) t.join();
+  EXPECT_FALSE(failed.load()) << "a slot read returned another slot's value";
+  EXPECT_GT(pager.stats().evictions, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,11 +2,12 @@
 // cursor must be semantically identical to the slot-granular Read/Write/Take
 // — same values, same file growth, same distinct-page accounting — while
 // holding at most one pin, surviving eviction boundaries under tiny pools,
-// and classifying its traversals as scans. GetRows (the bulk path every
-// storage model routes through cursors) is checked against the GetRow loop
-// for all four models.
+// and classifying its traversals as scans. GatherRows (the one bulk read,
+// which every storage model routes through cursors) is checked against the
+// GetRow loop for all four models.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <string>
 #include <utility>
@@ -246,12 +247,44 @@ TEST(PageCursorTest, TwoCursorRestrideSurvivesEvictionPressure) {
 }
 
 // ---------------------------------------------------------------------------
-// GetRows (the bulk scan path) equals the GetRow loop for every model
+// GatherRows (the one bulk read) equals the GetRow loop for every model
 // ---------------------------------------------------------------------------
 
-class GetRowsModelTest : public ::testing::TestWithParam<StorageModel> {};
+class GatherRowsModelTest : public ::testing::TestWithParam<StorageModel> {};
 
-TEST_P(GetRowsModelTest, MatchesGetRowLoopDenseAndAfterSchemaChanges) {
+/// Gathers `columns` of `slots` and checks every value (and type) against
+/// the GetRow loop.
+void ExpectGatherMatchesGetRow(const TableStorage& s,
+                               const std::vector<size_t>& slots,
+                               const std::vector<size_t>& columns,
+                               const std::string& what) {
+  std::vector<std::vector<Value>> got(columns.size());
+  std::vector<std::vector<Value>*> out;
+  for (std::vector<Value>& g : got) out.push_back(&g);
+  ASSERT_TRUE(
+      s.GatherRows(slots.data(), slots.size(), columns, out.data()).ok())
+      << what;
+  for (size_t j = 0; j < columns.size(); ++j) {
+    ASSERT_EQ(got[j].size(), slots.size()) << what << " column " << j;
+  }
+  for (size_t i = 0; i < slots.size(); ++i) {
+    Row expect = s.GetRow(slots[i]).ValueOrDie();
+    for (size_t j = 0; j < columns.size(); ++j) {
+      ASSERT_EQ(got[j][i], expect[columns[j]])
+          << what << " slot " << slots[i] << " column " << columns[j];
+      ASSERT_EQ(got[j][i].type(), expect[columns[j]].type())
+          << what << " slot " << slots[i] << " column " << columns[j];
+    }
+  }
+}
+
+std::vector<size_t> AllOf(size_t n) {
+  std::vector<size_t> v(n);
+  for (size_t i = 0; i < n; ++i) v[i] = i;
+  return v;
+}
+
+TEST_P(GatherRowsModelTest, MatchesGetRowLoopDenseAndAfterSchemaChanges) {
   for (size_t cap : {size_t{0}, size_t{4}}) {
     auto s = CreateStorage(GetParam(), 5, nullptr, Bounded(cap));
     std::mt19937 rng(31);
@@ -267,46 +300,113 @@ TEST_P(GetRowsModelTest, MatchesGetRowLoopDenseAndAfterSchemaChanges) {
     // Schema churn so hybrid goes multi-group and rcv gets a filled column.
     ASSERT_TRUE(s->AddColumn(Value::Int(42)).ok());
     ASSERT_TRUE(s->DropColumn(1).ok());
+    const std::string tag = "cap " + std::to_string(cap);
+    const size_t cols = s->num_columns();
 
-    std::vector<Row> bulk;
-    ASSERT_TRUE(s->GetRows(0, kRows, &bulk).ok());
-    ASSERT_EQ(bulk.size(), kRows);
-    for (size_t i = 0; i < kRows; ++i) {
-      Row expect = s->GetRow(i).ValueOrDie();
-      ASSERT_EQ(bulk[i], expect) << "row " << i << " cap " << cap;
-    }
-    // The zero-materialization visitor sees the same tuples in order.
-    size_t visited = 0;
-    size_t cols = s->num_columns();
-    ASSERT_TRUE(s->VisitRows(0, kRows,
-                             [&](size_t row, const Value* values) {
-                               ASSERT_EQ(row, visited);
-                               for (size_t c = 0; c < cols; ++c) {
-                                 ASSERT_EQ(values[c], bulk[row][c])
-                                     << "row " << row << " col " << c
-                                     << " cap " << cap;
-                               }
-                               ++visited;
-                             })
-                    .ok());
-    EXPECT_EQ(visited, kRows);
-    EXPECT_FALSE(s->VisitRows(kRows, 1, [](size_t, const Value*) {}).ok());
+    ExpectGatherMatchesGetRow(*s, AllOf(kRows), AllOf(cols), tag + " all");
     // A mid-table window with a non-zero start.
-    std::vector<Row> window;
-    ASSERT_TRUE(s->GetRows(kRows / 3, 10, &window).ok());
-    ASSERT_EQ(window.size(), 10u);
-    for (size_t i = 0; i < 10; ++i) {
-      ASSERT_EQ(window[i], s->GetRow(kRows / 3 + i).ValueOrDie());
-    }
-    // Bounds are enforced.
-    std::vector<Row> none;
-    EXPECT_FALSE(s->GetRows(kRows - 5, 6, &none).ok());
-    EXPECT_FALSE(s->GetRows(kRows, 1, &none).ok());
-    EXPECT_TRUE(s->GetRows(kRows, 0, &none).ok());  // empty range is fine
+    std::vector<size_t> window;
+    for (size_t i = kRows / 3; i < kRows / 3 + 10; ++i) window.push_back(i);
+    ExpectGatherMatchesGetRow(*s, window, AllOf(cols), tag + " window");
+    // Column subsets in any order, including one that mixes the new
+    // (added) column with original ones and a single-column read.
+    ExpectGatherMatchesGetRow(*s, AllOf(kRows), {cols - 1, 0, 2},
+                              tag + " subset");
+    ExpectGatherMatchesGetRow(*s, AllOf(kRows), {1}, tag + " one column");
+    // Slots in any order: reversed, then a shuffled sample with repeats.
+    std::vector<size_t> reversed = AllOf(kRows);
+    std::reverse(reversed.begin(), reversed.end());
+    ExpectGatherMatchesGetRow(*s, reversed, {2, 1}, tag + " reversed");
+    std::vector<size_t> sample;
+    for (size_t i = 0; i < 300; ++i) sample.push_back(rng() % kRows);
+    ExpectGatherMatchesGetRow(*s, sample, AllOf(cols), tag + " shuffled");
+
+    // No columns or no slots: nothing appended, nothing fails.
+    std::vector<Value> sink;
+    std::vector<Value>* one = &sink;
+    EXPECT_TRUE(s->GatherRows(sample.data(), sample.size(), {}, &one).ok());
+    EXPECT_TRUE(s->GatherRows(nullptr, 0, {0}, &one).ok());
+    EXPECT_TRUE(sink.empty());
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllModels, GetRowsModelTest,
+TEST_P(GatherRowsModelTest, FragmentedSlotsAfterMidTableDeletesAndInserts) {
+  auto s = CreateStorage(GetParam(), 4, nullptr, Bounded(8));
+  Row r(4);
+  auto fill = [&r](size_t i) {
+    for (size_t c = 0; c < 4; ++c) r[c] = ProbeValue(i * 4 + c);
+  };
+  for (size_t i = 0; i < 600; ++i) {
+    fill(i);
+    ASSERT_TRUE(s->AppendRow(r).ok());
+  }
+  // Mid-table deletes renumber the last slot into each hole, and later
+  // appends land behind them: slot order no longer follows insert order.
+  std::mt19937 rng(7);
+  for (int k = 0; k < 120; ++k) {
+    ASSERT_TRUE(s->DeleteRow(rng() % s->num_rows()).ok());
+    if (k % 2 == 0) {
+      fill(1000 + k);
+      ASSERT_TRUE(s->AppendRow(r).ok());
+    }
+  }
+  // A fragmented slot list: runs of consecutive slots broken by jumps in
+  // both directions.
+  std::vector<size_t> slots;
+  for (size_t run = 0; run < 40; ++run) {
+    size_t start = rng() % s->num_rows();
+    size_t end = std::min<size_t>(start + 1 + rng() % 8, s->num_rows());
+    for (size_t i = start; i < end; ++i) slots.push_back(i);
+  }
+  ExpectGatherMatchesGetRow(*s, slots, {3, 1, 0}, "fragmented");
+  ExpectGatherMatchesGetRow(*s, slots, AllOf(4), "fragmented all");
+}
+
+TEST_P(GatherRowsModelTest, TuplesStraddlingAPage) {
+  // Width 3 does not divide a page's slots: row-major tuples 85, 170, ...
+  // straddle a page boundary (hybrid width 3 and the row store alike).
+  auto s = CreateStorage(GetParam(), 3, nullptr, Bounded(4));
+  Row r(3);
+  for (size_t i = 0; i < 400; ++i) {
+    for (size_t c = 0; c < 3; ++c) r[c] = ProbeValue(i * 3 + c);
+    ASSERT_TRUE(s->AppendRow(r).ok());
+  }
+  ASSERT_NE(kSlots % 3, 0u);
+  std::vector<size_t> straddlers;
+  for (size_t row = 0; row < 400; ++row) {
+    if ((row * 3) / kSlots != (row * 3 + 2) / kSlots) {
+      straddlers.push_back(row);
+      straddlers.push_back(row + 1);  // and the first tuple after it
+    }
+  }
+  ASSERT_FALSE(straddlers.empty());
+  ExpectGatherMatchesGetRow(*s, straddlers, AllOf(3), "straddle all");
+  ExpectGatherMatchesGetRow(*s, straddlers, {2, 0}, "straddle ends");
+  ExpectGatherMatchesGetRow(*s, straddlers, {1}, "straddle middle");
+  ExpectGatherMatchesGetRow(*s, AllOf(400), {2}, "straddle scan");
+}
+
+TEST_P(GatherRowsModelTest, BadSlotOrColumnIsOutOfRangeAndAppendsNothing) {
+  auto s = CreateStorage(GetParam(), 2, nullptr, Bounded(0));
+  for (int64_t i = 0; i < 10; ++i) {
+    ASSERT_TRUE(s->AppendRow({Value::Int(i), Value::Int(-i)}).ok());
+  }
+  std::vector<Value> a, b;
+  std::vector<Value>* out[] = {&a, &b};
+  const std::vector<size_t> bad_slot = {0, 3, 10};
+  Status st = s->GatherRows(bad_slot.data(), bad_slot.size(), {0, 1}, out);
+  EXPECT_EQ(st.code(), StatusCode::kOutOfRange) << st.ToString();
+  const std::vector<size_t> good = {9, 0};
+  st = s->GatherRows(good.data(), good.size(), {1, 2}, out);
+  EXPECT_EQ(st.code(), StatusCode::kOutOfRange) << st.ToString();
+  EXPECT_TRUE(a.empty());
+  EXPECT_TRUE(b.empty());
+  ASSERT_TRUE(s->GatherRows(good.data(), good.size(), {1, 0}, out).ok());
+  EXPECT_EQ(a, (std::vector<Value>{Value::Int(-9), Value::Int(0)}));
+  EXPECT_EQ(b, (std::vector<Value>{Value::Int(9), Value::Int(0)}));
+}
+
+INSTANTIATE_TEST_SUITE_P(AllModels, GatherRowsModelTest,
                          ::testing::Values(StorageModel::kRow,
                                            StorageModel::kColumn,
                                            StorageModel::kRcv,

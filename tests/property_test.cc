@@ -544,7 +544,10 @@ TEST_P(ReopenTransparencyTest, CloseReopenNeverChangesVisibleState) {
     uint32_t k = rng() % 32;
     int kind = k < 14 ? 0 : (k < 19 ? 1 : (k < 24 ? 2 : (k < 29 ? 3
                : (k < 30 ? 4 : (k < 31 ? 5 : 6)))));
-    tape.push_back(Op{kind, rng(), rng(), rng()});
+    uint32_t a = static_cast<uint32_t>(rng());
+    uint32_t b = static_cast<uint32_t>(rng());
+    uint32_t c = static_cast<uint32_t>(rng());
+    tape.push_back(Op{kind, a, b, c});
   }
 
   auto drive = [&](Database& db) {
@@ -574,7 +577,9 @@ TEST_P(ReopenTransparencyTest, CloseReopenNeverChangesVisibleState) {
             ASSERT_TRUE(t->InsertRowAt(op.c % (n + 1), std::move(row)).ok());
             break;
           case 2:
-            if (n > 0) ASSERT_TRUE(t->DeleteRowAt(op.c % n).ok());
+            if (n > 0) {
+              ASSERT_TRUE(t->DeleteRowAt(op.c % n).ok());
+            }
             break;
           case 3:
             if (n > 0) {
@@ -676,6 +681,40 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ReopenTransparencyTest,
 // left joins, aggregation with HAVING, sort, distinct, limit/offset.
 // ---------------------------------------------------------------------------
 
+/// One display-order edit of the 150-row `t` tables of invariants 9 and 10:
+/// an insert of `row` or a delete, at `pos` modulo the table size.
+struct TableEdit {
+  bool insert;
+  size_t pos;
+  Row row;
+};
+
+/// Twenty mid-table inserts (ids 150..) and ten deletes; `make_row(id)`
+/// draws an inserted row.
+template <typename MakeRow>
+std::vector<TableEdit> MakeTableEdits(std::mt19937* rng, MakeRow make_row) {
+  std::vector<TableEdit> edits;
+  for (int64_t k = 0; k < 30; ++k) {
+    size_t pos = (*rng)() % 1000;
+    if (k % 3 == 2) {
+      edits.push_back({false, pos, {}});
+    } else {
+      edits.push_back({true, pos, make_row(150 + k)});
+    }
+  }
+  return edits;
+}
+
+void ApplyTableEdits(Table* t, const std::vector<TableEdit>& edits) {
+  for (const TableEdit& e : edits) {
+    if (e.insert) {
+      ASSERT_TRUE(t->InsertRowAt(e.pos % (t->num_rows() + 1), e.row).ok());
+    } else {
+      ASSERT_TRUE(t->DeleteRowAt(e.pos % t->num_rows()).ok());
+    }
+  }
+}
+
 class BatchTransparencyTest : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(BatchTransparencyTest, RowAndBatchPipelinesProduceIdenticalResults) {
@@ -706,6 +745,13 @@ TEST_P(BatchTransparencyTest, RowAndBatchPipelinesProduceIdenticalResults) {
                           : Value::Text("g" + std::to_string(rng() % 8)),
                       Value::Int(tag)});
   }
+  // Fragmented display order: mid-table inserts and deletes replayed
+  // identically on every configuration, so display order no longer follows
+  // storage order and scans gather from scattered slots.
+  std::vector<TableEdit> edits = MakeTableEdits(&rng, [&rng](int64_t id) {
+    return Row{Value::Int(id), Value::Text("g" + std::to_string(rng() % 6)),
+               Value::Real(static_cast<double>(rng() % 1000))};
+  });
 
   const char* queries[] = {
       "SELECT * FROM t ORDER BY id",
@@ -724,7 +770,7 @@ TEST_P(BatchTransparencyTest, RowAndBatchPipelinesProduceIdenticalResults) {
       "SELECT DISTINCT grp FROM t ORDER BY grp",
       "SELECT id FROM t LIMIT 7 OFFSET 3",                    // pushdown
       "SELECT id FROM t WHERE id >= 0 ORDER BY id LIMIT 7 OFFSET 3",
-      "SELECT id FROM t LIMIT 5 OFFSET 148",                  // clipped window
+      "SELECT id FROM t LIMIT 5 OFFSET 158",                  // clipped window
       // Key-direct leaf: hit, hit with the literal first, REAL literal on
       // the INTEGER key, aggregate over the leaf, miss.
       "SELECT * FROM t WHERE id = 42",
@@ -732,6 +778,16 @@ TEST_P(BatchTransparencyTest, RowAndBatchPipelinesProduceIdenticalResults) {
       "SELECT id, x FROM t WHERE id = 3.0",
       "SELECT COUNT(*), SUM(x) FROM t WHERE id = 149",
       "SELECT id FROM t WHERE id = 1000",
+      // Column pruning: WHERE, GROUP BY, HAVING, and ORDER BY name columns
+      // the select list does not; global aggregates over an empty filter;
+      // COUNT(*) alone (reads no column).
+      "SELECT id FROM t WHERE x > 500 ORDER BY grp, id",
+      "SELECT x FROM t ORDER BY id DESC LIMIT 6",
+      "SELECT COUNT(*) FROM t GROUP BY grp HAVING SUM(x) > 3000 ORDER BY 1",
+      "SELECT MAX(id) FROM t WHERE grp = 'g1' AND x IS NULL",
+      "SELECT grp FROM t WHERE x IS NULL",
+      "SELECT COUNT(*), SUM(x), MIN(grp), AVG(id) FROM t WHERE id < 0",
+      "SELECT COUNT(*) FROM t",
   };
 
   for (size_t cap : kPools) {
@@ -743,6 +799,7 @@ TEST_P(BatchTransparencyTest, RowAndBatchPipelinesProduceIdenticalResults) {
       Table* u = db.CreateTable("u", u_schema, model).ValueOrDie();
       for (const Row& r : t_rows) ASSERT_TRUE(t->AppendRow(r).ok());
       for (const Row& r : u_rows) ASSERT_TRUE(u->AppendRow(r).ok());
+      ApplyTableEdits(t, edits);
 
       for (const char* q : queries) {
         db.set_exec_options(ExecOptions{0, /*row_at_a_time=*/true});
@@ -819,6 +876,10 @@ TEST_P(ParallelTransparencyTest, SerialAndParallelPipelinesAgree) {
                           : Value::Text("g" + std::to_string(rng() % 8)),
                       Value::Int(tag)});
   }
+  std::vector<TableEdit> edits = MakeTableEdits(&rng, [&rng](int64_t id) {
+    return Row{Value::Int(id), Value::Text("g" + std::to_string(rng() % 6)),
+               Value::Real(static_cast<double>(rng() % 4000) / 4.0)};
+  });
 
   struct Q {
     const char* sql;
@@ -844,6 +905,14 @@ TEST_P(ParallelTransparencyTest, SerialAndParallelPipelinesAgree) {
       {"SELECT * FROM t WHERE id = 42", true},
       {"SELECT COUNT(*), SUM(x) FROM t WHERE id = 149", true},
       {"SELECT id FROM t WHERE id = 1000", true},
+      // Column pruning in the workers' scans: filter, grouping, HAVING,
+      // and ordering on columns outside the select list; global aggregates
+      // over an empty filter; COUNT(*) alone.
+      {"SELECT id FROM t WHERE x > 500 ORDER BY grp, id", true},
+      {"SELECT COUNT(*) FROM t GROUP BY grp HAVING SUM(x) > 3000", true},
+      {"SELECT COUNT(*), SUM(x), MIN(grp), AVG(id) FROM t WHERE id < 0", true},
+      {"SELECT COUNT(*) FROM t", true},
+      {"SELECT x FROM t WHERE grp = 'g2'", false},
       // Joins are not morsel-eligible: the fallback must stay transparent.
       {"SELECT t.id, u.tag FROM t JOIN u ON t.grp = u.grp "
        "ORDER BY t.id, u.tag",
@@ -869,6 +938,7 @@ TEST_P(ParallelTransparencyTest, SerialAndParallelPipelinesAgree) {
       Table* u = db.CreateTable("u", u_schema, model).ValueOrDie();
       for (const Row& r : t_rows) ASSERT_TRUE(t->AppendRow(r).ok());
       for (const Row& r : u_rows) ASSERT_TRUE(u->AppendRow(r).ok());
+      ApplyTableEdits(t, edits);
 
       for (const Q& q : queries) {
         db.set_exec_options(ExecOptions{16, false});
@@ -946,7 +1016,11 @@ TEST_P(TxnTransparencyTest, TransactionGroupingIsInvisibleAndRollbacksVanish) {
       for (int i = 0; i < len && remaining > 0; ++i, --remaining) {
         uint32_t k = rng() % 10;
         int kind = k < 4 ? 0 : (k < 6 ? 1 : (k < 8 ? 2 : 3));
-        g.ops.push_back(Op{kind, rng(), rng(), rng(), rng()});
+        uint32_t table = static_cast<uint32_t>(rng());
+        uint32_t a = static_cast<uint32_t>(rng());
+        uint32_t b = static_cast<uint32_t>(rng());
+        uint32_t c = static_cast<uint32_t>(rng());
+        g.ops.push_back(Op{kind, table, a, b, c});
       }
       uint32_t m = rng() % 4;
       g.mode = m < 2 ? 0 : (m < 3 ? 1 : 2);
@@ -982,7 +1056,9 @@ TEST_P(TxnTransparencyTest, TransactionGroupingIsInvisibleAndRollbacksVanish) {
         ASSERT_TRUE(t->InsertRowAt(op.c % (n + 1), std::move(row)).ok());
         break;
       case 2:
-        if (n > 0) ASSERT_TRUE(t->DeleteRowAt(op.c % n).ok());
+        if (n > 0) {
+          ASSERT_TRUE(t->DeleteRowAt(op.c % n).ok());
+        }
         break;
       default:
         if (n > 0) {

@@ -108,6 +108,31 @@ TEST_F(WindowTest, VisibleRecalcRunsBeforeBackground) {
   EXPECT_EQ(ds.GetValueAt(s, 199, 1), Value::Int(398));
 }
 
+TEST_F(WindowTest, EditRecomputesOffPaneDependentsOfAnOnPaneFormula) {
+  // B1 feeds one DBSQL cell on the pane (C1) and one far below it (C500).
+  // The visible recalc consumes B1's dirty mark while computing C1; C500
+  // must still be recomputed by the background pass.
+  ASSERT_TRUE(ds_->ScrollTo("S", 0, 0).ok());
+  ASSERT_TRUE(ds_->SetCell("S", "B1", "990").ok());
+  ASSERT_TRUE(ds_->SetCell("S", "C1",
+                           "=DBSQL(\"SELECT COUNT(*) FROM big WHERE id >= "
+                           "RANGEVALUE(B1)\")")
+                  .ok());
+  ASSERT_TRUE(ds_->SetCell("S", "C500",
+                           "=DBSQL(\"SELECT MAX(id) - RANGEVALUE(B1) FROM "
+                           "big\")")
+                  .ok());
+  ds_->Pump();
+  EXPECT_EQ(ds_->GetValue("S", "C1").ValueOrDie(), Value::Int(10));
+  EXPECT_EQ(ds_->GetValue("S", "C500").ValueOrDie(), Value::Int(9));
+
+  ASSERT_TRUE(ds_->SetCell("S", "B1", "995").ok());
+  ds_->Pump();
+  EXPECT_EQ(ds_->GetValue("S", "C1").ValueOrDie(), Value::Int(5));
+  EXPECT_EQ(ds_->GetValue("S", "C500").ValueOrDie(), Value::Int(4));
+  EXPECT_EQ(ds_->engine().dirty_count(), 0u);
+}
+
 TEST_F(WindowTest, WindowMoveCounterAdvances) {
   uint64_t before = ds_->window_manager().window_moves();
   ASSERT_TRUE(ds_->ScrollTo("S", 10, 0).ok());
