@@ -40,9 +40,8 @@ std::unique_ptr<TableStorage> MakeLoaded(StorageModel model, size_t rows,
 
 /// Reports the pager-measured block I/O of one `op` (run outside the timing
 /// loop with accounting re-enabled), the table's resident page footprint,
-/// the measured op's buffer-pool hit rate, and the physical fault/eviction/
-/// spill traffic of the whole run; also appends the JSON trajectory line for
-/// this bench run.
+/// the measured op's buffer-pool hit rate and physical fault/eviction/spill
+/// traffic; also appends the JSON trajectory line for this bench run.
 void ReportPagerCounters(benchmark::State& state, const std::string& run,
                          TableStorage& s, const std::function<void()>& op) {
   storage::Pager& pager = s.pager();

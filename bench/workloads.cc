@@ -139,11 +139,15 @@ void ReportPoolCountersAndJson(
     const std::string& run, const storage::PagerStats& before,
     std::vector<std::pair<std::string, double>> fields) {
   const storage::PagerStats& stats = pager.stats();
-  state.counters["faults"] = static_cast<double>(stats.faults);
-  state.counters["readaheads"] = static_cast<double>(stats.readaheads);
-  state.counters["evictions"] = static_cast<double>(stats.evictions);
+  auto delta = [](uint64_t after, uint64_t at_start) {
+    return static_cast<double>(after - at_start);
+  };
+  state.counters["faults"] = delta(stats.faults, before.faults);
+  state.counters["readaheads"] = delta(stats.readaheads, before.readaheads);
+  state.counters["evictions"] = delta(stats.evictions, before.evictions);
   state.counters["spill_bytes"] =
-      static_cast<double>(stats.spill_bytes_written + stats.spill_bytes_read);
+      delta(stats.spill_bytes_written + stats.spill_bytes_read,
+            before.spill_bytes_written + before.spill_bytes_read);
   state.counters["hit_rate"] = HitRate(before, stats);
   fields.insert(
       fields.begin(),
@@ -152,7 +156,7 @@ void ReportPoolCountersAndJson(
        {"faults", state.counters["faults"]},
        {"readaheads", state.counters["readaheads"]},
        {"evictions", state.counters["evictions"]},
-       {"scan_evictions", static_cast<double>(stats.scan_evictions)},
+       {"scan_evictions", delta(stats.scan_evictions, before.scan_evictions)},
        {"spill_bytes", state.counters["spill_bytes"]},
        {"hit_rate", state.counters["hit_rate"]}});
   AppendBenchJsonLine(bench, run, fields);

@@ -50,10 +50,12 @@ double HitRate(const storage::PagerStats& before,
 /// The shared tail of every pager-reporting bench: sets the physical
 /// buffer-pool counters (faults / readaheads / evictions / spill_bytes) on
 /// `state` and appends the JSON trajectory line carrying them plus
-/// `iterations`, the applied pool cap, the measured window's `hit_rate`
-/// (computed against the `before` stats snapshot the caller took at the top
-/// of its measured op), and the bench-specific `fields` (dirty_blocks,
-/// pages_read, ... — already set as state counters by the caller).
+/// `scan_evictions`, `iterations`, the applied pool cap, the measured
+/// window's `hit_rate`, and the bench-specific `fields` (dirty_blocks,
+/// pages_read, ... — already set as state counters by the caller). Every
+/// pager counter is a delta over the `before` stats snapshot the caller took
+/// at the top of its measured op, so it covers that op alone — not the load
+/// or the benchmark loop's iterations.
 void ReportPoolCountersAndJson(
     benchmark::State& state, storage::Pager& pager, const std::string& bench,
     const std::string& run, const storage::PagerStats& before,

@@ -8,7 +8,8 @@
 # catalog-recovery smoke (SIGKILL a durable *database* mid-DDL-stream,
 # reopen by path, verify schemas + data), an execution-pipeline perf smoke
 # (the vectorized batch pipeline must hold a >= 2x win over the row-at-a-time
-# baseline on scan->filter->aggregate at 100k rows; the morsel-parallel leaf
+# baseline on scan->filter->aggregate at 100k rows and on the join->filter->
+# top-K shape at 100k movies; the morsel-parallel leaf
 # must hold >= 1.8x over the serial batch pipeline at 4 threads on >= 4-core
 # machines, and its 1-thread run must stay within 10% of serial batch), an
 # end-to-end correctness smoke over the four user workloads (bench/e2e), and
@@ -125,7 +126,35 @@ if [[ -x "${BUILD_DIR}/bench_exec_pipeline" ]]; then
     exit 1
   fi
   # -------------------------------------------------------------------------
-  # Morsel-parallel gates over the same query. Two checks:
+  # Join-shape gate: the Figure-2a join (three-relation NATURAL JOIN + WHERE
+  # + ORDER BY ... LIMIT 8) at 100k movies, serial batch vs row. WHERE
+  # conjuncts below the joins, the columnar hash-join build table and the
+  # top-K sort must hold batch_op_ms <= row_op_ms / 2 (measured 2.6-2.8x).
+  # -------------------------------------------------------------------------
+  DS_SPILL_DIR="${SMOKE_DIR}" DS_BENCH_JSON_DIR="${SMOKE_DIR}" \
+    "${BUILD_DIR}/bench_exec_pipeline" \
+    --benchmark_filter='BM_JoinFilterTopK/100000/(0|1)/0/0$' \
+    --benchmark_min_time=0.02
+
+  join_batch_op_ms="$(sed -n 's/.*"run":"JoinFilterTopK\/batch\/100000".*"op_ms":\([0-9][0-9.e+-]*\),.*/\1/p' \
+    "${SMOKE_DIR}/BENCH_exec_pipeline.json" | head -n1)"
+  join_row_op_ms="$(sed -n 's/.*"run":"JoinFilterTopK\/row\/100000".*"op_ms":\([0-9][0-9.e+-]*\),.*/\1/p' \
+    "${SMOKE_DIR}/BENCH_exec_pipeline.json" | head -n1)"
+  if [[ -z "${join_batch_op_ms}" || -z "${join_row_op_ms}" ]]; then
+    echo "ci/check.sh: could not parse JoinFilterTopK op_ms from BENCH_exec_pipeline.json" >&2
+    exit 1
+  fi
+  echo "ci/check.sh: exec pipeline join-filter-top-k @100k:" \
+       "batch=${join_batch_op_ms} ms row=${join_row_op_ms} ms (need >= 2x)"
+  if ! awk -v r="${join_row_op_ms}" -v b="${join_batch_op_ms}" \
+       'BEGIN { exit !(b > 0 && r >= 2 * b) }'; then
+    echo "ci/check.sh: batch join pipeline (${join_batch_op_ms} ms) is not >= 2x" \
+         "faster than the row pipeline (${join_row_op_ms} ms) at 100k movies —" \
+         "join/filter/top-K regression" >&2
+    exit 1
+  fi
+  # -------------------------------------------------------------------------
+  # Morsel-parallel gates over the scan-filter-aggregate query. Two checks:
   #   1. par1 (the worker pool at 1 thread, i.e. pure dispenser overhead)
   #      must stay within 10% of the serial batch pipeline — always enforced.
   #   2. par4 must be >= 1.8x faster than serial batch — only meaningful with

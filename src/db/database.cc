@@ -22,7 +22,7 @@ namespace {
 Scope TableScope(const Table& table) {
   Scope scope;
   for (const ColumnDef& c : table.schema().columns()) {
-    scope.columns.push_back(Scope::Column{table.name(), c.name, true});
+    scope.columns.push_back(Scope::Column{table.name(), c.name, true, c.type});
   }
   return scope;
 }

@@ -74,8 +74,11 @@ Result<BoundSource> BindTableRef(const sql::TableRef& ref, Catalog& catalog,
 }
 
 void AppendToScope(const BoundSource& source, Scope* scope) {
-  for (const std::string& col : source.columns) {
-    scope->columns.push_back(Scope::Column{source.display_name, col, true});
+  for (size_t c = 0; c < source.num_columns(); ++c) {
+    std::optional<DataType> type;
+    if (source.table != nullptr) type = source.table->schema().column(c).type;
+    scope->columns.push_back(
+        Scope::Column{source.display_name, source.columns[c], true, type});
   }
 }
 

@@ -2,6 +2,7 @@
 #define DATASPREAD_EXEC_BINDER_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,12 +25,15 @@ struct BoundSource {
 
 /// Name-resolution scope: the concatenated columns of all bound sources.
 /// `visible` is cleared on the right-hand duplicates of NATURAL JOIN shared
-/// columns so `SELECT *` emits each shared attribute once.
+/// columns so `SELECT *` emits each shared attribute once. `type` is a
+/// catalog column's declared type, which every stored value has (or is
+/// NULL); RANGETABLE columns are untyped.
 struct Scope {
   struct Column {
     std::string qualifier;  // source display name
     std::string name;
     bool visible = true;
+    std::optional<DataType> type;
   };
   std::vector<Column> columns;
 

@@ -395,8 +395,14 @@ Status HashJoinOp::Open() {
   build_.clear();
   have_left_ = false;
   matches_ = nullptr;
+  build_columns_.clear();
+  next_.clear();
+  value_chains_.clear();
+  row_chains_.clear();
   left_positions_.clear();
   left_cursor_ = 0;
+  probed_ = false;
+  pairs_.clear();
   return Status::OK();
 }
 
@@ -432,16 +438,43 @@ Status HashJoinOp::BuildRows() {
 Status HashJoinOp::BuildBatched(size_t batch_size) {
   RowBatch b(batch_size);
   std::vector<uint32_t> scratch;
-  Row key;
+  build_columns_.assign(right_width_, {});
   while (true) {
-    auto more = right_->Next(&b);
-    if (!more.ok()) return more.status();
-    if (!more.value()) break;
-    const std::vector<uint32_t>& active = b.ActivePositions(&scratch);
-    for (uint32_t p : active) {
-      Row r = b.MoveRow(p);
-      if (!ExtractKey(r, right_keys_, &key)) continue;
-      build_[key].push_back(std::move(r));
+    DS_ASSIGN_OR_RETURN(bool more, right_->Next(&b));
+    if (!more) break;
+    for (uint32_t p : b.ActivePositions(&scratch)) {
+      bool null_key = false;
+      for (int k : right_keys_) null_key |= b.column(k)[p].is_null();
+      if (null_key) continue;  // NULL keys never join
+      for (size_t c = 0; c < right_width_; ++c) {
+        build_columns_[c].push_back(std::move(b.column(c)[p]));
+      }
+    }
+  }
+  // Link each key's chain in right-input order.
+  uint32_t n = static_cast<uint32_t>(build_columns_[right_keys_[0]].size());
+  next_.assign(n, kNoMatch);
+  auto link = [this](Chain* chain, bool inserted, uint32_t i) {
+    if (!inserted) {
+      next_[chain->last] = i;
+      chain->last = i;
+    }
+  };
+  if (right_keys_.size() == 1) {
+    const std::vector<Value>& keys = build_columns_[right_keys_[0]];
+    value_chains_.reserve(n);
+    for (uint32_t i = 0; i < n; ++i) {
+      auto [it, inserted] = value_chains_.try_emplace(keys[i], Chain{i, i});
+      link(&it->second, inserted, i);
+    }
+  } else {
+    row_chains_.reserve(n);
+    for (uint32_t i = 0; i < n; ++i) {
+      Row key;
+      key.reserve(right_keys_.size());
+      for (int k : right_keys_) key.push_back(build_columns_[k][i]);
+      auto [it, inserted] = row_chains_.try_emplace(std::move(key), Chain{i, i});
+      link(&it->second, inserted, i);
     }
   }
   return Status::OK();
@@ -483,27 +516,46 @@ Result<bool> HashJoinOp::Next(Row* out) {
   }
 }
 
-Result<bool> HashJoinOp::AdvanceLeftBatched() {
-  while (left_cursor_ >= left_positions_.size()) {
-    DS_ASSIGN_OR_RETURN(bool more, left_->Next(&left_batch_));
-    if (!more) return false;
-    std::vector<uint32_t> scratch;
-    const std::vector<uint32_t>& active = left_batch_.ActivePositions(&scratch);
-    left_positions_.assign(active.begin(), active.end());
-    left_cursor_ = 0;
+uint32_t HashJoinOp::ProbeChain(uint32_t pos) {
+  if (left_keys_.size() == 1) {
+    const Value& key = left_batch_.column(left_keys_[0])[pos];
+    if (key.is_null()) return kNoMatch;
+    auto it = value_chains_.find(key);
+    return it == value_chains_.end() ? kNoMatch : it->second.first;
   }
-  left_row_ = left_batch_.MaterializeRow(left_positions_[left_cursor_++]);
-  have_left_ = true;
-  left_matched_ = false;
-  match_index_ = 0;
-  Row key;
-  if (!ExtractKey(left_row_, left_keys_, &key)) {
-    matches_ = nullptr;
-  } else {
-    auto it = build_.find(key);
-    matches_ = it == build_.end() ? nullptr : &it->second;
+  probe_key_.clear();
+  for (int k : left_keys_) {
+    const Value& v = left_batch_.column(k)[pos];
+    if (v.is_null()) return kNoMatch;
+    probe_key_.push_back(v);
   }
-  return true;
+  auto it = row_chains_.find(probe_key_);
+  return it == row_chains_.end() ? kNoMatch : it->second.first;
+}
+
+void HashJoinOp::FlushPairs(RowBatch* out) {
+  if (pairs_.empty()) return;
+  size_t lw = left_batch_.num_columns();
+  for (size_t c = 0; c < lw; ++c) {
+    std::vector<Value>& from = left_batch_.column(c);
+    std::vector<Value>& to = out->column(c);
+    for (const Pair& pair : pairs_) {
+      if (pair.last) {
+        to.push_back(std::move(from[pair.left]));
+      } else {
+        to.push_back(from[pair.left]);
+      }
+    }
+  }
+  for (size_t c = 0; c < right_width_; ++c) {
+    const std::vector<Value>& from = build_columns_[c];
+    std::vector<Value>& to = out->column(lw + c);
+    for (const Pair& pair : pairs_) {
+      to.push_back(pair.right == kNoMatch ? Value::Null() : from[pair.right]);
+    }
+  }
+  out->set_size(out->size() + pairs_.size());
+  pairs_.clear();
 }
 
 Result<bool> HashJoinOp::Next(RowBatch* out) {
@@ -513,28 +565,49 @@ Result<bool> HashJoinOp::Next(RowBatch* out) {
     built_ = true;
   }
   bool shaped = false;
-  if (have_left_) {
-    out->Reset(left_row_.size() + right_width_);
+  auto shape = [&] {
+    if (!shaped) out->Reset(left_batch_.num_columns() + right_width_);
     shaped = true;
-  }
+  };
+  // Resuming inside a left batch (possibly mid-chain) from a full batch.
+  if (left_cursor_ < left_positions_.size()) shape();
   while (true) {
-    if (!have_left_) {
-      DS_ASSIGN_OR_RETURN(bool more, AdvanceLeftBatched());
+    if (left_cursor_ >= left_positions_.size()) {
+      FlushPairs(out);  // pairs read the left batch; flush before refilling
+      DS_ASSIGN_OR_RETURN(bool more, left_->Next(&left_batch_));
       if (!more) break;
-      if (!shaped) {
-        out->Reset(left_row_.size() + right_width_);
-        shaped = true;
-      }
+      std::vector<uint32_t> scratch;
+      const std::vector<uint32_t>& active =
+          left_batch_.ActivePositions(&scratch);
+      left_positions_.assign(active.begin(), active.end());
+      left_cursor_ = 0;
+      probed_ = false;
+      shape();
+      continue;
     }
-    while (matches_ != nullptr && match_index_ < matches_->size()) {
-      AppendJoined(out, left_row_, &(*matches_)[match_index_++], right_width_);
+    uint32_t pos = left_positions_[left_cursor_];
+    if (!probed_) {
+      chain_ = ProbeChain(pos);
+      left_matched_ = false;
+      probed_ = true;
+    }
+    // Every iteration starts with room for at least one more tuple.
+    size_t room = out->capacity() - out->size() - pairs_.size();
+    for (; chain_ != kNoMatch && room > 0; chain_ = next_[chain_], --room) {
+      pairs_.push_back({pos, chain_, false});
       left_matched_ = true;
-      if (out->full()) return true;
     }
-    have_left_ = false;
-    if (left_outer_ && !left_matched_) {
-      AppendJoined(out, left_row_, nullptr, right_width_);
-      if (out->full()) return true;
+    if (chain_ != kNoMatch) {  // full mid-chain: resume here next call
+      FlushPairs(out);
+      return true;
+    }
+    if (left_outer_ && !left_matched_) pairs_.push_back({pos, kNoMatch, false});
+    if (!pairs_.empty() && pairs_.back().left == pos) pairs_.back().last = true;
+    ++left_cursor_;
+    probed_ = false;
+    if (out->size() + pairs_.size() >= out->capacity()) {
+      FlushPairs(out);
+      return true;
     }
   }
   if (!shaped) out->Reset(0);
@@ -692,27 +765,80 @@ Status SortOp::BuildRows() {
 
 Status SortOp::BuildBatched(size_t batch_size) {
   input_.set_capacity(batch_size);
-  std::vector<Row> keys;
   std::vector<uint32_t> scratch;
   std::vector<std::vector<Value>> key_vals(keys_.size());
+  // Full sort: every row and its key tuple, sorted at the end.
+  std::vector<Row> keys;
+  // Top-K: kept rows live in slots; heap orders slot ids worst-first by
+  // (keys, arrival), so its front is the entry a better row replaces.
+  std::vector<Row> slot_keys, slot_rows;
+  std::vector<uint64_t> slot_seq;
+  std::vector<uint32_t> heap;
+  auto before = [&](uint32_t a, uint32_t b) {
+    int c = CompareKeys(slot_keys[a], slot_keys[b]);
+    return c != 0 ? c < 0 : slot_seq[a] < slot_seq[b];
+  };
+  uint64_t seq = 0;
   while (true) {
-    auto more = child_->Next(&input_);
-    if (!more.ok()) return more.status();
-    if (!more.value()) break;
+    DS_ASSIGN_OR_RETURN(bool more, child_->Next(&input_));
+    if (!more) break;
     const std::vector<uint32_t>& active = input_.ActivePositions(&scratch);
     for (size_t k = 0; k < keys_.size(); ++k) {
       DS_RETURN_IF_ERROR(EvalScalarBatch(*keys_[k].expr, input_, active,
                                          &key_vals[k]));
     }
+    auto take_key = [&](uint32_t p, Row* key) {
+      key->clear();
+      key->reserve(keys_.size());
+      for (auto& kv : key_vals) key->push_back(std::move(kv[p]));
+    };
     for (uint32_t p : active) {
-      Row kt;
-      kt.reserve(keys_.size());
-      for (auto& kv : key_vals) kt.push_back(std::move(kv[p]));
-      keys.push_back(std::move(kt));
-      rows_.push_back(input_.MoveRow(p));
+      if (keep_ == kKeepAll) {
+        take_key(p, &keys.emplace_back());
+        rows_.push_back(input_.MoveRow(p));
+        continue;
+      }
+      uint64_t arrival = seq++;
+      uint32_t slot;
+      if (heap.size() < keep_) {
+        slot = static_cast<uint32_t>(slot_rows.size());
+        slot_keys.emplace_back();
+        slot_rows.emplace_back();
+        slot_seq.emplace_back();
+      } else {
+        if (heap.empty()) continue;  // keep == 0
+        // The candidate arrived after every kept row, so it must sort
+        // strictly before the worst one to displace it.
+        const Row& worst = slot_keys[heap.front()];
+        int c = 0;
+        for (size_t k = 0; k < keys_.size() && c == 0; ++k) {
+          c = Value::Compare(key_vals[k][p], worst[k]);
+          if (keys_[k].descending) c = -c;
+        }
+        if (c >= 0) continue;
+        std::pop_heap(heap.begin(), heap.end(), before);
+        slot = heap.back();
+        heap.pop_back();
+      }
+      take_key(p, &slot_keys[slot]);
+      slot_rows[slot] = input_.MoveRow(p);
+      slot_seq[slot] = arrival;
+      heap.push_back(slot);
+      std::push_heap(heap.begin(), heap.end(), before);
     }
   }
-  return SortCollected(std::move(keys));
+  if (keep_ == kKeepAll) return SortCollected(std::move(keys));
+  std::sort_heap(heap.begin(), heap.end(), before);
+  for (uint32_t slot : heap) rows_.push_back(std::move(slot_rows[slot]));
+  return Status::OK();
+}
+
+int SortOp::CompareKeys(const Row& a, const Row& b) const {
+  for (size_t k = 0; k < keys_.size(); ++k) {
+    int c = Value::Compare(a[k], b[k]);
+    if (c != 0) return keys_[k].descending ? -c : c;
+  }
+  return 0;
 }
 
 Status SortOp::SortCollected(std::vector<Row> keys) {
@@ -720,11 +846,7 @@ Status SortOp::SortCollected(std::vector<Row> keys) {
   std::vector<size_t> order(rows_.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    for (size_t k = 0; k < keys_.size(); ++k) {
-      int c = Value::Compare(keys[a][k], keys[b][k]);
-      if (c != 0) return keys_[k].descending ? c > 0 : c < 0;
-    }
-    return false;
+    return CompareKeys(keys[a], keys[b]) < 0;
   });
   std::vector<Row> sorted;
   sorted.reserve(rows_.size());

@@ -1,6 +1,7 @@
 #ifndef DATASPREAD_EXEC_OPERATORS_H_
 #define DATASPREAD_EXEC_OPERATORS_H_
 
+#include <cstdint>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -193,9 +194,22 @@ class NestedLoopJoinOp : public Operator {
   std::vector<uint32_t> combined_positions_, passing_;
 };
 
-/// Equi hash join on column offsets; builds a hash table over the right
-/// input at the first Next(). INNER or LEFT OUTER. The batch path probes a
-/// whole left batch per iteration and emits combined tuples column-wise.
+/// Equi hash join on column offsets. INNER or LEFT OUTER; a NULL key never
+/// joins. The planner takes this path only when every key pair's declared
+/// types compare without raising (DESIGN.md §6a), so a probe cannot fail.
+///
+/// The batch path builds a columnar table at the first Next(): the right
+/// input's tuples (those with no NULL key) are moved, in right-input order,
+/// into one column-major vector per right column, and each distinct key maps
+/// to a chain of build indices — first and last index, linked through
+/// next_ — so a chain lists its tuples in right-input order. One key column
+/// is keyed by Value; several by a Row. The probe reads each left key in
+/// place from the left batch's column and emits (left position, build index)
+/// pairs, which are then copied out column by column: the left batch's
+/// columns at the position (moved, on a position's last pair) and the build
+/// columns at the index. A chain longer than the room left in the output
+/// batch resumes mid-chain on the next call, so batches never exceed
+/// capacity. The row path keeps a Row-keyed map of right Rows.
 class HashJoinOp : public Operator {
  public:
   HashJoinOp(OperatorPtr left, OperatorPtr right, std::vector<int> left_keys,
@@ -205,25 +219,49 @@ class HashJoinOp : public Operator {
   Result<bool> Next(RowBatch* out) override;
 
  private:
+  static constexpr uint32_t kNoMatch = UINT32_MAX;
+  struct Chain {
+    uint32_t first, last;
+  };
+  /// One output tuple: left batch position and build index (kNoMatch for a
+  /// NULL-extended LEFT JOIN tuple). `last` marks the position's final pair.
+  struct Pair {
+    uint32_t left, right;
+    bool last;
+  };
+
   Status BuildRows();
   Status BuildBatched(size_t batch_size);
-  Result<bool> AdvanceLeftBatched();
+  /// First build index whose key equals the key at left batch position
+  /// `pos`, or kNoMatch.
+  uint32_t ProbeChain(uint32_t pos);
+  /// Appends the pending pairs to `out` column-wise and clears them.
+  void FlushPairs(RowBatch* out);
 
   OperatorPtr left_, right_;
   std::vector<int> left_keys_, right_keys_;
   bool left_outer_;
   size_t right_width_;
   bool built_ = false;
+  bool left_matched_ = false;  // the current left tuple has joined (both modes)
+  // Row-mode state.
   std::unordered_map<Row, std::vector<Row>, RowHash, RowEq> build_;
   Row left_row_;
   const std::vector<Row>* matches_ = nullptr;
   size_t match_index_ = 0;
   bool have_left_ = false;
-  bool left_matched_ = false;
-  // Batch-mode state.
+  // Batch-mode state: the columnar build table and the probe cursor.
+  std::vector<std::vector<Value>> build_columns_;
+  std::vector<uint32_t> next_;
+  std::unordered_map<Value, Chain, ValueHash> value_chains_;
+  std::unordered_map<Row, Chain, RowHash, RowEq> row_chains_;
+  Row probe_key_;
   RowBatch left_batch_;
   std::vector<uint32_t> left_positions_;
-  size_t left_cursor_ = 0;
+  size_t left_cursor_ = 0;  // index into left_positions_
+  bool probed_ = false;     // chain_ holds the cursor position's matches
+  uint32_t chain_ = kNoMatch;
+  std::vector<Pair> pairs_;
 };
 
 /// The aggregate finalization tail, shared by the serial and parallel paths:
@@ -272,14 +310,25 @@ class HashAggregateOp : public Operator {
 
 /// Blocking sort. Keys are expressions over the child's rows; the batch
 /// build computes key tuples vectorized per input batch.
+///
+/// With `keep` set (the planner passes LIMIT + OFFSET when a LIMIT sits
+/// above the sort and no DISTINCT between them), the batch path is a top-K
+/// sort: a bounded max-heap ordered by (keys, arrival sequence) holds the
+/// `keep` best rows seen so far. A later row ties with a kept one only to
+/// lose on arrival, so the heap keeps exactly the stable sort's first `keep`
+/// rows, ties included. A row that does not beat the heap's worst entry is
+/// compared in place and never moved out of its batch. Every row's keys are
+/// still evaluated, so key errors surface as in the full sort. The row path
+/// always runs the full stable sort.
 class SortOp : public Operator {
  public:
   struct Key {
     const sql::Expr* expr;
     bool descending;
   };
-  SortOp(OperatorPtr child, std::vector<Key> keys)
-      : child_(std::move(child)), keys_(std::move(keys)) {}
+  static constexpr size_t kKeepAll = SIZE_MAX;
+  SortOp(OperatorPtr child, std::vector<Key> keys, size_t keep = kKeepAll)
+      : child_(std::move(child)), keys_(std::move(keys)), keep_(keep) {}
   Status Open() override;
   Result<bool> Next(Row* out) override;
   Result<bool> Next(RowBatch* out) override;
@@ -288,9 +337,12 @@ class SortOp : public Operator {
   Status BuildRows();
   Status BuildBatched(size_t batch_size);
   Status SortCollected(std::vector<Row> keys);
+  /// Orders two key tuples as the output does: <0 when `a` sorts first.
+  int CompareKeys(const Row& a, const Row& b) const;
 
   OperatorPtr child_;
   std::vector<Key> keys_;
+  size_t keep_;
   bool built_ = false;
   std::vector<Row> rows_;
   size_t index_ = 0;

@@ -1,6 +1,8 @@
 #include "exec/planner.h"
 
+#include <algorithm>
 #include <limits>
+#include <optional>
 
 #include "common/str_util.h"
 #include "exec/binder.h"
@@ -90,6 +92,60 @@ void MarkColumns(const Expr* e, std::vector<bool>* used) {
   for (const ExprPtr& a : e->args) MarkColumns(a.get(), used);
 }
 
+/// True when values of the two types can meet in a comparison that raises
+/// (`CompareCode`: numeric against TEXT). Untyped columns never conflict at
+/// plan time.
+bool TypesClash(std::optional<DataType> a, std::optional<DataType> b) {
+  if (!a || !b) return false;
+  return (IsNumeric(*a) && *b == DataType::kText) ||
+         (IsNumeric(*b) && *a == DataType::kText);
+}
+
+bool IsComparison(const std::string& op) {
+  return op == "=" || op == "<>" || op == "<" || op == "<=" || op == ">" ||
+         op == ">=";
+}
+
+/// True when evaluating the bound, folded `e` can never raise, by shape: a
+/// comparison between a typed column and a literal whose types do not mix
+/// numeric with TEXT (the catalog coerces every stored value to its column's
+/// declared type), IS [NOT] NULL of a typed column, or an AND of those.
+bool CannotRaise(const Expr& e, const Scope& scope) {
+  auto typed_column = [&](const Expr& c) -> std::optional<DataType> {
+    if (c.kind != ExprKind::kColumnRef || c.bound_column < 0) return {};
+    return scope.columns[static_cast<size_t>(c.bound_column)].type;
+  };
+  if (e.kind == ExprKind::kIsNull) return typed_column(*e.args[0]).has_value();
+  if (e.kind != ExprKind::kBinary) return false;
+  if (e.op == "AND") {
+    return CannotRaise(*e.args[0], scope) && CannotRaise(*e.args[1], scope);
+  }
+  if (!IsComparison(e.op)) return false;
+  const Expr* column = e.args[0].get();
+  const Expr* literal = e.args[1].get();
+  if (column->kind != ExprKind::kColumnRef) std::swap(column, literal);
+  std::optional<DataType> type = typed_column(*column);
+  if (!type || literal->kind != ExprKind::kLiteral) return false;
+  return !TypesClash(type, literal->literal.type());
+}
+
+/// Appends the AND-conjuncts of `e` in evaluation order.
+void SplitConjuncts(const Expr* e, std::vector<const Expr*>* out) {
+  if (e->kind == ExprKind::kBinary && e->op == "AND") {
+    SplitConjuncts(e->args[0].get(), out);
+    SplitConjuncts(e->args[1].get(), out);
+  } else {
+    out->push_back(e);
+  }
+}
+
+/// Highest bound column offset `e` reads, or -1.
+int MaxColumn(const Expr* e) {
+  int max = e->kind == ExprKind::kColumnRef ? e->bound_column : -1;
+  for (const ExprPtr& a : e->args) max = std::max(max, MaxColumn(a.get()));
+  return max;
+}
+
 /// Plan-time constant folding over every expression the plan evaluates
 /// except WHERE, which is folded as soon as it is bound (the key-direct
 /// matcher needs its folded form). Runs once, after binding and ORDER BY
@@ -132,7 +188,18 @@ Result<PlannedQuery> PlanSelect(SelectStmt* stmt, Catalog& catalog,
   ParallelScanOp* parallel_scan = nullptr;
   ParallelAggregateOp* parallel_aggregate = nullptr;
 
-  // ---- FROM clause: sources and joins ----
+  // One step of the left-deep join chain. The steps are planned before
+  // WHERE is bound, and their operators built after, so WHERE conjuncts can
+  // sit between them.
+  struct JoinStep {
+    BoundSource right;
+    std::vector<int> left_keys, right_keys;  // hash join; empty = nested loop
+    const Expr* on = nullptr;                // nested-loop condition
+    bool left_outer = false;
+  };
+  std::vector<JoinStep> steps;
+
+  // ---- FROM clause: sources and join specs ----
   if (stmt->from.has_value()) {
     DS_ASSIGN_OR_RETURN(BoundSource first,
                         BindTableRef(*stmt->from, catalog, resolver));
@@ -150,7 +217,6 @@ Result<PlannedQuery> PlanSelect(SelectStmt* stmt, Catalog& catalog,
                     stmt->order_by.empty() && !stmt->distinct &&
                     first.table != nullptr &&
                     (stmt->limit.has_value() || stmt->offset.has_value());
-    bool consumed_window = false;
     if (pushdown) {
       size_t start = static_cast<size_t>(stmt->offset.value_or(0));
       size_t count = stmt->limit.has_value()
@@ -159,13 +225,10 @@ Result<PlannedQuery> PlanSelect(SelectStmt* stmt, Catalog& catalog,
       root = MakeScan(first, start, count, batch_size);
       leaf_start = start;
       leaf_count = count;
-      consumed_window = true;
-    } else {
-      root = MakeScan(first, 0, kScanAll, batch_size);
-    }
-    if (consumed_window) {
       stmt->limit.reset();
       stmt->offset.reset();
+    } else {
+      root = MakeScan(first, 0, kScanAll, batch_size);
     }
     if (key_table != nullptr) {
       scan_leaf = static_cast<TableScanOp*>(root.get());
@@ -173,63 +236,58 @@ Result<PlannedQuery> PlanSelect(SelectStmt* stmt, Catalog& catalog,
 
     for (sql::JoinClause& join : stmt->joins) {
       size_t left_width = scope.columns.size();
-      DS_ASSIGN_OR_RETURN(BoundSource right,
+      JoinStep step;
+      DS_ASSIGN_OR_RETURN(step.right,
                           BindTableRef(join.table, catalog, resolver));
-      size_t right_width = right.num_columns();
-      OperatorPtr right_op = MakeScan(right, 0, kScanAll, batch_size);
+      AppendToScope(step.right, &scope);
 
       if (join.type == JoinType::kNatural) {
-        // Shared visible column names become the hash-join keys; the
-        // right-hand copies are hidden from unqualified/star resolution.
-        std::vector<int> lk, rk;
-        AppendToScope(right, &scope);
-        for (size_t r = 0; r < right_width; ++r) {
-          const std::string& rname = right.columns[r];
+        // Shared visible column names become the hash-join keys (none: a
+        // cross join); the right-hand copies are hidden from unqualified/star
+        // resolution. A shared pair whose declared types cannot be compared
+        // is a plan-time error, as for incompatible USING columns.
+        for (size_t r = 0; r < step.right.num_columns(); ++r) {
+          const std::string& rname = step.right.columns[r];
           for (size_t l = 0; l < left_width; ++l) {
             if (scope.columns[l].visible &&
                 EqualsIgnoreCase(scope.columns[l].name, rname)) {
-              lk.push_back(static_cast<int>(l));
-              rk.push_back(static_cast<int>(r));
+              std::optional<DataType> lt = scope.columns[l].type;
+              std::optional<DataType> rt = scope.columns[left_width + r].type;
+              if (TypesClash(lt, rt)) {
+                return Status::TypeError("NATURAL JOIN column " + rname +
+                                         ": cannot compare " +
+                                         DataTypeName(*lt) + " with " +
+                                         DataTypeName(*rt));
+              }
+              step.left_keys.push_back(static_cast<int>(l));
+              step.right_keys.push_back(static_cast<int>(r));
               scope.columns[left_width + r].visible = false;
               break;
             }
           }
         }
-        if (lk.empty()) {
-          // No shared attributes: NATURAL JOIN degenerates to a cross join.
-          root = std::make_unique<NestedLoopJoinOp>(
-              std::move(root), std::move(right_op), nullptr,
-              /*left_outer=*/false, right_width);
-        } else {
-          root = std::make_unique<HashJoinOp>(std::move(root),
-                                              std::move(right_op), lk, rk,
-                                              /*left_outer=*/false, right_width);
+      } else if (join.type != JoinType::kCross) {
+        DS_RETURN_IF_ERROR(BindExpr(join.on.get(), scope, resolver,
+                                    /*allow_aggregates=*/false));
+        step.left_outer = join.type == JoinType::kLeft;
+        // Hash only when no key pair can raise; otherwise the nested loop
+        // evaluates the ON condition itself, errors included.
+        std::vector<int> lk, rk;
+        bool hash = ExtractEquiKeys(*join.on, left_width, &lk, &rk) &&
+                    !lk.empty();
+        for (size_t k = 0; hash && k < lk.size(); ++k) {
+          hash = !TypesClash(
+              scope.columns[static_cast<size_t>(lk[k])].type,
+              scope.columns[left_width + static_cast<size_t>(rk[k])].type);
         }
-        continue;
+        if (hash) {
+          step.left_keys = std::move(lk);
+          step.right_keys = std::move(rk);
+        } else {
+          step.on = join.on.get();
+        }
       }
-
-      AppendToScope(right, &scope);
-      if (join.type == JoinType::kCross) {
-        root = std::make_unique<NestedLoopJoinOp>(std::move(root),
-                                                  std::move(right_op), nullptr,
-                                                  /*left_outer=*/false,
-                                                  right_width);
-        continue;
-      }
-      DS_RETURN_IF_ERROR(BindExpr(join.on.get(), scope, resolver,
-                                  /*allow_aggregates=*/false));
-      bool left_outer = join.type == JoinType::kLeft;
-      std::vector<int> lk, rk;
-      if (ExtractEquiKeys(*join.on, left_width, &lk, &rk) && !lk.empty()) {
-        root = std::make_unique<HashJoinOp>(std::move(root),
-                                            std::move(right_op), lk, rk,
-                                            left_outer, right_width);
-      } else {
-        root = std::make_unique<NestedLoopJoinOp>(std::move(root),
-                                                  std::move(right_op),
-                                                  join.on.get(), left_outer,
-                                                  right_width);
-      }
+      steps.push_back(std::move(step));
     }
   } else {
     // FROM-less SELECT: one empty input row.
@@ -239,6 +297,15 @@ Result<PlannedQuery> PlanSelect(SelectStmt* stmt, Catalog& catalog,
   }
 
   // ---- WHERE ----
+  // With joins, a WHERE none of whose conjuncts can raise is split on AND,
+  // and each conjunct filters at the lowest level of the join chain whose
+  // column prefix holds every column it reads (level 0: the first source;
+  // level i: after the i-th join). Prefix offsets equal scope offsets, so no
+  // expression is rebased. The split is all or nothing: it changes which
+  // rows each conjunct sees, which only matters when one can raise.
+  // Nothing moves below a nested-loop ON, which can raise too.
+  std::vector<std::vector<const Expr*>> level_filters(steps.size() + 1);
+  const Expr* top_where = nullptr;
   if (stmt->where != nullptr) {
     DS_RETURN_IF_ERROR(BindExpr(stmt->where.get(), scope, resolver,
                                 /*allow_aggregates=*/false));
@@ -254,13 +321,56 @@ Result<PlannedQuery> PlanSelect(SelectStmt* stmt, Catalog& catalog,
         leaf_table = nullptr;
       }
     }
-    if (leaf_table != nullptr) {
+    if (!steps.empty() && CannotRaise(*stmt->where, scope)) {
+      // prefix_width[l]: the scope columns present at level l.
+      std::vector<size_t> prefix_width(steps.size() + 1, scope.columns.size());
+      size_t floor = 0;
+      for (size_t i = steps.size(); i-- > 0;) {
+        prefix_width[i] = prefix_width[i + 1] - steps[i].right.num_columns();
+        if (steps[i].on != nullptr) floor = std::max(floor, i + 1);
+      }
+      std::vector<const Expr*> conjuncts;
+      SplitConjuncts(stmt->where.get(), &conjuncts);
+      for (const Expr* c : conjuncts) {
+        size_t level = floor;
+        while (static_cast<size_t>(MaxColumn(c)) >= prefix_width[level]) {
+          ++level;
+        }
+        level_filters[level].push_back(c);
+      }
+    } else if (leaf_table != nullptr) {
       // The predicate rides inside the parallel leaf (each worker filters
       // its own morsels) instead of a FilterOp above the scan.
       leaf_where = stmt->where.get();
     } else {
-      root = std::make_unique<FilterOp>(std::move(root), stmt->where.get());
+      top_where = stmt->where.get();
     }
+  }
+
+  // ---- Join chain ----
+  auto add_filters = [&](size_t level) {
+    for (const Expr* c : level_filters[level]) {
+      root = std::make_unique<FilterOp>(std::move(root), c);
+    }
+  };
+  add_filters(0);
+  for (size_t i = 0; i < steps.size(); ++i) {
+    JoinStep& step = steps[i];
+    size_t right_width = step.right.num_columns();
+    OperatorPtr right_op = MakeScan(step.right, 0, kScanAll, batch_size);
+    if (!step.left_keys.empty()) {
+      root = std::make_unique<HashJoinOp>(
+          std::move(root), std::move(right_op), std::move(step.left_keys),
+          std::move(step.right_keys), step.left_outer, right_width);
+    } else {
+      root = std::make_unique<NestedLoopJoinOp>(std::move(root),
+                                                std::move(right_op), step.on,
+                                                step.left_outer, right_width);
+    }
+    add_filters(i + 1);
+  }
+  if (top_where != nullptr) {
+    root = std::make_unique<FilterOp>(std::move(root), top_where);
   }
 
   // ---- Star expansion & output naming ----
@@ -412,12 +522,19 @@ Result<PlannedQuery> PlanSelect(SelectStmt* stmt, Catalog& catalog,
       }
       keys.push_back(SortOp::Key{key_expr, item.descending});
     }
-    if (any_aggregate) {
-      // Sort runs over the aggregate's output rows.
-      root = std::make_unique<SortOp>(std::move(root), std::move(keys));
-    } else {
-      // Sort over input rows, then project.
-      root = std::make_unique<SortOp>(std::move(root), std::move(keys));
+    // Top-K: with a LIMIT above and no DISTINCT between, the sort keeps
+    // only the rows the LIMIT can emit.
+    size_t keep = SortOp::kKeepAll;
+    if (!stmt->distinct && stmt->limit.has_value() && *stmt->limit >= 0) {
+      int64_t offset = std::max<int64_t>(stmt->offset.value_or(0), 0);
+      if (*stmt->limit <= std::numeric_limits<int64_t>::max() - offset) {
+        keep = static_cast<size_t>(*stmt->limit + offset);
+      }
+    }
+    // An aggregate query sorts the aggregate's output rows; any other sorts
+    // its input rows, then projects.
+    root = std::make_unique<SortOp>(std::move(root), std::move(keys), keep);
+    if (!any_aggregate) {
       root = std::make_unique<ProjectOp>(std::move(root), output_exprs);
     }
   } else if (!any_aggregate) {

@@ -28,11 +28,22 @@ struct PlannedQuery {
 /// constant subexpressions once at plan time (after ORDER BY resolution, so
 /// textual output-column matching sees the original spelling).
 ///
-/// Planner decisions:
-///  - equi-join conditions on column references become hash joins; everything
-///    else runs as (left-outer) nested loops;
+/// Planner decisions (DESIGN.md §6a):
+///  - equi-join conditions on column references become hash joins when every
+///    key pair's declared types compare without raising; everything else
+///    (a numeric key against a TEXT key included) runs as a (left-outer)
+///    nested loop over the ON condition. RANGETABLE columns are untyped, so
+///    their keys always hash, and a mixed-type pair there matches nothing;
 ///  - NATURAL JOIN hash-joins on the shared column names and hides the
-///    right-hand duplicates from `SELECT *`;
+///    right-hand duplicates from `SELECT *`; a shared pair of numeric and
+///    TEXT columns is a plan-time TypeError naming the column;
+///  - with joins, a WHERE none of whose conjuncts can raise (typed column
+///    against a literal, IS [NOT] NULL, AND) is split on AND, and each
+///    conjunct filters at the lowest point of the left-deep join chain whose
+///    columns it reads, never below a nested-loop ON; any other WHERE runs
+///    whole above the joins;
+///  - ORDER BY under a LIMIT with no DISTINCT between them becomes a top-K
+///    sort keeping LIMIT + OFFSET rows;
 ///  - a bare `SELECT ... FROM t LIMIT n OFFSET k` (no predicates or ordering)
 ///    pushes the window straight into the positional-index scan — the
 ///    interface-aware pane fetch of paper §2.2 ("the burden of supplying or

@@ -196,6 +196,50 @@ TEST_F(DatabaseTest, StatementCounter) {
   EXPECT_EQ(db_.statements_executed(), before + 2);
 }
 
+// WHERE placement across joins (DESIGN.md §6a): a WHERE with a conjunct that
+// can raise is never split below the joins. It raises, or does not, on
+// exactly the rows the joins emit, as one filter above them would.
+class JoinWhereTest : public DatabaseTest {
+ protected:
+  void SetUp() override {
+    Run("CREATE TABLE t (id INT, grp TEXT, x REAL)");
+    Run("CREATE TABLE u (grp TEXT, tag INT)");
+    Run("CREATE TABLE v (grp TEXT)");
+    Run("INSERT INTO t VALUES (1, 'a', 100), (2, 'b', 900), (3, 'z', 800)");
+    Run("INSERT INTO u VALUES ('a', 1), ('b', 2)");
+    Run("INSERT INTO v VALUES ('a')");
+  }
+};
+
+TEST_F(JoinWhereTest, RaisingWhereKeepsItsError) {
+  auto r = db_.Execute(
+      "SELECT * FROM t JOIN u ON t.grp = u.grp WHERE t.grp > 5");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kTypeError);
+  EXPECT_EQ(r.status().message(), "cannot compare TEXT with INTEGER");
+  // No joined row gets past `u.tag < 0`, so the raising conjunct never runs.
+  EXPECT_EQ(Run("SELECT * FROM t JOIN u ON t.grp = u.grp "
+                "WHERE u.tag < 0 AND t.grp > 5")
+                .num_rows(),
+            0u);
+}
+
+TEST_F(JoinWhereTest, MixedWhereIsNotSplit) {
+  // `t.x > 500` alone could move below the join; the division cannot, so
+  // neither does. Row 2 joins u and reaches the division.
+  auto r = db_.Execute(
+      "SELECT t.id FROM t JOIN u ON t.grp = u.grp "
+      "WHERE t.x > 500 AND 1 / (t.id - t.id) > 0");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().message(), "division by zero");
+  // Only row 1 (x = 100) joins v, so no row reaches the division. Below the
+  // join, `t.x > 500` would pass rows 2 and 3 into it.
+  EXPECT_EQ(Run("SELECT t.id FROM t JOIN v ON t.grp = v.grp "
+                "WHERE t.x > 500 AND 1 / (t.id - t.id) > 0")
+                .num_rows(),
+            0u);
+}
+
 TEST_F(DatabaseTest, RangeConstructsRequireResolver) {
   Run("CREATE TABLE t (a INT)");
   auto r = db_.Execute("SELECT * FROM t WHERE a = RANGEVALUE(A1)");

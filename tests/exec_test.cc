@@ -167,6 +167,43 @@ TEST(JoinBatchCapacityTest, CrossJoinNeverOvershootsBatchCapacity) {
   }
 }
 
+TEST(JoinBatchCapacityTest, HashJoinResumesMidChainWithinCapacity) {
+  // Left keys 0..3 against a build side where key k has 3k tuples (key 0
+  // none): chains of 3, 6 and 9 through a 4-tuple batch resume mid-chain,
+  // and the unmatched key 0 is NULL-extended (LEFT JOIN).
+  auto left = std::make_shared<std::vector<Row>>();
+  for (int i = 0; i < 4; ++i) left->push_back(Row{Value::Int(i)});
+  auto right = std::make_shared<std::vector<Row>>();
+  const int pattern[] = {3, 2, 3, 1, 2, 3};  // chains interleave
+  for (int j = 0; j < 18; ++j) {
+    right->push_back(Row{Value::Int(pattern[j % 6]), Value::Int(100 + j)});
+  }
+  // Built first: the scan moves the tuples out of `right`.
+  std::vector<Row> want = {{Value::Int(0), Value::Null(), Value::Null()}};
+  for (int key = 1; key <= 3; ++key) {
+    for (const Row& r : *right) {  // chains keep right-input order
+      if (r[0] == Value::Int(key)) want.push_back({Value::Int(key), r[0], r[1]});
+    }
+  }
+  HashJoinOp join(std::make_unique<RowsScanOp>(left),
+                  std::make_unique<RowsScanOp>(right), {0}, {0},
+                  /*left_outer=*/true, /*right_width=*/2);
+  ASSERT_TRUE(join.Open().ok());
+  RowBatch out(4);
+  std::vector<Row> got;
+  while (true) {
+    auto more = join.Next(&out);
+    ASSERT_TRUE(more.ok());
+    if (!more.value()) break;
+    EXPECT_LE(out.size(), out.capacity()) << "batch overshot its capacity";
+    std::vector<uint32_t> scratch;
+    for (uint32_t p : out.ActivePositions(&scratch)) {
+      got.push_back(out.MaterializeRow(p));
+    }
+  }
+  EXPECT_EQ(got, want);
+}
+
 TEST_F(ExecTest, InnerJoinHashPath) {
   Run("CREATE TABLE dept (dept TEXT, floor INT)");
   Run("INSERT INTO dept VALUES ('eng', 3), ('ops', 1)");
@@ -284,6 +321,40 @@ TEST_F(ExecTest, BinderErrors) {
 
 TEST_F(ExecTest, TypeMismatchComparisonIsError) {
   RunErr("SELECT * FROM emp WHERE name > 5");
+}
+
+TEST_F(ExecTest, MixedTypeJoinKeysRaiseInsteadOfMatchingNothing) {
+  // An INTEGER key against a TEXT key raises wherever the comparison runs;
+  // the hash join used to return 0 rows for the plain equi-join spelling.
+  Run("CREATE TABLE a (id INT)");
+  Run("INSERT INTO a VALUES (1), (2)");
+  Run("CREATE TABLE b (k TEXT)");
+  Run("INSERT INTO b VALUES ('1'), ('x')");
+  for (const char* q : {"SELECT * FROM a JOIN b ON a.id = b.k",
+                        "SELECT * FROM a LEFT JOIN b ON a.id = b.k",
+                        "SELECT * FROM a JOIN b ON a.id = b.k AND 1 = 1",
+                        "SELECT * FROM a, b WHERE a.id = b.k"}) {
+    for (bool row_mode : {true, false}) {
+      db_.set_exec_options(ExecOptions{0, row_mode});
+      Status st = RunErr(q);
+      EXPECT_EQ(st.code(), StatusCode::kTypeError) << q;
+      EXPECT_EQ(st.message(), "cannot compare INTEGER with TEXT") << q;
+    }
+  }
+  db_.set_exec_options(ExecOptions{});
+  // A NATURAL JOIN over a clashing shared column fails at plan time and
+  // names the column.
+  Run("CREATE TABLE c (id TEXT)");
+  Run("INSERT INTO c VALUES ('1')");
+  Status st = RunErr("SELECT * FROM a NATURAL JOIN c");
+  EXPECT_EQ(st.code(), StatusCode::kTypeError);
+  EXPECT_NE(st.message().find("id"), std::string::npos) << st.message();
+  // INTEGER against REAL compares without raising, and still hash-joins.
+  Run("CREATE TABLE r (v REAL)");
+  Run("INSERT INTO r VALUES (2.0), (2.5)");
+  ResultSet rs = Run("SELECT a.id, r.v FROM a JOIN r ON a.id = r.v");
+  ASSERT_EQ(rs.num_rows(), 1u);
+  EXPECT_EQ(rs.rows[0][0], Value::Int(2));
 }
 
 TEST_F(ExecTest, FromlessSelect) {

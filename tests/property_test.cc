@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <random>
 #include <thread>
 
@@ -678,7 +680,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ReopenTransparencyTest,
 // — must produce byte-identical ResultSets, for every storage model and pool
 // size. The query tape touches every operator: table scan (with and without
 // window pushdown), rows scan, filter, project, hash/nested-loop/natural/
-// left joins, aggregation with HAVING, sort, distinct, limit/offset.
+// left joins, aggregation with HAVING, sort, distinct, limit/offset. Two
+// oracles cover what both modes share, the plan: join queries whose WHERE
+// the planner splits below the joins must match the same conjuncts spelled
+// `(c) = TRUE`, which it leaves above them; and every ORDER BY ... LIMIT n
+// OFFSET m (a top-K sort in batch mode) must return rows [m, m + n) of the
+// same query without the window.
 // ---------------------------------------------------------------------------
 
 /// One display-order edit of the 150-row `t` tables of invariants 9 and 10:
@@ -716,6 +723,53 @@ void ApplyTableEdits(Table* t, const std::vector<TableEdit>& edits) {
 }
 
 class BatchTransparencyTest : public ::testing::TestWithParam<uint32_t> {};
+
+/// Asserts two results are byte-identical: columns, row count, and every
+/// value with its type. `have` may be a slice [first, first + n) of a longer
+/// `want` (the LIMIT/OFFSET oracle).
+void ExpectSameRows(const ResultSet& want, const ResultSet& have,
+                    const std::string& context, size_t first = 0,
+                    size_t n = SIZE_MAX) {
+  ASSERT_EQ(have.columns, want.columns) << context;
+  size_t begin = std::min(first, want.rows.size());
+  size_t count = std::min(n, want.rows.size() - begin);
+  ASSERT_EQ(have.num_rows(), count) << context;
+  for (size_t r = 0; r < count; ++r) {
+    const Row& w = want.rows[begin + r];
+    const Row& h = have.rows[r];
+    ASSERT_EQ(h.size(), w.size()) << context << " row " << r;
+    for (size_t c = 0; c < w.size(); ++c) {
+      ASSERT_EQ(h[c], w[c]) << context << " row " << r << " col " << c;
+      ASSERT_EQ(h[c].type(), w[c].type())
+          << context << " row " << r << " col " << c;
+    }
+  }
+}
+
+/// A join query whose WHERE is the AND of `conjuncts`: once as written,
+/// which the planner splits below the joins (DESIGN.md §6a), and once with
+/// every conjunct `c` spelled `(c) = TRUE`, which it leaves above them.
+struct PushdownQuery {
+  const char* from;
+  std::vector<const char*> conjuncts;
+  const char* tail;
+
+  std::string Spell(bool pushable) const {
+    std::string where;
+    for (const char* c : conjuncts) {
+      if (!where.empty()) where += " AND ";
+      where += pushable ? std::string(c) : "(" + std::string(c) + ") = TRUE";
+    }
+    return std::string(from) + " WHERE " + where + " " + tail;
+  }
+};
+
+/// An ORDER BY query and a LIMIT n OFFSET m to put on it: the limited query
+/// must return rows [m, m + n) of the unlimited one (the top-K oracle).
+struct WindowQuery {
+  const char* ordered;
+  int64_t limit, offset;
+};
 
 TEST_P(BatchTransparencyTest, RowAndBatchPipelinesProduceIdenticalResults) {
   constexpr StorageModel kModels[] = {StorageModel::kRow,
@@ -789,6 +843,45 @@ TEST_P(BatchTransparencyTest, RowAndBatchPipelinesProduceIdenticalResults) {
       "SELECT COUNT(*), SUM(x), MIN(grp), AVG(id) FROM t WHERE id < 0",
       "SELECT COUNT(*) FROM t",
   };
+  // WHERE conjuncts that cannot raise: on the left table, on the middle
+  // table of a 3-way join, and on a LEFT JOIN's right side.
+  const PushdownQuery pushdown_queries[] = {
+      {"SELECT t.id, u.tag FROM t JOIN u ON t.grp = u.grp",
+       {"t.x > 500", "t.id < 120"},
+       "ORDER BY t.id, u.tag"},
+      {"SELECT t.id, u.tag, t2.x FROM t JOIN u ON t.grp = u.grp "
+       "JOIN t t2 ON u.tag = t2.id",
+       {"u.tag >= 5", "t.x <= 700", "t2.x IS NOT NULL", "u.grp <> 'g3'"},
+       "ORDER BY t.id, u.tag"},
+      {"SELECT t.id, u.tag FROM t LEFT JOIN u ON t.grp = u.grp",
+       {"u.tag IS NULL", "t.id > 20"},
+       "ORDER BY t.id"},
+      {"SELECT t.id, u.tag FROM t LEFT JOIN u ON t.grp = u.grp",
+       {"u.tag > 3", "t.grp <> 'g2'", "t.x IS NULL"},
+       ""},
+      {"SELECT * FROM t NATURAL JOIN u", {"tag < 15", "x >= 100"}, ""},
+      {"SELECT t.id, u.tag FROM t CROSS JOIN u", {"t.id < 10", "u.tag > 15"},
+       ""},
+      {"SELECT t.grp, COUNT(*) FROM t JOIN u ON t.grp = u.grp",
+       {"t.x > 300", "u.tag <> 7"},
+       "GROUP BY t.grp ORDER BY t.grp"},
+  };
+  // Heavy ties (ORDER BY grp), DESC keys, NULL keys, LIMIT 0, an OFFSET
+  // past the end, a join, and an aggregate-output sort.
+  const WindowQuery window_queries[] = {
+      {"SELECT id, grp FROM t ORDER BY grp", 10, 0},
+      {"SELECT id, grp FROM t ORDER BY grp", 7, 25},
+      {"SELECT id, grp FROM t ORDER BY grp", 40, 3},
+      {"SELECT id, x FROM t ORDER BY x DESC", 5, 0},
+      {"SELECT id, x FROM t ORDER BY x DESC", 8, 150},
+      {"SELECT id, x FROM t ORDER BY x, grp DESC", 12, 0},
+      {"SELECT id FROM t ORDER BY grp", 0, 5},
+      {"SELECT id FROM t ORDER BY grp", 5, 1000},
+      {"SELECT t.id, u.tag FROM t JOIN u ON t.grp = u.grp "
+       "WHERE t.x > 200 ORDER BY u.tag DESC",
+       9, 4},
+      {"SELECT grp, COUNT(*) FROM t GROUP BY grp ORDER BY 2 DESC", 3, 1},
+  };
 
   for (size_t cap : kPools) {
     for (StorageModel model : kModels) {
@@ -801,31 +894,49 @@ TEST_P(BatchTransparencyTest, RowAndBatchPipelinesProduceIdenticalResults) {
       for (const Row& r : u_rows) ASSERT_TRUE(u->AppendRow(r).ok());
       ApplyTableEdits(t, edits);
 
+      const ExecOptions modes[] = {ExecOptions{0, /*row_at_a_time=*/true},
+                                   ExecOptions{1, false}, ExecOptions{3, false},
+                                   ExecOptions{512, false}};
+      auto run = [&](const std::string& q, const ExecOptions& mode) {
+        db.set_exec_options(mode);
+        auto rs = db.Execute(q);
+        EXPECT_TRUE(rs.ok()) << q << " -> " << rs.status().ToString();
+        return rs.ok() ? std::move(rs).value() : ResultSet{};
+      };
+      auto context = [&](const std::string& q, const ExecOptions& mode) {
+        return q + " pool " + std::to_string(cap) + " model " +
+               StorageModelName(model) + " batch " +
+               (mode.row_at_a_time ? "row" : std::to_string(mode.batch_size));
+      };
+
       for (const char* q : queries) {
-        db.set_exec_options(ExecOptions{0, /*row_at_a_time=*/true});
-        auto reference = db.Execute(q);
-        ASSERT_TRUE(reference.ok()) << q;
-        for (size_t batch : {size_t{1}, size_t{3}, size_t{512}}) {
-          db.set_exec_options(ExecOptions{batch, false});
-          auto got = db.Execute(q);
-          ASSERT_TRUE(got.ok()) << q << " batch " << batch;
-          ASSERT_EQ(got.value().columns, reference.value().columns) << q;
-          ASSERT_EQ(got.value().num_rows(), reference.value().num_rows())
-              << q << " pool " << cap << " model " << StorageModelName(model)
-              << " batch " << batch;
-          for (size_t r = 0; r < reference.value().rows.size(); ++r) {
-            const Row& want = reference.value().rows[r];
-            const Row& have = got.value().rows[r];
-            ASSERT_EQ(have.size(), want.size()) << q << " row " << r;
-            for (size_t c = 0; c < want.size(); ++c) {
-              ASSERT_EQ(have[c], want[c])
-                  << q << " pool " << cap << " model "
-                  << StorageModelName(model) << " batch " << batch << " row "
-                  << r << " col " << c;
-              ASSERT_EQ(have[c].type(), want[c].type())
-                  << q << " row " << r << " col " << c;
-            }
-          }
+        ResultSet reference = run(q, modes[0]);
+        for (const ExecOptions& mode : modes) {
+          ExpectSameRows(reference, run(q, mode), context(q, mode));
+        }
+      }
+      // WHERE placement oracle: in every mode, the split WHERE returns what
+      // the same conjuncts return above the joins.
+      for (const PushdownQuery& pq : pushdown_queries) {
+        ResultSet reference = run(pq.Spell(false), modes[0]);
+        for (const ExecOptions& mode : modes) {
+          ExpectSameRows(reference, run(pq.Spell(true), mode),
+                         context(pq.Spell(true), mode));
+          ExpectSameRows(reference, run(pq.Spell(false), mode),
+                         context(pq.Spell(false), mode));
+        }
+      }
+      // Top-K oracle: ORDER BY ... LIMIT n OFFSET m returns rows [m, m + n)
+      // of the unlimited query, in every mode.
+      for (const WindowQuery& wq : window_queries) {
+        ResultSet all = run(wq.ordered, modes[0]);
+        std::string limited = std::string(wq.ordered) + " LIMIT " +
+                              std::to_string(wq.limit) + " OFFSET " +
+                              std::to_string(wq.offset);
+        for (const ExecOptions& mode : modes) {
+          ExpectSameRows(all, run(limited, mode), context(limited, mode),
+                         static_cast<size_t>(wq.offset),
+                         static_cast<size_t>(wq.limit));
         }
       }
     }
