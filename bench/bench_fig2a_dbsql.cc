@@ -4,7 +4,10 @@
 // latency when the referenced cell changes.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
+#include <limits>
+#include <thread>
 
 #include "workloads.h"
 
@@ -99,6 +102,70 @@ BENCHMARK(BM_Fig2a_ReparameterizeViaCellEdit)
     ->Arg(1000)
     ->Arg(10000)
     ->Arg(100000)
+    ->Unit(benchmark::kMillisecond);
+
+// Per-edit cost against table size (DESIGN.md §6c): one keyed cell edit in
+// a bound table under a SUM cell and a GROUP BY … ORDER BY spill, plus the
+// Pump that brings the sheet up to date. The cells fold each edit's delta
+// instead of re-running, so `op_ms` (the fastest of the fixed iteration
+// count, in process) stays flat from 20k to 1M rows and `dbsql_execs` (DBSQL
+// executions per edit) is 0 — both gated in ci/check.sh. One invocation per
+// size (fixed iterations): the load is not repeated for calibration.
+void BM_Fig2a_EditUnderAggregateCells(benchmark::State& state) {
+  const size_t rows = static_cast<size_t>(state.range(0));
+  DataSpreadOptions opts;
+  opts.auto_pump = false;
+  DataSpread ds(opts);
+  Table* table =
+      ds.db()
+          .CreateTable("t", Schema({ColumnDef{"id", DataType::kInt, true},
+                                    ColumnDef{"grp", DataType::kInt, false},
+                                    ColumnDef{"qty", DataType::kInt, false}}))
+          .ValueOrDie();
+  for (size_t i = 0; i < rows; ++i) {
+    const auto k = static_cast<int64_t>(i);
+    (void)table->AppendRow(
+        {Value::Int(k), Value::Int(k % 16), Value::Int(k * 7919 % 1000)});
+  }
+  Sheet* sheet = ds.AddSheet("S").ValueOrDie();
+  (void)ds.ImportTable("S", "A1", "t");  // columns A–C, data from row 2
+  (void)ds.SetCellAt(sheet, 0, 4, "=DBSQL(\"SELECT SUM(qty) FROM t\")");
+  (void)ds.SetCellAt(sheet, 2, 4,
+                     "=DBSQL(\"SELECT grp, SUM(qty) FROM t GROUP BY grp "
+                     "ORDER BY grp\")");
+  ds.Pump();
+  const InterfaceManager& im = ds.interface_manager();
+  const uint64_t executions = im.dbsql_executions();
+  double best_ms = std::numeric_limits<double>::infinity();
+  int64_t edits = 0;
+  for (auto _ : state) {
+    auto t0 = std::chrono::steady_clock::now();
+    (void)ds.SetCellAt(sheet, 1 + edits % 100, 2, std::to_string(edits % 997));
+    ds.Pump();
+    auto t1 = std::chrono::steady_clock::now();
+    best_ms = std::min(
+        best_ms,
+        std::chrono::duration<double, std::milli>(t1 - t0).count());
+    ++edits;
+  }
+  const double dbsql_execs =
+      static_cast<double>(im.dbsql_executions() - executions) /
+      static_cast<double>(std::max<int64_t>(edits, 1));
+  state.counters["op_ms"] = best_ms;
+  state.counters["dbsql_execs"] = dbsql_execs;
+  AppendBenchJsonLine(
+      "fig2a_dbsql", "EditUnderAggregateCells/" + std::to_string(rows),
+      {{"op_ms", best_ms},
+       {"dbsql_execs", dbsql_execs},
+       {"iterations", static_cast<double>(edits)},
+       {"nproc", static_cast<double>(std::thread::hardware_concurrency())},
+       {"threads", static_cast<double>(ds.db().exec_options().num_threads)}});
+  state.SetLabel(std::to_string(rows) + " rows");
+}
+BENCHMARK(BM_Fig2a_EditUnderAggregateCells)
+    ->Arg(20000)
+    ->Arg(1000000)
+    ->Iterations(200)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

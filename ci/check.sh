@@ -3,7 +3,9 @@
 # storage subsystem (src/storage/ must stay warning-clean; the rest of the
 # tree builds with -Wall -Wextra), followed by a low-memory smoke run that
 # exercises the bounded buffer pool (eviction + spill) end to end, a perf
-# smoke for the scan-resistant eviction policy, a crash-recovery smoke
+# smoke for the scan-resistant eviction policy, a per-edit cost gate for
+# maintained DBSQL aggregate cells (flat from 20k to 1M rows, no DBSQL
+# re-execution), a crash-recovery smoke
 # (SIGKILL a durable workload, reopen, diff, gate recovery time), a
 # catalog-recovery smoke (SIGKILL a durable *database* mid-DDL-stream,
 # reopen by path, verify schemas + data), an execution-pipeline perf smoke
@@ -92,6 +94,45 @@ if [[ -x "${BUILD_DIR}/bench_mixed_workload" ]]; then
   fi
 else
   echo "ci/check.sh: bench_mixed_workload not built; skipping eviction perf smoke"
+fi
+
+# ---------------------------------------------------------------------------
+# Maintained-DBSQL gate (DESIGN.md §6c): one keyed cell edit plus Pump in a
+# bound table under a SUM cell and a GROUP BY ... ORDER BY spill. The cells
+# fold the edit's delta instead of re-running, so the edit's cost must not
+# grow with the table: op_ms (fastest of 200 in-process edits) at 1M rows
+# must stay <= 2x op_ms at 20k rows, and no DBSQL query may re-execute
+# (dbsql_execs = 0 per edit at both sizes).
+# ---------------------------------------------------------------------------
+if [[ -x "${BUILD_DIR}/bench_fig2a_dbsql" ]]; then
+  DS_BENCH_JSON_DIR="${SMOKE_DIR}" "${BUILD_DIR}/bench_fig2a_dbsql" \
+    --benchmark_filter='BM_Fig2a_EditUnderAggregateCells'
+  edit_field() {
+    sed -n "s/.*\"run\":\"EditUnderAggregateCells\/$1\".*\"$2\":\([0-9][0-9.e+-]*\).*/\1/p" \
+      "${SMOKE_DIR}/BENCH_fig2a_dbsql.json" | head -n1
+  }
+  edit_20k_ms="$(edit_field 20000 op_ms)"
+  edit_1m_ms="$(edit_field 1000000 op_ms)"
+  edit_20k_execs="$(edit_field 20000 dbsql_execs)"
+  edit_1m_execs="$(edit_field 1000000 dbsql_execs)"
+  if [[ -z "${edit_20k_ms}" || -z "${edit_1m_ms}" || -z "${edit_20k_execs}" ||
+        -z "${edit_1m_execs}" ]]; then
+    echo "ci/check.sh: could not parse EditUnderAggregateCells from BENCH_fig2a_dbsql.json" >&2
+    exit 1
+  fi
+  echo "ci/check.sh: edit under aggregate cells: 20k=${edit_20k_ms} ms" \
+       "1M=${edit_1m_ms} ms (need <= 2x), dbsql_execs=${edit_20k_execs}/${edit_1m_execs}"
+  if ! awk -v a="${edit_1m_ms}" -v b="${edit_20k_ms}" \
+       -v e="${edit_20k_execs}" -v f="${edit_1m_execs}" \
+       'BEGIN { exit !(b > 0 && a <= 2 * b && e == 0 && f == 0) }'; then
+    echo "ci/check.sh: a cell edit under DBSQL aggregate cells costs" \
+         "${edit_1m_ms} ms at 1M rows vs ${edit_20k_ms} ms at 20k, with" \
+         "${edit_20k_execs}/${edit_1m_execs} DBSQL executions per edit —" \
+         "maintained-DBSQL regression" >&2
+    exit 1
+  fi
+else
+  echo "ci/check.sh: bench_fig2a_dbsql not built; skipping maintained-DBSQL gate"
 fi
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 #include "catalog/table.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <unordered_set>
 #include <utility>
@@ -9,6 +10,17 @@
 #include "storage/hybrid_store.h"
 
 namespace dataspread {
+
+namespace {
+
+/// The one source of table versions (Table::version): a new table starts at
+/// a fresh value and every change draws the next one.
+uint64_t NextTableVersion() {
+  static std::atomic<uint64_t> counter{0};
+  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+}  // namespace
 
 Result<std::unique_ptr<Table>> Table::Create(
     std::string name, Schema schema, StorageModel model, storage::Pager* pager,
@@ -35,7 +47,8 @@ Table::Table(std::string name, Schema schema,
              std::unique_ptr<TableStorage> storage)
     : name_(std::move(name)),
       schema_(std::move(schema)),
-      storage_(std::move(storage)) {}
+      storage_(std::move(storage)),
+      version_(NextTableVersion()) {}
 
 Table::~Table() {
   if (durable() && !retain_files_) {
@@ -368,6 +381,10 @@ Result<Value> Table::GetAt(size_t pos, size_t col) const {
   return storage_->Get(SlotOf(rid), col);
 }
 
+Result<Value> Table::GetByRid(uint64_t rid, size_t col) const {
+  return storage_->Get(SlotOf(rid), col);
+}
+
 Result<Value> Table::CoerceForColumn(Value v, size_t col) const {
   if (v.is_error()) {
     return Status::TypeError("error value " + v.error_code() +
@@ -408,10 +425,13 @@ Status Table::UpdateAt(size_t pos, size_t col, Value v) {
   }
   DS_ASSIGN_OR_RETURN(uint64_t rid, order_.Get(pos));
   DS_ASSIGN_OR_RETURN(Value coerced, CoerceForColumn(std::move(v), col));
-  Value before;
-  if (undo_ != nullptr) {
-    DS_ASSIGN_OR_RETURN(before, storage_->Get(SlotOf(rid), col));
-  }
+  return SetCell(rid, pos, col, std::move(coerced));
+}
+
+Status Table::SetCell(uint64_t rid, size_t pos, size_t col, Value coerced) {
+  // The before-image: the change delta and, in a transaction, the undo
+  // entry.
+  DS_ASSIGN_OR_RETURN(Value before, storage_->Get(SlotOf(rid), col));
   // Statement bracket: everything this update logs is all-or-nothing across
   // crashes (DESIGN.md §7). Nested inside a Database-level statement it
   // rides the outer bracket.
@@ -419,17 +439,19 @@ Status Table::UpdateAt(size_t pos, size_t col, Value v) {
   auto pk = schema_.primary_key_index();
   if (pk && *pk == col) {
     DS_RETURN_IF_ERROR(CheckKey(coerced, rid));
-    DS_ASSIGN_OR_RETURN(Value old_key, storage_->Get(SlotOf(rid), col));
-    pk_to_rid_.erase(old_key);
+    pk_to_rid_.erase(before);
     pk_to_rid_[coerced] = rid;
   }
-  DS_RETURN_IF_ERROR(storage_->Set(SlotOf(rid), col, std::move(coerced)));
+  DS_RETURN_IF_ERROR(storage_->Set(SlotOf(rid), col, coerced));
   txn.Commit();
+  TableChange change{TableChange::Kind::kUpdate, pos, col, rid};
+  change.old_value = &before;
+  change.new_value = &coerced;
+  Notify(change);
   if (undo_ != nullptr) {
     undo_->entries.push_back({UndoJournal::Entry::Kind::kUpdate, this, 0, col,
                               rid, {}, std::move(before)});
   }
-  Notify(TableChange{TableChange::Kind::kUpdate, pos, col});
   return Status::OK();
 }
 
@@ -491,7 +513,9 @@ Status Table::InsertRowAtWithRid(size_t pos, Row row, uint64_t rid) {
     undo_->entries.push_back(
         {UndoJournal::Entry::Kind::kInsert, this, pos, 0, rid, {}, {}});
   }
-  Notify(TableChange{TableChange::Kind::kInsert, pos, 0});
+  TableChange change{TableChange::Kind::kInsert, pos, 0, rid};
+  change.row = &row;
+  Notify(change);
   return Status::OK();
 }
 
@@ -502,20 +526,15 @@ Status Table::AppendRow(Row row) {
 Status Table::DeleteRowAt(size_t pos) {
   DS_ASSIGN_OR_RETURN(uint64_t rid, order_.Get(pos));
   size_t slot = SlotOf(rid);
-  Row before;
-  if (undo_ != nullptr) {
-    // Capture the full tuple before any mutation — the RCV pre-step below
-    // nulls cells in place, so this read cannot wait.
-    DS_ASSIGN_OR_RETURN(before, storage_->GetRow(slot));
-  }
+  // The before-image (the change delta and, in a transaction, the undo
+  // entry), captured before any mutation — the RCV pre-step below nulls
+  // cells in place, so this read cannot wait.
+  DS_ASSIGN_OR_RETURN(Row before, storage_->GetRow(slot));
   // Statement bracket: the rid move, order rewrite, data swap, and
   // truncations below commit or vanish together (DESIGN.md §7).
   storage::StatementScope txn(storage_->pager(), write_txn_);
   auto pk = schema_.primary_key_index();
-  if (pk) {
-    DS_ASSIGN_OR_RETURN(Value key, storage_->Get(slot, *pk));
-    pk_to_rid_.erase(key);
-  }
+  if (pk) pk_to_rid_.erase(before[*pk]);
   size_t n = order_.size();
   if (durable() && storage_->model() == StorageModel::kRcv && slot != n - 1) {
     // RCV pre-step: erase the vacated row's cells wherever the moved (last)
@@ -559,11 +578,13 @@ Status Table::DeleteRowAt(size_t pos) {
   if (durable()) storage_->pager().Truncate(rid_file_, n - 1);
   (void)order_.EraseAt(pos);
   txn.Commit();
+  TableChange change{TableChange::Kind::kDelete, pos, 0, rid};
+  change.row = &before;
+  Notify(change);
   if (undo_ != nullptr) {
     undo_->entries.push_back({UndoJournal::Entry::Kind::kDelete, this, pos, 0,
                               rid, std::move(before), {}});
   }
-  Notify(TableChange{TableChange::Kind::kDelete, pos, 0});
   return Status::OK();
 }
 
@@ -666,26 +687,8 @@ Status Table::UpdateByKey(const Value& key, size_t col, Value v) {
     return Status::NotFound("no row with key " + key.ToSqlLiteral() + " in " +
                             name_);
   }
-  uint64_t rid = it->second;
   DS_ASSIGN_OR_RETURN(Value coerced, CoerceForColumn(std::move(v), col));
-  Value before;
-  if (undo_ != nullptr) {
-    DS_ASSIGN_OR_RETURN(before, storage_->Get(SlotOf(rid), col));
-  }
-  storage::StatementScope txn(storage_->pager(), write_txn_);
-  if (col == *pk) {
-    DS_RETURN_IF_ERROR(CheckKey(coerced, rid));
-    pk_to_rid_.erase(key);
-    pk_to_rid_[coerced] = rid;
-  }
-  DS_RETURN_IF_ERROR(storage_->Set(SlotOf(rid), col, std::move(coerced)));
-  txn.Commit();
-  if (undo_ != nullptr) {
-    undo_->entries.push_back({UndoJournal::Entry::Kind::kUpdate, this, 0, col,
-                              rid, {}, std::move(before)});
-  }
-  Notify(TableChange{TableChange::Kind::kBulk, 0, col});
-  return Status::OK();
+  return SetCell(it->second, TableChange::kNoPosition, col, std::move(coerced));
 }
 
 // ---------------------------------------------------------------------------
@@ -718,18 +721,9 @@ Status Table::UndoDeleteRow(size_t pos, Row row, uint64_t rid) {
 }
 
 Status Table::UndoUpdateCell(uint64_t rid, size_t col, Value old_value) {
-  size_t slot = SlotOf(rid);
-  storage::StatementScope txn(storage_->pager(), write_txn_);
-  auto pk = schema_.primary_key_index();
-  if (pk && *pk == col) {
-    DS_ASSIGN_OR_RETURN(Value current, storage_->Get(slot, col));
-    pk_to_rid_.erase(current);
-    if (!old_value.is_null()) pk_to_rid_[old_value] = rid;
-  }
-  DS_RETURN_IF_ERROR(storage_->Set(slot, col, std::move(old_value)));
-  txn.Commit();
-  Notify(TableChange{TableChange::Kind::kBulk, 0, col});
-  return Status::OK();
+  // Capture is suspended by the caller (undo_ is null), and the restored
+  // key was this row's before the update, so SetCell's key check passes.
+  return SetCell(rid, TableChange::kNoPosition, col, std::move(old_value));
 }
 
 Status Table::AddColumn(ColumnDef def, const Value& default_value) {
@@ -813,8 +807,11 @@ void Table::RemoveListener(int token) {
   }
 }
 
-void Table::Notify(const TableChange& change) {
-  version_ += 1;
+void Table::Notify(TableChange change) {
+  change.table = this;
+  change.prior_version = version_;
+  version_ = NextTableVersion();
+  change.version = version_;
   for (const auto& [token, fn] : listeners_) {
     (void)token;
     fn(*this, change);

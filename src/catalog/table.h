@@ -1,6 +1,7 @@
 #ifndef DATASPREAD_CATALOG_TABLE_H_
 #define DATASPREAD_CATALOG_TABLE_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -17,20 +18,44 @@
 
 namespace dataspread {
 
+class Table;
+
 /// A change event emitted after every table mutation. The Interface Manager
 /// subscribes to these to keep bound sheet regions in sync (paper §3,
-/// "two-way synchronization").
+/// "two-way synchronization") and to fold the row delta into maintained
+/// DBSQL results (DESIGN.md §6c).
+///
+/// A single-row change carries its delta, captured once where the undo
+/// journal entry is built. The pointers are valid only for the duration of
+/// the notification:
+///   - kInsert: `row`, the inserted tuple (coerced, full width);
+///   - kDelete: `row`, the deleted tuple's before-image;
+///   - kUpdate: `old_value` and `new_value` of cell (`rid`, `column`); the
+///     rest of the row is read through `table->GetByRid(rid, c)`.
+/// `prior_version` → `version` is the table version step the change made,
+/// so a consumer can tell whether it has seen every earlier change.
 struct TableChange {
+  static constexpr size_t kNoPosition = SIZE_MAX;
+
   enum class Kind {
     kInsert,   ///< one row inserted at `position`
     kDelete,   ///< one row removed from `position`
-    kUpdate,   ///< cell (`position`, `column`) changed
+    kUpdate,   ///< cell (`position`, `column`) changed; `position` is
+               ///< kNoPosition when the writer addressed the row by key or id
     kSchema,   ///< columns added/dropped/renamed
-    kBulk,     ///< many rows changed at once (bulk load / SQL DML)
+    kBulk,     ///< many rows changed at once (no delta)
   };
   Kind kind;
   size_t position = 0;
   size_t column = 0;
+  uint64_t rid = 0;
+  const Row* row = nullptr;
+  const Value* old_value = nullptr;
+  const Value* new_value = nullptr;
+  // Set by the table when it notifies.
+  const Table* table = nullptr;
+  uint64_t prior_version = 0;
+  uint64_t version = 0;
 };
 
 /// A relational table that is *interface-aware*: besides schema + storage it
@@ -90,6 +115,9 @@ class Table {
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
   size_t num_rows() const { return order_.size(); }
+  /// Advances on every change. Versions come from one process-wide counter,
+  /// so a version never repeats — not across tables, and not across a
+  /// table's DROP and re-CREATE under the same name.
   uint64_t version() const { return version_; }
   TableStorage& storage() { return *storage_; }
 
@@ -99,6 +127,8 @@ class Table {
   Result<Row> GetRowAt(size_t pos) const;
   /// One attribute at display position `pos`.
   Result<Value> GetAt(size_t pos, size_t col) const;
+  /// One attribute of the live row with row id `rid` (TableChange::rid).
+  Result<Value> GetByRid(uint64_t rid, size_t col) const;
   /// Updates one attribute; enforces column type and PK uniqueness.
   Status UpdateAt(size_t pos, size_t col, Value v);
   /// Inserts a tuple so it displays at `pos` (0..num_rows()).
@@ -162,7 +192,7 @@ class Table {
 
   /// Updates one attribute of the row with PK `key` without resolving its
   /// display position — the key↔tuple half of the paper's key↔location
-  /// mapping. Emits a kBulk change (the position is not computed).
+  /// mapping. Emits a kUpdate change with position kNoPosition.
   Status UpdateByKey(const Value& key, size_t col, Value v);
 
   // ---- Schema changes (the paper's "as efficient as tuple updates") ---------
@@ -225,11 +255,18 @@ class Table {
   /// path re-inserts under the original rid; the public path passes
   /// `next_rid_`.
   Status InsertRowAtWithRid(size_t pos, Row row, uint64_t rid);
+  /// The one cell write behind UpdateAt, UpdateByKey and UndoUpdateCell:
+  /// stores the already-coerced `v` in column `col` of row `rid`, keeps the
+  /// key index, journals the before-image when a journal is installed, and
+  /// notifies a kUpdate carrying both images (`pos` may be kNoPosition).
+  Status SetCell(uint64_t rid, size_t pos, size_t col, Value v);
   size_t SlotOf(uint64_t rid) const { return rid_to_slot_[rid]; }
   /// Storage slots of display positions [start, start+count) (clipped), in
   /// display order.
   std::vector<size_t> WindowSlots(size_t start, size_t count) const;
-  void Notify(const TableChange& change);
+  /// Stamps `change` with this table and its version step, then calls the
+  /// listeners.
+  void Notify(TableChange change);
   /// Rebuilds pk index; used after schema changes that affect the PK column.
   void RebuildPkIndex();
 
@@ -254,7 +291,7 @@ class Table {
   std::vector<uint64_t> slot_to_rid_;     // storage slot -> row id
   std::unordered_map<Value, uint64_t, ValueHash> pk_to_rid_;
   uint64_t next_rid_ = 0;
-  uint64_t version_ = 0;
+  uint64_t version_;
   int next_listener_token_ = 1;
   std::vector<std::pair<int, Listener>> listeners_;
   // Durable catalog state (0 = scratch table): see the class comment.

@@ -18,15 +18,6 @@ namespace dataspread {
 
 namespace {
 
-/// Name-resolution scope over a single table (for DML binding).
-Scope TableScope(const Table& table) {
-  Scope scope;
-  for (const ColumnDef& c : table.schema().columns()) {
-    scope.columns.push_back(Scope::Column{table.name(), c.name, true, c.type});
-  }
-  return scope;
-}
-
 /// The scan path of UPDATE and DELETE: calls `fn` on every row `where` (null =
 /// all) selects, in display order, stopping at the first error.
 Status ScanWhere(const Table& table, const sql::Expr* where,
@@ -339,13 +330,15 @@ size_t Database::Checkpoint() {
 // ---------------------------------------------------------------------------
 
 Result<ResultSet> Database::Execute(std::string_view sql,
-                                    ExternalResolver* resolver) {
-  return ExecuteForSession(default_session_, sql, resolver);
+                                    ExternalResolver* resolver,
+                                    SelectCapture* capture) {
+  return ExecuteForSession(default_session_, sql, resolver, capture);
 }
 
 Result<ResultSet> Database::ExecuteForSession(Session& session,
                                               std::string_view sql,
-                                              ExternalResolver* resolver) {
+                                              ExternalResolver* resolver,
+                                              SelectCapture* capture) {
   uint64_t commit_end = 0;
   Result<ResultSet> result = [&]() -> Result<ResultSet> {
     std::lock_guard<std::recursive_mutex> lock(session.mu_);
@@ -380,6 +373,9 @@ Result<ResultSet> Database::ExecuteForSession(Session& session,
             "DDL inside a multi-statement transaction is not supported");
       }
     }
+    auto* select = std::get_if<sql::SelectStmt>(&stmt);
+    std::vector<AggGroup>* groups =
+        capture != nullptr && select != nullptr ? &capture->groups : nullptr;
     Result<ResultSet> r = [&]() -> Result<ResultSet> {
       if (is_txn_control) {
         return ExecuteTransaction(session,
@@ -389,14 +385,19 @@ Result<ResultSet> Database::ExecuteForSession(Session& session,
         // DDL excludes every statement on every session: the catalog's
         // structure only changes in a quiesced world.
         std::unique_lock<SchemaLatch> schema_lock(schema_mu_);
-        return Dispatch(session, stmt, resolver);
+        return Dispatch(session, stmt, resolver, nullptr);
       }
       // Queries and DML run under the shared schema latch: the name→table
       // map is stable for the statement; row-level coordination is the
       // write-latch table's job.
       std::shared_lock<SchemaLatch> schema_lock(schema_mu_);
-      return Dispatch(session, stmt, resolver);
+      return Dispatch(session, stmt, resolver, groups);
     }();
+    if (r.ok() && groups != nullptr) {
+      // Moving the statement keeps its expression nodes in place: the
+      // captured groups' states point into them.
+      capture->stmt = std::make_unique<sql::SelectStmt>(std::move(*select));
+    }
     if (!r.ok() && session.txn_open_ && !is_txn_control) {
       // Postgres semantics: any failed statement poisons the transaction;
       // everything but ROLLBACK (or COMMIT, which then rolls back) fails
@@ -422,9 +423,10 @@ Result<ResultSet> Database::ExecuteForSession(Session& session,
 }
 
 Result<ResultSet> Database::Dispatch(Session& session, sql::Statement& stmt,
-                                     ExternalResolver* resolver) {
+                                     ExternalResolver* resolver,
+                                     std::vector<AggGroup>* groups) {
   if (auto* s = std::get_if<sql::SelectStmt>(&stmt)) {
-    return ExecuteSelect(session, *s, resolver);
+    return ExecuteSelect(session, *s, resolver, groups);
   }
   if (auto* s = std::get_if<sql::InsertStmt>(&stmt)) {
     return ExecuteInsert(session, *s, resolver);
@@ -455,7 +457,8 @@ Result<ResultSet> Database::Dispatch(Session& session, sql::Statement& stmt,
 
 Result<ResultSet> Database::ExecuteSelect(Session& session,
                                           sql::SelectStmt& stmt,
-                                          ExternalResolver* resolver) {
+                                          ExternalResolver* resolver,
+                                          std::vector<AggGroup>* groups) {
   std::vector<std::string> names;
   CollectTableNames(stmt, &names);
   const storage::TxnId txn = session.txn_open_ ? session.txn_id_ : 0;
@@ -467,7 +470,7 @@ Result<ResultSet> Database::ExecuteSelect(Session& session,
     if (txn != 0) VictimizeSession(session);
     return s;
   }
-  auto r = RunSelect(&stmt, catalog_, resolver, exec_);
+  auto r = RunSelect(&stmt, catalog_, resolver, exec_, groups);
   latches_.ReleaseShared(names);
   return r;
 }

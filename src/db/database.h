@@ -20,6 +20,9 @@
 
 namespace dataspread {
 
+struct AggGroup;
+struct SelectCapture;
+
 class Database;
 
 /// Construction-time options for a Database.
@@ -211,9 +214,12 @@ class Database {
 
   /// Parses and executes one SQL statement on the embedded default session.
   /// `resolver` supplies the spreadsheet context for RANGEVALUE/RANGETABLE
-  /// (null = plain SQL only).
+  /// (null = plain SQL only). With `capture` set, a successful SELECT also
+  /// hands over its executed statement and, for an aggregate query, its
+  /// folded groups — what a maintained DBSQL result is seeded from.
   Result<ResultSet> Execute(std::string_view sql,
-                            ExternalResolver* resolver = nullptr);
+                            ExternalResolver* resolver = nullptr,
+                            SelectCapture* capture = nullptr);
 
   /// Registered callbacks fire after every mutation of any table
   /// (the back-end half of the paper's two-way sync).
@@ -254,12 +260,15 @@ class Database {
 
   /// The statement engine behind Session::Execute / Database::Execute.
   Result<ResultSet> ExecuteForSession(Session& session, std::string_view sql,
-                                      ExternalResolver* resolver);
+                                      ExternalResolver* resolver,
+                                      SelectCapture* capture = nullptr);
 
   Result<ResultSet> Dispatch(Session& session, sql::Statement& stmt,
-                             ExternalResolver* resolver);
+                             ExternalResolver* resolver,
+                             std::vector<AggGroup>* groups);
   Result<ResultSet> ExecuteSelect(Session& session, sql::SelectStmt& stmt,
-                                  ExternalResolver* resolver);
+                                  ExternalResolver* resolver,
+                                  std::vector<AggGroup>* groups);
   Result<ResultSet> ExecuteInsert(Session& session, sql::InsertStmt& stmt,
                                   ExternalResolver* resolver);
   Result<ResultSet> ExecuteUpdate(Session& session, sql::UpdateStmt& stmt,

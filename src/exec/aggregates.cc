@@ -1,5 +1,7 @@
 #include "exec/aggregates.h"
 
+#include <limits>
+
 #include "exec/expr_eval.h"
 
 namespace dataspread {
@@ -80,6 +82,28 @@ Status AggState::UpdateValue(const Value& v) {
   return Status::Internal("unknown aggregate " + call_->op);
 }
 
+bool AggState::Retract(const Value& v) {
+  if (v.is_null()) return true;  // never folded in
+  switch (op_) {
+    case Op::kCount:
+    case Op::kCountStar:
+      break;
+    case Op::kSum:
+    case Op::kAvg:
+      if (is_real_ || v.type() != DataType::kInt) return false;
+      sum_int_ -= v.int_value();
+      break;
+    case Op::kMin:
+    case Op::kMax:
+      if (!has_extreme_ || Value::Compare(v, extreme_) == 0) return false;
+      break;
+    case Op::kUnknown:
+      return false;
+  }
+  --count_;
+  return true;
+}
+
 void AggState::Merge(const AggState& other) {
   count_ += other.count_;
   if (is_real_ || other.is_real_) {
@@ -105,14 +129,20 @@ void AggState::Merge(const AggState& other) {
   }
 }
 
-Value AggState::Finalize() const {
+Result<Value> AggState::Finalize() const {
   switch (op_) {
     case Op::kCount:
     case Op::kCountStar:
       return Value::Int(count_);
     case Op::kSum:
       if (count_ == 0) return Value::Null();
-      return is_real_ ? Value::Real(sum_real_) : Value::Int(sum_int_);
+      if (is_real_) return Value::Real(sum_real_);
+      if (sum_int_ > std::numeric_limits<int64_t>::max() ||
+          sum_int_ < std::numeric_limits<int64_t>::min()) {
+        return Status::OutOfRange("SUM(" + call_->args[0]->ToString() +
+                                  ") overflows INTEGER");
+      }
+      return Value::Int(static_cast<int64_t>(sum_int_));
     case Op::kAvg: {
       if (count_ == 0) return Value::Null();
       double total = is_real_ ? sum_real_ : static_cast<double>(sum_int_);
@@ -185,6 +215,7 @@ Status AggregateFold::Fold(const RowBatch& batch, uint64_t* seq) {
       group_ids_[i] = it->second;
     }
   }
+  for (uint32_t id : group_ids_) ++groups_[id].rows;
 
   // Fold each aggregate over its argument column.
   for (size_t a = 0; a < agg_calls_.size(); ++a) {

@@ -37,6 +37,17 @@ class AggState {
   Status UpdateValue(const Value& v);
   void UpdateStar() { ++count_; }
 
+  /// Takes back one value an earlier UpdateValue folded in — the retraction
+  /// a maintained result applies for a deleted or updated row (DESIGN.md
+  /// §6c). Returns false, leaving the state unusable, when the state cannot
+  /// say what it would hold without `v`: a SUM or AVG that folded a REAL
+  /// (floating-point addition does not undo exactly), or a MIN/MAX whose
+  /// current extreme compares equal to `v` (the next extreme is unknown).
+  /// The caller then recomputes from the data. For COUNT(*) call
+  /// RetractStar() instead.
+  bool Retract(const Value& v);
+  void RetractStar() { --count_; }
+
   /// Folds another partial state for the same call into this one — the
   /// morsel-parallel merge (DESIGN.md §6b). `this` must cover the earlier
   /// display-order rows: ties (MIN/MAX compare-equal extremes) keep this
@@ -44,8 +55,11 @@ class AggState {
   void Merge(const AggState& other);
 
   /// Final value: COUNT → INT; SUM → INT/REAL (NULL on empty); AVG → REAL
-  /// (NULL on empty); MIN/MAX → input type (NULL on empty).
-  Value Finalize() const;
+  /// (NULL on empty); MIN/MAX → input type (NULL on empty). INTEGER sums
+  /// accumulate exactly in 128 bits, so every fold, merge and retraction
+  /// order reaches the same total; a SUM whose total does not fit INTEGER
+  /// is OutOfRange.
+  Result<Value> Finalize() const;
 
  private:
   enum class Op : uint8_t {
@@ -66,7 +80,7 @@ class AggState {
   Op op_;
   int64_t count_ = 0;        // non-null inputs (or all rows for COUNT(*))
   bool is_real_ = false;
-  int64_t sum_int_ = 0;
+  __extension__ __int128 sum_int_ = 0;  // exact: cannot overflow in 2^64 adds
   double sum_real_ = 0.0;
   bool has_extreme_ = false;
   Value extreme_;            // running MIN or MAX
@@ -74,13 +88,15 @@ class AggState {
 
 /// One aggregation group: its key, the first input row seen (non-aggregate
 /// parts of the output expressions evaluate against it), one running state
-/// per aggregate call, and its first-seen order key (the morsel-parallel
-/// merge sorts groups by it, DESIGN.md §6b).
+/// per aggregate call, its first-seen order key (the morsel-parallel merge
+/// sorts groups by it, DESIGN.md §6b), and the number of input rows folded
+/// into it (a maintained result drops the group when it reaches 0).
 struct AggGroup {
   Row key;
   Row first_row;
   std::vector<AggState> states;
   uint64_t order_key = 0;
+  int64_t rows = 0;
 };
 
 /// A fresh group (empty key and first row) with one state per call.

@@ -82,6 +82,14 @@ void AppendToScope(const BoundSource& source, Scope* scope) {
   }
 }
 
+Scope TableScope(const Table& table) {
+  Scope scope;
+  for (const ColumnDef& c : table.schema().columns()) {
+    scope.columns.push_back(Scope::Column{table.name(), c.name, true, c.type});
+  }
+  return scope;
+}
+
 Status BindExpr(sql::Expr* e, const Scope& scope, ExternalResolver* resolver,
                 bool allow_aggregates) {
   if (e == nullptr) return Status::OK();

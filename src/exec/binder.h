@@ -49,6 +49,10 @@ Result<BoundSource> BindTableRef(const sql::TableRef& ref, Catalog& catalog,
 /// Appends `source`'s columns to `scope`.
 void AppendToScope(const BoundSource& source, Scope* scope);
 
+/// Name-resolution scope over a single table: DML binding, and the
+/// single-table scope a query over `table` binds against.
+Scope TableScope(const Table& table);
+
 /// Binds expression `e` in place against `scope`:
 ///  - column refs get `bound_column` global offsets,
 ///  - RANGEVALUE nodes are resolved through `resolver` and replaced by

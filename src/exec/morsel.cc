@@ -276,6 +276,7 @@ Status ParallelAggregateOp::Build() {
       }
       AggGroup& have = merged[it->second];
       if (incoming.order_key < have.order_key) std::swap(have, incoming);
+      have.rows += incoming.rows;
       for (size_t a = 0; a < agg_calls_.size(); ++a) {
         have.states[a].Merge(incoming.states[a]);
       }
@@ -289,7 +290,10 @@ Status ParallelAggregateOp::Build() {
   if (merged.empty() && group_exprs_.empty()) {
     merged.push_back(MakeAggGroup(agg_calls_));
   }
-  return FinalizeAggregateGroups(output_exprs_, having_, merged, &results_);
+  DS_RETURN_IF_ERROR(
+      FinalizeAggregateGroups(output_exprs_, having_, merged, &results_));
+  if (group_sink_ != nullptr) *group_sink_ = std::move(merged);
+  return Status::OK();
 }
 
 Result<bool> ParallelAggregateOp::Next(Row* out) {

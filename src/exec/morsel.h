@@ -140,6 +140,8 @@ class ParallelAggregateOp : public Operator {
 
   /// Column pruning for the workers' scans (TableScanOp::SetColumns).
   void SetColumns(std::vector<size_t> columns) { columns_ = std::move(columns); }
+  /// HashAggregateOp::set_group_sink: receives the merged groups.
+  void set_group_sink(std::vector<AggGroup>* sink) { group_sink_ = sink; }
 
  private:
   Status Build();
@@ -153,6 +155,7 @@ class ParallelAggregateOp : public Operator {
   const sql::Expr* having_;
   ExecOptions exec_;
   std::vector<size_t> columns_;  // read by the workers' scans
+  std::vector<AggGroup>* group_sink_ = nullptr;
   bool built_ = false;
   std::vector<Row> results_;
   size_t index_ = 0;

@@ -656,11 +656,14 @@ Status HashAggregateOp::BuildRows() {
     auto it = ids.find(key);
     if (it == ids.end()) {
       AggGroup g = MakeAggGroup(agg_calls_);
+      g.key = key;
       g.first_row = input;
       it = ids.emplace(std::move(key), groups.size()).first;
       groups.push_back(std::move(g));
     }
-    for (AggState& s : groups[it->second].states) {
+    AggGroup& group = groups[it->second];
+    ++group.rows;
+    for (AggState& s : group.states) {
       DS_RETURN_IF_ERROR(s.Update(input));
     }
   }
@@ -668,7 +671,14 @@ Status HashAggregateOp::BuildRows() {
   if (groups.empty() && group_exprs_.empty()) {
     groups.push_back(MakeAggGroup(agg_calls_));
   }
-  return FinalizeAggregateGroups(output_exprs_, having_, groups, &results_);
+  return Finish(std::move(groups));
+}
+
+Status HashAggregateOp::Finish(std::vector<AggGroup> groups) {
+  DS_RETURN_IF_ERROR(
+      FinalizeAggregateGroups(output_exprs_, having_, groups, &results_));
+  if (group_sink_ != nullptr) *group_sink_ = std::move(groups);
+  return Status::OK();
 }
 
 Status HashAggregateOp::BuildBatched(size_t batch_size) {
@@ -680,8 +690,7 @@ Status HashAggregateOp::BuildBatched(size_t batch_size) {
     if (!more) break;
     DS_RETURN_IF_ERROR(fold.Fold(input_, &seq));
   }
-  std::vector<AggGroup> groups = fold.TakeGroups();
-  return FinalizeAggregateGroups(output_exprs_, having_, groups, &results_);
+  return Finish(fold.TakeGroups());
 }
 
 Status FinalizeAggregateGroups(
@@ -690,7 +699,10 @@ Status FinalizeAggregateGroups(
   for (const AggGroup& g : groups) {
     std::vector<Value> agg_values;
     agg_values.reserve(g.states.size());
-    for (const AggState& s : g.states) agg_values.push_back(s.Finalize());
+    for (const AggState& s : g.states) {
+      DS_ASSIGN_OR_RETURN(Value v, s.Finalize());
+      agg_values.push_back(std::move(v));
+    }
     const Row* first = g.first_row.empty() ? nullptr : &g.first_row;
     if (having != nullptr) {
       auto pass = EvalPredicate(*having, first, &agg_values);

@@ -293,15 +293,22 @@ class HashAggregateOp : public Operator {
   Result<bool> Next(Row* out) override;
   Result<bool> Next(RowBatch* out) override;
 
+  /// After the build, the folded groups (first-seen order, before HAVING)
+  /// are moved into `*sink` — the seed of a maintained result (DESIGN.md
+  /// §6c).
+  void set_group_sink(std::vector<AggGroup>* sink) { group_sink_ = sink; }
+
  private:
   Status BuildRows();
   Status BuildBatched(size_t batch_size);
+  Status Finish(std::vector<AggGroup> groups);
 
   OperatorPtr child_;
   std::vector<const sql::Expr*> group_exprs_;
   std::vector<sql::Expr*> agg_calls_;
   std::vector<const sql::Expr*> output_exprs_;
   const sql::Expr* having_;
+  std::vector<AggGroup>* group_sink_ = nullptr;
   bool built_ = false;
   std::vector<Row> results_;
   size_t index_ = 0;

@@ -82,16 +82,6 @@ ExprPtr MakeBoundColumn(std::string name, int index) {
   return e;
 }
 
-/// Marks every input column `e` reads (its bound column references).
-void MarkColumns(const Expr* e, std::vector<bool>* used) {
-  if (e == nullptr) return;
-  if (e->kind == ExprKind::kColumnRef && e->bound_column >= 0 &&
-      static_cast<size_t>(e->bound_column) < used->size()) {
-    (*used)[static_cast<size_t>(e->bound_column)] = true;
-  }
-  for (const ExprPtr& a : e->args) MarkColumns(a.get(), used);
-}
-
 /// True when values of the two types can meet in a comparison that raises
 /// (`CompareCode`: numeric against TEXT). Untyped columns never conflict at
 /// plan time.
@@ -106,10 +96,17 @@ bool IsComparison(const std::string& op) {
          op == ">=";
 }
 
-/// True when evaluating the bound, folded `e` can never raise, by shape: a
-/// comparison between a typed column and a literal whose types do not mix
-/// numeric with TEXT (the catalog coerces every stored value to its column's
-/// declared type), IS [NOT] NULL of a typed column, or an AND of those.
+}  // namespace
+
+void MarkColumns(const Expr* e, std::vector<bool>* used) {
+  if (e == nullptr) return;
+  if (e->kind == ExprKind::kColumnRef && e->bound_column >= 0 &&
+      static_cast<size_t>(e->bound_column) < used->size()) {
+    (*used)[static_cast<size_t>(e->bound_column)] = true;
+  }
+  for (const ExprPtr& a : e->args) MarkColumns(a.get(), used);
+}
+
 bool CannotRaise(const Expr& e, const Scope& scope) {
   auto typed_column = [&](const Expr& c) -> std::optional<DataType> {
     if (c.kind != ExprKind::kColumnRef || c.bound_column < 0) return {};
@@ -128,6 +125,8 @@ bool CannotRaise(const Expr& e, const Scope& scope) {
   if (!type || literal->kind != ExprKind::kLiteral) return false;
   return !TypesClash(type, literal->literal.type());
 }
+
+namespace {
 
 /// Appends the AND-conjuncts of `e` in evaluation order.
 void SplitConjuncts(const Expr* e, std::vector<const Expr*>* out) {
@@ -164,7 +163,8 @@ void FoldStmtConstants(SelectStmt* stmt) {
 
 Result<PlannedQuery> PlanSelect(SelectStmt* stmt, Catalog& catalog,
                                 ExternalResolver* resolver,
-                                const ExecOptions& exec) {
+                                const ExecOptions& exec,
+                                std::vector<AggGroup>* groups) {
   size_t batch_size = EffectiveBatchSize(exec);
   PlannedQuery plan;
   Scope scope;
@@ -434,14 +434,17 @@ Result<PlannedQuery> PlanSelect(SelectStmt* stmt, Catalog& catalog,
       auto op = std::make_unique<ParallelAggregateOp>(
           leaf_table, leaf_start, leaf_count, leaf_where, group_exprs,
           std::move(agg_calls), output_exprs, stmt->having.get(), exec);
+      op->set_group_sink(groups);
       parallel_aggregate = op.get();
       scan_leaf = nullptr;
       root = std::move(op);
     } else {
-      root = std::make_unique<HashAggregateOp>(std::move(root), group_exprs,
-                                               std::move(agg_calls),
-                                               output_exprs,
-                                               stmt->having.get());
+      auto op = std::make_unique<HashAggregateOp>(std::move(root), group_exprs,
+                                                  std::move(agg_calls),
+                                                  output_exprs,
+                                                  stmt->having.get());
+      op->set_group_sink(groups);
+      root = std::move(op);
     }
   } else if (leaf_table != nullptr) {
     // Non-aggregate parallel leaf: materialize the (filtered) window in
@@ -592,9 +595,10 @@ Result<PlannedQuery> PlanSelect(SelectStmt* stmt, Catalog& catalog,
 
 Result<ResultSet> RunSelect(SelectStmt* stmt, Catalog& catalog,
                             ExternalResolver* resolver,
-                            const ExecOptions& exec) {
+                            const ExecOptions& exec,
+                            std::vector<AggGroup>* groups) {
   DS_ASSIGN_OR_RETURN(PlannedQuery plan,
-                      PlanSelect(stmt, catalog, resolver, exec));
+                      PlanSelect(stmt, catalog, resolver, exec, groups));
   std::vector<Row> rows;
   if (exec.row_at_a_time) {
     DS_ASSIGN_OR_RETURN(rows, Materialize(plan.root.get()));

@@ -7,6 +7,8 @@
 
 #include "catalog/catalog.h"
 #include "common/result.h"
+#include "exec/aggregates.h"
+#include "exec/binder.h"
 #include "exec/operators.h"
 #include "exec/resolver.h"
 #include "exec/result_set.h"
@@ -54,16 +56,40 @@ struct PlannedQuery {
 ///
 /// `exec` shapes execution: batch size for the vectorized pipeline (also the
 /// table scan's fetch granularity) and the row-at-a-time fallback switch.
+/// With `groups` set, an aggregate query's operator hands its folded groups
+/// (first-seen order, before HAVING) to `*groups` when it has built them.
 Result<PlannedQuery> PlanSelect(sql::SelectStmt* stmt, Catalog& catalog,
                                 ExternalResolver* resolver,
-                                const ExecOptions& exec = {});
+                                const ExecOptions& exec = {},
+                                std::vector<AggGroup>* groups = nullptr);
 
 /// Plans, executes, and materializes a SELECT into a ResultSet. Drives the
 /// plan through the vectorized batch pipeline unless `exec.row_at_a_time`
-/// asks for the Volcano baseline; both produce identical results.
+/// asks for the Volcano baseline; both produce identical results. `groups`
+/// as for PlanSelect.
 Result<ResultSet> RunSelect(sql::SelectStmt* stmt, Catalog& catalog,
                             ExternalResolver* resolver,
-                            const ExecOptions& exec = {});
+                            const ExecOptions& exec = {},
+                            std::vector<AggGroup>* groups = nullptr);
+
+/// What a maintained DBSQL result keeps of the execution that seeded it
+/// (Database::Execute's optional out-param, DESIGN.md §6c): the executed
+/// statement, bound and folded — the aggregate states and the output
+/// expressions point into it — and an aggregate query's folded groups.
+struct SelectCapture {
+  std::unique_ptr<sql::SelectStmt> stmt;
+  std::vector<AggGroup> groups;
+};
+
+/// Marks every input column `e` (may be null) reads: its bound column
+/// references below `used->size()`.
+void MarkColumns(const sql::Expr* e, std::vector<bool>* used);
+
+/// True when evaluating the bound, folded `e` can never raise, by shape: a
+/// comparison between a typed column and a literal whose types do not mix
+/// numeric with TEXT (the catalog coerces every stored value to its column's
+/// declared type), IS [NOT] NULL of a typed column, or an AND of those.
+bool CannotRaise(const sql::Expr& e, const Scope& scope);
 
 }  // namespace dataspread
 

@@ -84,7 +84,11 @@ void FormulaEngine::RemoveFormula(const CellKey& key) {
   auto it = formulas_.find(key);
   if (it == formulas_.end()) return;
   UnregisterDeps(key, it->second);
+  bool hybrid = it->second.hybrid;
   formulas_.erase(it);
+  if (hybrid && external_handler_ != nullptr) {
+    external_handler_->ReleaseHybrid(key.sheet, key.row, key.col);
+  }
 }
 
 void FormulaEngine::ExtractDeps(Sheet* context, const FExpr& e, Compiled* out) {

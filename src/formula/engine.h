@@ -65,6 +65,11 @@ class ExternalFormulaHandler {
   /// Computes (or schedules) the hybrid cell and returns the anchor value.
   virtual Value EvaluateHybrid(Sheet* sheet, int64_t row, int64_t col,
                                const FExpr& root) = 0;
+
+  /// The hybrid formula at (sheet, row, col) was removed or replaced: the
+  /// handler retires whatever it keeps for that cell (a DBSQL spill, its
+  /// cached result).
+  virtual void ReleaseHybrid(Sheet* sheet, int64_t row, int64_t col) = 0;
 };
 
 /// The value-at-a-time computation engine (paper §2.2/§3): compiles cell

@@ -65,7 +65,7 @@ enum class WalRecordType : uint8_t {
   /// merged (the group→file bindings changed wholesale).
   kReorganize = 14,
 
-  // ---- Statement transaction brackets (DESIGN.md §6c, §7) -------------------
+  // ---- Statement transaction brackets (DESIGN.md §7) -----------------------
   //
   // The pager wraps every logged statement/transaction in a begin/commit
   // bracket (Pager::BeginStatement/EndStatement, BeginTxn/CommitTxn).

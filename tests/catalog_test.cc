@@ -205,6 +205,49 @@ TEST(TableTest, ListenersFireWithPositions) {
   EXPECT_GT(table->version(), version);  // version still advances
 }
 
+TEST(TableTest, ChangesCarryTheirRowDelta) {
+  auto table = Table::Create("movies", MovieSchema()).ValueOrDie();
+  // Copies of the delta, taken while the notification is live.
+  struct Seen {
+    TableChange::Kind kind;
+    size_t position;
+    uint64_t rid, prior_version, version;
+    Row row;
+    Value old_value, new_value;
+  };
+  std::vector<Seen> seen;
+  table->AddListener([&](const Table& t, const TableChange& c) {
+    EXPECT_EQ(c.table, &t);
+    EXPECT_EQ(c.version, t.version());
+    seen.push_back({c.kind, c.position, c.rid, c.prior_version, c.version,
+                    c.row != nullptr ? *c.row : Row{},
+                    c.old_value != nullptr ? *c.old_value : Value::Null(),
+                    c.new_value != nullptr ? *c.new_value : Value::Null()});
+  });
+  const Row row = {Value::Int(7), Value::Text("a"), Value::Int(1999)};
+  ASSERT_TRUE(table->AppendRow(row).ok());
+  ASSERT_TRUE(table->UpdateByKey(Value::Int(7), 2, Value::Int(2001)).ok());
+  ASSERT_TRUE(table->DeleteRowAt(0).ok());
+  ASSERT_EQ(seen.size(), 3u);
+  EXPECT_EQ(seen[0].kind, TableChange::Kind::kInsert);
+  EXPECT_EQ(seen[0].row, row);
+  // A keyed update is a single-cell kUpdate carrying both images.
+  EXPECT_EQ(seen[1].kind, TableChange::Kind::kUpdate);
+  EXPECT_EQ(seen[1].position, TableChange::kNoPosition);
+  EXPECT_EQ(seen[1].rid, seen[0].rid);
+  EXPECT_EQ(seen[1].old_value, Value::Int(1999));
+  EXPECT_EQ(seen[1].new_value, Value::Int(2001));
+  EXPECT_EQ(seen[2].kind, TableChange::Kind::kDelete);
+  EXPECT_EQ(seen[2].row,
+            (Row{Value::Int(7), Value::Text("a"), Value::Int(2001)}));
+  // Each change steps the version on from where the previous one left it.
+  EXPECT_EQ(seen[1].prior_version, seen[0].version);
+  EXPECT_EQ(seen[2].prior_version, seen[1].version);
+  // Versions never repeat, even for a fresh table of the same name.
+  auto twin = Table::Create("movies", MovieSchema()).ValueOrDie();
+  EXPECT_GT(twin->version(), seen[2].version);
+}
+
 TEST(CatalogTest, CreateGetDrop) {
   Catalog catalog;
   ASSERT_TRUE(catalog.CreateTable("Movies", MovieSchema()).ok());

@@ -139,5 +139,118 @@ TEST_F(DbsqlTest, SqlThroughFacadeSupportsQualifiedRefs) {
   EXPECT_FALSE(ds_.Sql("SELECT RANGEVALUE(A1)").ok());
 }
 
+TEST(DbsqlVersionTest, DroppedAndRecreatedTableIsNotServedFromCache) {
+  DataSpreadOptions opts;
+  opts.auto_pump = false;
+  DataSpread ds(opts);
+  Sheet* sheet = ds.AddSheet("S").ValueOrDie();
+  ASSERT_TRUE(ds.Sql("CREATE TABLE t (k INT PRIMARY KEY, v INT)").ok());
+  ASSERT_TRUE(ds.Sql("INSERT INTO t VALUES (1, 10), (2, 20)").ok());
+  ASSERT_TRUE(
+      ds.SetCellAt(sheet, 0, 0, "=DBSQL(\"SELECT SUM(v) FROM t\")").ok());
+  ds.Pump();
+  EXPECT_EQ(ds.GetValueAt(sheet, 0, 0), Value::Int(30));
+  // The new table has made as many changes as the old one had; its
+  // versions must still differ.
+  ASSERT_TRUE(ds.Sql("DROP TABLE t").ok());
+  ASSERT_TRUE(ds.Sql("CREATE TABLE t (k INT PRIMARY KEY, v INT)").ok());
+  ASSERT_TRUE(ds.Sql("INSERT INTO t VALUES (1, 100), (2, 200)").ok());
+  ds.Pump();
+  EXPECT_EQ(ds.GetValueAt(sheet, 0, 0), Value::Int(300));
+}
+
+TEST_F(DbsqlTest, OverwrittenAnchorClearsItsSpill) {
+  ASSERT_TRUE(ds_.SetCellAt(sheet_, 0, 0,
+                            "=DBSQL(\"SELECT actorid, name FROM actors "
+                            "ORDER BY actorid\")").ok());
+  EXPECT_EQ(ds_.GetValueAt(sheet_, 2, 1), Value::Text("Thurman"));
+  EXPECT_EQ(ds_.interface_manager().dbsql_cache_size(), 1u);
+  ASSERT_TRUE(ds_.SetCellAt(sheet_, 0, 0, "7").ok());
+  EXPECT_EQ(ds_.GetValueAt(sheet_, 0, 0), Value::Int(7));
+  for (int64_t r = 0; r < 3; ++r) {
+    for (int64_t c = 0; c < 2; ++c) {
+      if (r == 0 && c == 0) continue;
+      EXPECT_TRUE(ds_.GetValueAt(sheet_, r, c).is_null()) << r << "," << c;
+    }
+  }
+  EXPECT_EQ(ds_.interface_manager().dbsql_cache_size(), 0u);
+  // The retired anchor no longer follows the table.
+  uint64_t executions = ds_.interface_manager().dbsql_executions();
+  ASSERT_TRUE(ds_.Sql("INSERT INTO actors VALUES (4, 'Rickman')").ok());
+  EXPECT_EQ(ds_.interface_manager().dbsql_executions(), executions);
+  EXPECT_TRUE(ds_.GetValueAt(sheet_, 3, 1).is_null());
+}
+
+TEST_F(DbsqlTest, ParameterEditsKeepOneCacheEntryPerAnchor) {
+  ASSERT_TRUE(ds_.SetCellAt(sheet_, 0, 0, "1").ok());  // A1: parameter
+  ASSERT_TRUE(ds_.SetCellAt(sheet_, 0, 1,
+                            "=DBSQL(\"SELECT COUNT(*) FROM actors WHERE "
+                            "actorid >= RANGEVALUE(A1)\")").ok());
+  ASSERT_TRUE(ds_.SetCellAt(sheet_, 0, 2,
+                            "=DBSQL(\"SELECT name FROM actors WHERE "
+                            "actorid = RANGEVALUE(A1)\")").ok());
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(ds_.SetCellAt(sheet_, 0, 0, std::to_string(i % 5)).ok());
+    EXPECT_LE(ds_.interface_manager().dbsql_cache_size(), 2u) << i;
+  }
+  ASSERT_TRUE(ds_.SetCellAt(sheet_, 0, 0, "2").ok());
+  EXPECT_EQ(ds_.GetValueAt(sheet_, 0, 1), Value::Int(2));
+  EXPECT_EQ(ds_.GetValueAt(sheet_, 0, 2), Value::Text("Oldman"));
+  EXPECT_EQ(ds_.interface_manager().dbsql_cache_size(), 2u);
+}
+
+TEST_F(DbsqlTest, AggregateCellsFoldEditsWithoutReexecuting) {
+  ASSERT_TRUE(ds_.Sql("CREATE TABLE t (id INT PRIMARY KEY, grp INT, "
+                      "qty INT)").ok());
+  ASSERT_TRUE(ds_.Sql("INSERT INTO t VALUES (1, 0, 10), (2, 1, 20), "
+                      "(3, 0, 30)").ok());
+  ASSERT_TRUE(ds_.SetCellAt(sheet_, 0, 4,
+                            "=DBSQL(\"SELECT SUM(qty), COUNT(*), AVG(qty) "
+                            "FROM t\")").ok());
+  ASSERT_TRUE(ds_.SetCellAt(sheet_, 2, 4,
+                            "=DBSQL(\"SELECT grp, SUM(qty) FROM t GROUP BY "
+                            "grp ORDER BY grp DESC\")").ok());
+  InterfaceManager& im = ds_.interface_manager();
+  uint64_t executions = im.dbsql_executions();
+  // A keyed cell edit, a new group, a positional update, and a delete that
+  // empties a group: all folded in, none re-executed.
+  ASSERT_TRUE(ds_.Sql("UPDATE t SET qty = 15 WHERE id = 1").ok());
+  ASSERT_TRUE(ds_.Sql("INSERT INTO t VALUES (4, 2, 5)").ok());
+  Table* t = ds_.db().catalog().GetTable("t").ValueOrDie();
+  ASSERT_TRUE(t->UpdateAt(1, 2, Value::Int(25)).ok());  // id 2: qty 25
+  ASSERT_TRUE(ds_.Sql("DELETE FROM t WHERE id = 2").ok());
+  ds_.Pump();
+  EXPECT_EQ(im.dbsql_executions(), executions);
+  EXPECT_GE(im.dbsql_maintained(), 8u);  // four changes × two cells
+  EXPECT_EQ(im.dbsql_fallbacks(), 0u);
+  EXPECT_EQ(ds_.GetValueAt(sheet_, 0, 4), Value::Int(50));
+  EXPECT_EQ(ds_.GetValueAt(sheet_, 0, 5), Value::Int(3));
+  EXPECT_EQ(ds_.GetValueAt(sheet_, 0, 6), Value::Real(50.0 / 3.0));
+  EXPECT_EQ(ds_.GetValueAt(sheet_, 2, 4), Value::Int(2));  // groups 2, 0
+  EXPECT_EQ(ds_.GetValueAt(sheet_, 2, 5), Value::Int(5));
+  EXPECT_EQ(ds_.GetValueAt(sheet_, 3, 4), Value::Int(0));
+  EXPECT_EQ(ds_.GetValueAt(sheet_, 3, 5), Value::Int(45));
+  EXPECT_TRUE(ds_.GetValueAt(sheet_, 4, 4).is_null());  // group 1 emptied
+  // A schema change is not folded: the next evaluation re-executes.
+  ASSERT_TRUE(ds_.Sql("ALTER TABLE t ADD COLUMN note TEXT").ok());
+  EXPECT_GE(im.dbsql_fallbacks(), 2u);
+  EXPECT_GT(im.dbsql_executions(), executions);
+  EXPECT_EQ(ds_.GetValueAt(sheet_, 0, 4), Value::Int(50));
+}
+
+TEST_F(DbsqlTest, IntegerSumOverflowShowsValueError) {
+  ASSERT_TRUE(ds_.Sql("CREATE TABLE big (k INT PRIMARY KEY, v INT)").ok());
+  ASSERT_TRUE(
+      ds_.Sql("INSERT INTO big VALUES (1, 9223372036854775807)").ok());
+  ASSERT_TRUE(
+      ds_.SetCellAt(sheet_, 0, 0, "=DBSQL(\"SELECT SUM(v) FROM big\")").ok());
+  EXPECT_EQ(ds_.GetValueAt(sheet_, 0, 0), Value::Int(INT64_MAX));
+  // Maintained or re-executed, a total beyond INTEGER is an error.
+  ASSERT_TRUE(ds_.Sql("INSERT INTO big VALUES (2, 1)").ok());
+  EXPECT_EQ(ds_.GetValueAt(sheet_, 0, 0), Value::Error("#VALUE!"));
+  ASSERT_TRUE(ds_.Sql("INSERT INTO big VALUES (3, -1)").ok());
+  EXPECT_EQ(ds_.GetValueAt(sheet_, 0, 0), Value::Int(INT64_MAX));
+}
+
 }  // namespace
 }  // namespace dataspread

@@ -121,6 +121,36 @@ TEST_F(ExecTest, GroupByWithHaving) {
   EXPECT_EQ(rs.rows[1][0], Value::Text("ops"));
 }
 
+TEST_F(ExecTest, IntegerSumIsExactInEveryFoldOrder) {
+  // A running int64 total of {INT64_MAX, 1, -1} overflows after the second
+  // value; the exact 128-bit total is INT64_MAX whatever the batch size,
+  // pipeline, or morsel split ({1 row per morsel} × 4 workers).
+  Run("CREATE TABLE big (k INT PRIMARY KEY, v INT)");
+  Run("INSERT INTO big VALUES (1, 9223372036854775807), (2, 1), (3, -1)");
+  std::vector<ExecOptions> modes;
+  for (size_t batch : {size_t{1}, size_t{3}, size_t{512}}) {
+    modes.push_back(ExecOptions{batch, false});
+    modes.push_back(ExecOptions{batch, true});
+  }
+  modes.push_back(ExecOptions{1, false, 4, 1});
+  for (const ExecOptions& exec : modes) {
+    db_.set_exec_options(exec);
+    ResultSet rs = Run("SELECT SUM(v), AVG(v) FROM big");
+    ASSERT_EQ(rs.rows.size(), 1u);
+    EXPECT_EQ(rs.rows[0][0], Value::Int(INT64_MAX)) << exec.batch_size;
+    EXPECT_EQ(rs.rows[0][0].type(), DataType::kInt);
+    EXPECT_EQ(rs.rows[0][1], Value::Real(static_cast<double>(INT64_MAX) / 3));
+  }
+  // Without the -1 the total leaves INTEGER: a defined error, not UB.
+  Run("DELETE FROM big WHERE k = 3");
+  for (const ExecOptions& exec : modes) {
+    db_.set_exec_options(exec);
+    EXPECT_EQ(RunErr("SELECT SUM(v) FROM big").code(),
+              StatusCode::kOutOfRange);
+  }
+  db_.set_exec_options(ExecOptions{});
+}
+
 TEST_F(ExecTest, AggregateOverEmptyInput) {
   ResultSet rs = Run("SELECT COUNT(*), SUM(salary) FROM emp WHERE id > 100");
   ASSERT_EQ(rs.num_rows(), 1u);

@@ -1636,5 +1636,236 @@ TEST_P(KeyPathTransparencyTest, KeyedAndScannedStatementsAgree) {
 INSTANTIATE_TEST_SUITE_P(Seeds, KeyPathTransparencyTest,
                          ::testing::Values(13u, 1313u, 131313u));
 
+// ---------------------------------------------------------------------------
+// Invariant 14: maintenance is invisible (DESIGN.md §6c). DBSQL aggregate
+// cells over one table — SUM, COUNT, AVG, MIN, MAX; GROUP BY with ORDER BY
+// ascending and descending; NULL group keys; a WHERE with RANGEVALUE — plus
+// one unordered GROUP BY that is never maintained, watch a random tape of
+// table-API edits (UpdateAt, UpdateByKey, InsertRowAt, DeleteRowAt), SQL
+// UPDATE/DELETE/INSERT (some failing midway, so their compensations run),
+// transactions that commit or roll back, a second session, ALTER TABLE ADD
+// COLUMN, and DROP plus re-CREATE. Several changes land between pumps.
+// After every step each cell's spill must be identical, value and type, to
+// a fresh Execute of its SQL, on every storage model. Both the maintained
+// path and the fallback path must have been taken.
+// ---------------------------------------------------------------------------
+
+class MaintenanceTransparencyTest : public ::testing::TestWithParam<uint32_t> {
+};
+
+TEST_P(MaintenanceTransparencyTest, MaintainedCellsMatchFreshExecution) {
+  constexpr StorageModel kModels[] = {StorageModel::kRow,
+                                      StorageModel::kColumn,
+                                      StorageModel::kRcv,
+                                      StorageModel::kHybrid};
+  struct Cell {
+    int64_t row, col;
+    std::string sql;
+  };
+  const std::vector<Cell> kCells = {
+      {0, 2,
+       "SELECT SUM(v), COUNT(*), COUNT(v), AVG(v), MIN(v), MAX(v) FROM t"},
+      {2, 2,
+       "SELECT g, COUNT(*), SUM(v), MIN(s), MAX(v) FROM t GROUP BY g "
+       "ORDER BY g"},
+      {2, 8,
+       "SELECT g, AVG(v), COUNT(s), MIN(v) FROM t WHERE v >= RANGEVALUE(B1) "
+       "GROUP BY g ORDER BY 1 DESC"},
+      {0, 14, "SELECT COUNT(*), SUM(v) FROM t WHERE g IS NOT NULL AND v < 50"},
+      {2, 14, "SELECT g, SUM(v) FROM t GROUP BY g"},  // never maintained
+  };
+  const Schema kSchema({ColumnDef{"id", DataType::kInt, true},
+                        ColumnDef{"g", DataType::kInt, false},
+                        ColumnDef{"v", DataType::kInt, false},
+                        ColumnDef{"s", DataType::kText, false}});
+
+  std::mt19937 rng(GetParam());
+  auto pick = [&](uint32_t n) { return static_cast<int64_t>(rng() % n); };
+  auto maybe_null = [&](Value v) { return pick(7) == 0 ? Value::Null() : v; };
+  auto group = [&] { return maybe_null(Value::Int(pick(4))); };
+  auto amount = [&] { return maybe_null(Value::Int(pick(120) - 20)); };
+  auto text = [&] {
+    return maybe_null(Value::Text(std::string(1, static_cast<char>('a' + pick(5)))));
+  };
+  auto literal = [](const Value& v) { return v.ToSqlLiteral(); };
+
+  for (StorageModel model : kModels) {
+    const std::string config =
+        std::string(" model ") + StorageModelName(model) + " seed " +
+        std::to_string(GetParam());
+    DataSpreadOptions opts;
+    opts.auto_pump = false;
+    DataSpread ds(opts);
+    Sheet* sheet = ds.AddSheet("S").ValueOrDie();
+    auto session = ds.db().CreateSession();
+    int64_t next_id = 0;
+    auto row_of = [&](Table* t) {
+      Row row(t->schema().num_columns(), Value::Null());
+      row[0] = Value::Int(next_id++);
+      row[1] = group();
+      row[2] = amount();
+      row[3] = text();
+      return row;
+    };
+    auto create = [&] {
+      Table* t = ds.db().CreateTable("t", kSchema, model).ValueOrDie();
+      for (int i = 0; i < 12; ++i) ASSERT_TRUE(t->AppendRow(row_of(t)).ok());
+    };
+    create();
+    ASSERT_TRUE(ds.SetCellAt(sheet, 0, 1, "40").ok());  // B1
+    for (const Cell& cell : kCells) {
+      ASSERT_TRUE(
+          ds.SetCellAt(sheet, cell.row, cell.col, "=DBSQL(\"" + cell.sql + "\")")
+              .ok());
+    }
+    ds.Pump();
+    auto resolver = ds.interface_manager().MakeResolver(sheet);
+
+    auto check = [&](const std::string& what) {
+      for (const Cell& cell : kCells) {
+        auto fresh = ds.db().Execute(cell.sql, resolver.get());
+        ASSERT_TRUE(fresh.ok()) << cell.sql << what;
+        const std::vector<Row>& rows = fresh.value().rows;
+        const size_t width = fresh.value().columns.size();
+        if (rows.empty()) {
+          EXPECT_EQ(ds.GetValueAt(sheet, cell.row, cell.col),
+                    Value::Text("(0 rows)")) << cell.sql << what;
+        }
+        for (size_t r = 0; r < rows.size(); ++r) {
+          for (size_t c = 0; c < width; ++c) {
+            Value have = ds.GetValueAt(sheet, cell.row + static_cast<int64_t>(r),
+                                       cell.col + static_cast<int64_t>(c));
+            ASSERT_EQ(have, rows[r][c])
+                << cell.sql << what << " row " << r << " col " << c;
+            ASSERT_EQ(have.type(), rows[r][c].type())
+                << cell.sql << what << " row " << r << " col " << c;
+          }
+        }
+        // No ghost row below the spill.
+        ASSERT_TRUE(ds.GetValueAt(sheet,
+                                  cell.row + static_cast<int64_t>(
+                                                 std::max<size_t>(rows.size(), 1)),
+                                  cell.col)
+                        .is_null())
+            << cell.sql << what;
+      }
+    };
+    check(config + " at seed");
+
+    for (int step = 0; step < 120; ++step) {
+      std::string what = config + " step " + std::to_string(step);
+      // One to three changes per step, so several land between pumps.
+      for (int k = 0, changes = 1 + static_cast<int>(pick(3)); k < changes; ++k) {
+        Table* t = ds.db().catalog().GetTable("t").ValueOrDie();
+        const size_t rows = t->num_rows();
+        auto position = [&] {
+          return static_cast<size_t>(pick(static_cast<uint32_t>(rows)));
+        };
+        auto key_at = [&](size_t pos) { return t->GetAt(pos, 0).ValueOrDie(); };
+        switch (rows == 0 ? 2 : pick(15)) {
+          case 0:
+            (void)t->UpdateAt(position(), 1 + static_cast<size_t>(pick(3)),
+                              pick(2) == 0 ? group() : amount());
+            what += " UpdateAt";
+            break;
+          case 1:
+            (void)t->UpdateByKey(key_at(position()), 2, amount());
+            what += " UpdateByKey";
+            break;
+          case 2:
+          case 3:
+            (void)t->InsertRowAt(static_cast<size_t>(pick(static_cast<uint32_t>(rows + 1))),
+                                 row_of(t));
+            what += " InsertRowAt";
+            break;
+          case 4:
+          case 5:
+            (void)t->DeleteRowAt(position());
+            what += " DeleteRowAt";
+            break;
+          case 6:
+            (void)ds.Sql("UPDATE t SET v = v + " + std::to_string(pick(9) - 4) +
+                         " WHERE g = " + literal(group()));
+            what += " UPDATE";
+            break;
+          case 7:  // moves keys onto each other: fails midway, compensates
+            (void)ds.Sql("UPDATE t SET id = id + 1, g = " + literal(group()) +
+                         " WHERE v > " + std::to_string(pick(60)));
+            what += " UPDATE-collide";
+            break;
+          case 8:
+            (void)ds.Sql("DELETE FROM t WHERE g = " + literal(group()) +
+                         " AND v < " + std::to_string(pick(60)));
+            what += " DELETE";
+            break;
+          case 9: {  // a duplicate key midway: the prefix is taken back
+            int64_t fresh = next_id++;
+            (void)ds.Sql("INSERT INTO t (id, g, v) VALUES (" +
+                         std::to_string(fresh) + ", 1, 5), (" +
+                         literal(key_at(position())) + ", 2, 6)");
+            what += " INSERT-dup";
+            break;
+          }
+          case 10: {
+            bool commit = pick(2) == 0;
+            ASSERT_TRUE(ds.Sql("BEGIN").ok());
+            (void)ds.Sql("UPDATE t SET v = " + literal(amount()) +
+                         " WHERE id = " + literal(key_at(position())));
+            (void)ds.Sql("DELETE FROM t WHERE id = " +
+                         literal(key_at(position())));
+            ASSERT_TRUE(ds.Sql(commit ? "COMMIT" : "ROLLBACK").ok());
+            what += commit ? " txn-commit" : " txn-rollback";
+            break;
+          }
+          case 11:
+            if (pick(2) == 0) {
+              (void)session->Execute("UPDATE t SET g = " + literal(group()) +
+                                     " WHERE id = " +
+                                     literal(key_at(position())));
+              what += " session-UPDATE";
+            } else {
+              ASSERT_TRUE(session->Execute("BEGIN").ok());
+              (void)session->Execute("INSERT INTO t (id, g, v, s) VALUES (" +
+                                     std::to_string(next_id++) + ", " +
+                                     literal(group()) + ", " +
+                                     literal(amount()) + ", 'z')");
+              ASSERT_TRUE(
+                  session->Execute(pick(2) == 0 ? "COMMIT" : "ROLLBACK").ok());
+              what += " session-txn";
+            }
+            break;
+          case 12:
+            ASSERT_TRUE(ds.SetCellAt(sheet, 0, 1, std::to_string(pick(60))).ok());
+            what += " param";
+            break;
+          case 13:
+            (void)ds.Sql("ALTER TABLE t ADD COLUMN x" + std::to_string(step) +
+                         " INT DEFAULT 3");
+            what += " ALTER";
+            break;
+          default: {  // DROP and re-CREATE, then edits before any pump
+            ASSERT_TRUE(ds.Sql("DROP TABLE t").ok());
+            create();
+            t = ds.db().catalog().GetTable("t").ValueOrDie();
+            ASSERT_TRUE(t->InsertRowAt(0, row_of(t)).ok());
+            (void)t->UpdateAt(1, 2, amount());
+            what += " DROP+CREATE";
+            break;
+          }
+        }
+      }
+      ds.Pump();
+      check(what);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    InterfaceManager& im = ds.interface_manager();
+    EXPECT_GT(im.dbsql_maintained(), 0u) << config;
+    EXPECT_GT(im.dbsql_fallbacks(), 0u) << config;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MaintenanceTransparencyTest,
+                         ::testing::Values(14u, 1414u, 141414u));
+
 }  // namespace
 }  // namespace dataspread
