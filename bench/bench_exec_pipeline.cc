@@ -5,11 +5,15 @@
 // rows, unbounded and bounded (64-frame) pools. The recorded op_ms of the
 // "/row/", "/batch/" and "/parN/" runs back the ci/check.sh exec perf gates
 // (batch ≥2x over row; parallel ≥1.8x over batch at 4 threads on ≥4 cores;
-// par1 within 10% of batch).
+// par1 within 10% of batch). Those join runs time a cold build: every
+// execution follows a write to both build tables. The "/warm/" join runs
+// time the retained-build path (DESIGN.md §6a "Build reuse") and back the
+// count gate: 0 builds warm, exactly 1 after one build table is written.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <string>
+#include <thread>
 
 #include "workloads.h"
 
@@ -19,12 +23,15 @@ namespace {
 /// One timed evaluation of `query` after the benchmark loop, bracketed with
 /// pager epoch + stats snapshots, reported as op_ms / rows_per_s (throughput
 /// in *input* rows of the driving relation).
-void ReportTimedQuery(benchmark::State& state, Database& db,
-                      const std::string& bench, const std::string& run,
-                      const std::string& query, size_t input_rows) {
+/// `extra` fields are appended to the JSON line.
+void ReportTimedQuery(
+    benchmark::State& state, Database& db, const std::string& bench,
+    const std::string& run, const std::string& query, size_t input_rows,
+    std::vector<std::pair<std::string, double>> extra = {}) {
   storage::Pager& pager = db.pager();
   pager.BeginEpoch();
   storage::PagerStats before = pager.stats();
+  uint64_t builds = db.join_builds();
   auto t0 = std::chrono::steady_clock::now();
   auto rs = db.Execute(query);
   auto t1 = std::chrono::steady_clock::now();
@@ -45,14 +52,20 @@ void ReportTimedQuery(benchmark::State& state, Database& db,
                      ? 0
                      : EffectiveBatchSize(db.exec_options());
   size_t threads = db.exec_options().num_threads;  // 0 = serial pipeline
-  ReportPoolCountersAndJson(
-      state, pager, bench, run, before,
-      {{"op_ms", op_ms},
-       {"rows_per_s", rows_per_s},
-       {"rows", static_cast<double>(input_rows)},
-       {"batch_size", static_cast<double>(batch)},
-       {"threads", static_cast<double>(threads)},
-       {"pages_read", state.counters["pages_read"]}});
+  state.counters["join_builds"] =
+      static_cast<double>(db.join_builds() - builds);
+  std::vector<std::pair<std::string, double>> fields = {
+      {"op_ms", op_ms},
+      {"rows_per_s", rows_per_s},
+      {"rows", static_cast<double>(input_rows)},
+      {"batch_size", static_cast<double>(batch)},
+      {"threads", static_cast<double>(threads)},
+      {"nproc", static_cast<double>(std::thread::hardware_concurrency())},
+      {"pages_read", state.counters["pages_read"]},
+      {"join_builds", state.counters["join_builds"]}};
+  fields.insert(fields.end(), extra.begin(), extra.end());
+  ReportPoolCountersAndJson(state, pager, bench, run, before,
+                            std::move(fields));
 }
 
 /// Args: {rows, row_mode (0 = batch, 1 = row), pool cap (0 = unbounded),
@@ -123,23 +136,41 @@ BENCHMARK(BM_ScanFilterAggregate)
 // minus the spreadsheet wrapping: pure engine, row vs batch. Joins are not
 // morsel-eligible (the parallel leaf covers single-table shapes), so these
 // families record threads = 0.
+const char* const kJoinTopKQuery =
+    "SELECT title, name FROM movies NATURAL JOIN movies2actors "
+    "NATURAL JOIN actors WHERE year >= 1980 ORDER BY title LIMIT 8";
+
+/// Advances a build table's version with a same-value write to row 0, so
+/// the next join cannot reuse its retained build.
+void TouchTable(Database& db, const std::string& name) {
+  Table* table = db.catalog().GetTable(name).ValueOrDie();
+  (void)table->UpdateAt(0, 1, table->GetAt(0, 1).ValueOrDie());
+}
+
+void TouchBuildTables(Database& db) {
+  TouchTable(db, "movies2actors");
+  TouchTable(db, "actors");
+}
+
+/// Cold: every execution, timed ones included, rebuilds both build tables.
 void BM_JoinFilterTopK(benchmark::State& state) {
   size_t movies = static_cast<size_t>(state.range(0));
   Database db(OptionsFor(state));
   LoadMovieWorkload(&db, movies);
-  const std::string query =
-      "SELECT title, name FROM movies NATURAL JOIN movies2actors "
-      "NATURAL JOIN actors WHERE year >= 1980 ORDER BY title LIMIT 8";
   for (auto _ : state) {
-    auto rs = db.Execute(query);
+    state.PauseTiming();
+    TouchBuildTables(db);
+    state.ResumeTiming();
+    auto rs = db.Execute(kJoinTopKQuery);
     if (!rs.ok()) {
       state.SkipWithError(rs.status().message().c_str());
       return;
     }
     benchmark::DoNotOptimize(rs.value().rows);
   }
+  TouchBuildTables(db);
   ReportTimedQuery(state, db, "exec_pipeline", RunName("JoinFilterTopK", state),
-                   query, movies);
+                   kJoinTopKQuery, movies);
   state.SetLabel(std::to_string(movies) + " movies, " + ModeLabel(state));
 }
 BENCHMARK(BM_JoinFilterTopK)
@@ -151,6 +182,37 @@ BENCHMARK(BM_JoinFilterTopK)
     ->Args({100000, 1, 0, 0})
     ->Args({100000, 0, 64, 0})
     ->Args({100000, 1, 64, 0})
+    ->Unit(benchmark::kMillisecond);
+
+/// Warm: the build tables never change, so every execution after the first
+/// reuses both retained builds and pays only the probe side. The row also
+/// records `rebuilds_after_write`: the builds one execution makes after a
+/// write to one build table (actors).
+void BM_JoinFilterTopKWarm(benchmark::State& state) {
+  size_t movies = static_cast<size_t>(state.range(0));
+  Database db;
+  LoadMovieWorkload(&db, movies);
+  auto run = [&] {
+    auto rs = db.Execute(kJoinTopKQuery);
+    if (!rs.ok()) state.SkipWithError(rs.status().message().c_str());
+    return rs.ok();
+  };
+  if (!run()) return;
+  for (auto _ : state) {
+    if (!run()) return;
+  }
+  TouchTable(db, "actors");
+  uint64_t builds = db.join_builds();
+  if (!run()) return;
+  double rebuilds = static_cast<double>(db.join_builds() - builds);
+  ReportTimedQuery(state, db, "exec_pipeline",
+                   "JoinFilterTopK/warm/" + std::to_string(movies),
+                   kJoinTopKQuery, movies, {{"rebuilds_after_write", rebuilds}});
+  state.SetLabel(std::to_string(movies) + " movies, warm");
+}
+BENCHMARK(BM_JoinFilterTopKWarm)
+    ->Arg(10000)
+    ->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -11,7 +11,9 @@
 # reopen by path, verify schemas + data), an execution-pipeline perf smoke
 # (the vectorized batch pipeline must hold a >= 2x win over the row-at-a-time
 # baseline on scan->filter->aggregate at 100k rows and on the join->filter->
-# top-K shape at 100k movies; the morsel-parallel leaf
+# top-K shape at 100k movies, its builds cold; a warm re-run of that join
+# must make 0 hash-join builds, and exactly 1 after a write to one build
+# table; the morsel-parallel leaf
 # must hold >= 1.8x over the serial batch pipeline at 4 threads on >= 4-core
 # machines, and its 1-thread run must stay within 10% of serial batch), an
 # end-to-end correctness smoke over the four user workloads (bench/e2e), and
@@ -171,6 +173,8 @@ if [[ -x "${BUILD_DIR}/bench_exec_pipeline" ]]; then
   # + ORDER BY ... LIMIT 8) at 100k movies, serial batch vs row. WHERE
   # conjuncts below the joins, the columnar hash-join build table and the
   # top-K sort must hold batch_op_ms <= row_op_ms / 2 (measured 2.6-2.8x).
+  # Both runs write both build tables before every execution, so the batch
+  # run times a cold build, not a retained one.
   # -------------------------------------------------------------------------
   DS_SPILL_DIR="${SMOKE_DIR}" DS_BENCH_JSON_DIR="${SMOKE_DIR}" \
     "${BUILD_DIR}/bench_exec_pipeline" \
@@ -194,6 +198,36 @@ if [[ -x "${BUILD_DIR}/bench_exec_pipeline" ]]; then
          "join/filter/top-K regression" >&2
     exit 1
   fi
+  # -------------------------------------------------------------------------
+  # Join-build reuse gate (DESIGN.md §6a "Build reuse"), count-based and so
+  # noise-free: a warm re-execution of the same join at 10k and 100k movies
+  # must make 0 hash-join builds (both retained builds are reused), and one
+  # execution after a write to one build table exactly 1.
+  # -------------------------------------------------------------------------
+  DS_SPILL_DIR="${SMOKE_DIR}" DS_BENCH_JSON_DIR="${SMOKE_DIR}" \
+    "${BUILD_DIR}/bench_exec_pipeline" \
+    --benchmark_filter='BM_JoinFilterTopKWarm/(10000|100000)$' \
+    --benchmark_min_time=0.02
+  for movies in 10000 100000; do
+    warm_field() {
+      sed -n "s/.*\"run\":\"JoinFilterTopK\/warm\/${movies}\".*\"$1\":\([0-9][0-9.e+-]*\).*/\1/p" \
+        "${SMOKE_DIR}/BENCH_exec_pipeline.json" | head -n1
+    }
+    warm_builds="$(warm_field join_builds)"
+    warm_rebuilds="$(warm_field rebuilds_after_write)"
+    if [[ -z "${warm_builds}" || -z "${warm_rebuilds}" ]]; then
+      echo "ci/check.sh: could not parse JoinFilterTopK/warm/${movies} from BENCH_exec_pipeline.json" >&2
+      exit 1
+    fi
+    echo "ci/check.sh: join build reuse @${movies}: warm join_builds=${warm_builds}" \
+         "(need 0), rebuilds_after_write=${warm_rebuilds} (need 1)"
+    if [[ "${warm_builds}" != "0" || "${warm_rebuilds}" != "1" ]]; then
+      echo "ci/check.sh: a warm join at ${movies} movies made ${warm_builds}" \
+           "hash-join builds and ${warm_rebuilds} after one build-table write" \
+           "(want 0 and 1) — join-build reuse regression" >&2
+      exit 1
+    fi
+  done
   # -------------------------------------------------------------------------
   # Morsel-parallel gates over the scan-filter-aggregate query. Two checks:
   #   1. par1 (the worker pool at 1 thread, i.e. pure dispenser overhead)

@@ -470,7 +470,7 @@ Result<ResultSet> Database::ExecuteSelect(Session& session,
     if (txn != 0) VictimizeSession(session);
     return s;
   }
-  auto r = RunSelect(&stmt, catalog_, resolver, exec_, groups);
+  auto r = RunSelect(&stmt, catalog_, resolver, exec_, groups, &join_builds_);
   latches_.ReleaseShared(names);
   return r;
 }
@@ -669,7 +669,7 @@ Result<ResultSet> Database::ExecuteInsert(Session& session,
   if (stmt.select != nullptr) {
     DS_ASSIGN_OR_RETURN(ResultSet sub,
                         RunSelect(stmt.select.get(), catalog_, resolver,
-                                  exec_));
+                                  exec_, nullptr, &join_builds_));
     incoming = std::move(sub.rows);
   } else {
     Scope empty;
@@ -911,6 +911,8 @@ Result<ResultSet> Database::ExecuteDrop(sql::DropTableStmt& stmt) {
     return rs;
   }
   DS_RETURN_IF_ERROR(FailIfLatched(stmt.table));
+  DS_ASSIGN_OR_RETURN(Table * table, catalog_.GetTable(stmt.table));
+  join_builds_.Forget(table);
   DS_RETURN_IF_ERROR(catalog_.DropTable(stmt.table));
   ResultSet rs;
   rs.message = "dropped table " + stmt.table;

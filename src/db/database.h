@@ -13,6 +13,7 @@
 #include "catalog/write_latch.h"
 #include "common/result.h"
 #include "storage/file_lock.h"
+#include "exec/join_build.h"
 #include "exec/resolver.h"
 #include "exec/result_set.h"
 #include "exec/row_batch.h"
@@ -236,6 +237,13 @@ class Database {
     return statements_executed_.load(std::memory_order_relaxed);
   }
 
+  /// Hash-join build tables the batch pipeline made, and builds it reused
+  /// because their table's version had not moved (DESIGN.md §6a "Build
+  /// reuse"). Lifetime counts over every session.
+  uint64_t join_builds() const { return join_builds_.builds(); }
+  uint64_t join_build_reuses() const { return join_builds_.reuses(); }
+  const JoinBuildCache& join_build_cache() const { return join_builds_; }
+
   /// Execution-pipeline knobs for subsequent statements. The mutator lets
   /// benches and the transparency tests A/B the row and batch pipelines on
   /// one loaded database. Not synchronized: set before going concurrent.
@@ -339,6 +347,9 @@ class Database {
   ExecOptions exec_;
   bool sync_on_commit_ = false;
   bool group_commit_ = true;
+  /// Retained hash-join build tables, shared by every session; bounded by
+  /// the pager's frame budget.
+  JoinBuildCache join_builds_{&pager_};
   /// The embedded default session Database::Execute runs on — the
   /// single-connection API every pre-multi-writer caller uses. Declared
   /// last: it only stores the back-pointer.

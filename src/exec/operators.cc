@@ -380,13 +380,22 @@ Result<bool> NestedLoopJoinOp::Next(RowBatch* out) {
 
 HashJoinOp::HashJoinOp(OperatorPtr left, OperatorPtr right,
                        std::vector<int> left_keys, std::vector<int> right_keys,
-                       bool left_outer, size_t right_width)
+                       bool left_outer, size_t right_width,
+                       JoinBuildCache* cache, const Table* right_table)
     : left_(std::move(left)),
       right_(std::move(right)),
       left_keys_(std::move(left_keys)),
       right_keys_(std::move(right_keys)),
       left_outer_(left_outer),
-      right_width_(right_width) {}
+      right_width_(right_width),
+      cache_(cache),
+      right_table_(right_table) {}
+
+void HashJoinOp::SetColumns(std::vector<bool> left_live,
+                            std::vector<bool> right_live) {
+  left_live_ = std::move(left_live);
+  right_live_ = std::move(right_live);
+}
 
 Status HashJoinOp::Open() {
   DS_RETURN_IF_ERROR(left_->Open());
@@ -395,10 +404,7 @@ Status HashJoinOp::Open() {
   build_.clear();
   have_left_ = false;
   matches_ = nullptr;
-  build_columns_.clear();
-  next_.clear();
-  value_chains_.clear();
-  row_chains_.clear();
+  table_.reset();
   left_positions_.clear();
   left_cursor_ = 0;
   probed_ = false;
@@ -435,10 +441,23 @@ Status HashJoinOp::BuildRows() {
   return Status::OK();
 }
 
-Status HashJoinOp::BuildBatched(size_t batch_size) {
+Result<std::shared_ptr<JoinBuild>> HashJoinOp::BuildBatched(
+    size_t batch_size) {
+  auto build = std::make_shared<JoinBuild>();
+  JoinBuild& t = *build;
+  // Read the keys and the live columns; a table scan's row count sizes the
+  // columns exactly.
+  std::vector<size_t> read_columns;
+  t.columns.assign(right_width_, {});
+  for (size_t c = 0; c < right_width_; ++c) {
+    bool key = std::find(right_keys_.begin(), right_keys_.end(),
+                         static_cast<int>(c)) != right_keys_.end();
+    if (!key && !RightLive(c)) continue;
+    read_columns.push_back(c);
+    if (right_table_ != nullptr) t.columns[c].reserve(right_table_->num_rows());
+  }
   RowBatch b(batch_size);
   std::vector<uint32_t> scratch;
-  build_columns_.assign(right_width_, {});
   while (true) {
     DS_ASSIGN_OR_RETURN(bool more, right_->Next(&b));
     if (!more) break;
@@ -446,38 +465,44 @@ Status HashJoinOp::BuildBatched(size_t batch_size) {
       bool null_key = false;
       for (int k : right_keys_) null_key |= b.column(k)[p].is_null();
       if (null_key) continue;  // NULL keys never join
-      for (size_t c = 0; c < right_width_; ++c) {
-        build_columns_[c].push_back(std::move(b.column(c)[p]));
+      for (size_t c : read_columns) {
+        t.columns[c].push_back(std::move(b.column(c)[p]));
       }
     }
   }
   // Link each key's chain in right-input order.
-  uint32_t n = static_cast<uint32_t>(build_columns_[right_keys_[0]].size());
-  next_.assign(n, kNoMatch);
-  auto link = [this](Chain* chain, bool inserted, uint32_t i) {
+  uint32_t n = static_cast<uint32_t>(t.columns[right_keys_[0]].size());
+  t.next.assign(n, kNoMatch);
+  auto link = [&t](JoinBuild::Chain* chain, bool inserted, uint32_t i) {
     if (!inserted) {
-      next_[chain->last] = i;
+      t.next[chain->last] = i;
       chain->last = i;
     }
   };
   if (right_keys_.size() == 1) {
-    const std::vector<Value>& keys = build_columns_[right_keys_[0]];
-    value_chains_.reserve(n);
+    const std::vector<Value>& keys = t.columns[right_keys_[0]];
+    t.value_chains.reserve(n);
     for (uint32_t i = 0; i < n; ++i) {
-      auto [it, inserted] = value_chains_.try_emplace(keys[i], Chain{i, i});
+      auto [it, inserted] =
+          t.value_chains.try_emplace(keys[i], JoinBuild::Chain{i, i});
       link(&it->second, inserted, i);
     }
   } else {
-    row_chains_.reserve(n);
+    t.row_chains.reserve(n);
     for (uint32_t i = 0; i < n; ++i) {
       Row key;
       key.reserve(right_keys_.size());
-      for (int k : right_keys_) key.push_back(build_columns_[k][i]);
-      auto [it, inserted] = row_chains_.try_emplace(std::move(key), Chain{i, i});
+      for (int k : right_keys_) key.push_back(t.columns[k][i]);
+      auto [it, inserted] =
+          t.row_chains.try_emplace(std::move(key), JoinBuild::Chain{i, i});
       link(&it->second, inserted, i);
     }
   }
-  return Status::OK();
+  // A key column nobody reads above the join only served the chains.
+  for (int k : right_keys_) {
+    if (!RightLive(k)) std::vector<Value>().swap(t.columns[k]);
+  }
+  return build;
 }
 
 Result<bool> HashJoinOp::Next(Row* out) {
@@ -520,8 +545,8 @@ uint32_t HashJoinOp::ProbeChain(uint32_t pos) {
   if (left_keys_.size() == 1) {
     const Value& key = left_batch_.column(left_keys_[0])[pos];
     if (key.is_null()) return kNoMatch;
-    auto it = value_chains_.find(key);
-    return it == value_chains_.end() ? kNoMatch : it->second.first;
+    auto it = table_->value_chains.find(key);
+    return it == table_->value_chains.end() ? kNoMatch : it->second.first;
   }
   probe_key_.clear();
   for (int k : left_keys_) {
@@ -529,16 +554,20 @@ uint32_t HashJoinOp::ProbeChain(uint32_t pos) {
     if (v.is_null()) return kNoMatch;
     probe_key_.push_back(v);
   }
-  auto it = row_chains_.find(probe_key_);
-  return it == row_chains_.end() ? kNoMatch : it->second.first;
+  auto it = table_->row_chains.find(probe_key_);
+  return it == table_->row_chains.end() ? kNoMatch : it->second.first;
 }
 
 void HashJoinOp::FlushPairs(RowBatch* out) {
   if (pairs_.empty()) return;
   size_t lw = left_batch_.num_columns();
   for (size_t c = 0; c < lw; ++c) {
-    std::vector<Value>& from = left_batch_.column(c);
     std::vector<Value>& to = out->column(c);
+    if (!left_live_.empty() && !left_live_[c]) {
+      to.resize(to.size() + pairs_.size());
+      continue;
+    }
+    std::vector<Value>& from = left_batch_.column(c);
     for (const Pair& pair : pairs_) {
       if (pair.last) {
         to.push_back(std::move(from[pair.left]));
@@ -548,8 +577,12 @@ void HashJoinOp::FlushPairs(RowBatch* out) {
     }
   }
   for (size_t c = 0; c < right_width_; ++c) {
-    const std::vector<Value>& from = build_columns_[c];
     std::vector<Value>& to = out->column(lw + c);
+    if (!RightLive(c)) {
+      to.resize(to.size() + pairs_.size());
+      continue;
+    }
+    const std::vector<Value>& from = table_->columns[c];
     for (const Pair& pair : pairs_) {
       to.push_back(pair.right == kNoMatch ? Value::Null() : from[pair.right]);
     }
@@ -561,7 +594,17 @@ void HashJoinOp::FlushPairs(RowBatch* out) {
 Result<bool> HashJoinOp::Next(RowBatch* out) {
   if (!built_) {
     left_batch_.set_capacity(out->capacity());
-    DS_RETURN_IF_ERROR(BuildBatched(out->capacity()));
+    auto build = [&] { return BuildBatched(out->capacity()); };
+    if (cache_ != nullptr) {
+      JoinBuildShape shape{right_keys_, {}};
+      for (size_t c = 0; c < right_width_; ++c) {
+        if (RightLive(c)) shape.columns.push_back(c);
+      }
+      DS_ASSIGN_OR_RETURN(table_,
+                          cache_->GetOrBuild(right_table_, shape, build));
+    } else {
+      DS_ASSIGN_OR_RETURN(table_, build());
+    }
     built_ = true;
   }
   bool shaped = false;
@@ -593,7 +636,8 @@ Result<bool> HashJoinOp::Next(RowBatch* out) {
     }
     // Every iteration starts with room for at least one more tuple.
     size_t room = out->capacity() - out->size() - pairs_.size();
-    for (; chain_ != kNoMatch && room > 0; chain_ = next_[chain_], --room) {
+    for (; chain_ != kNoMatch && room > 0;
+         chain_ = table_->next[chain_], --room) {
       pairs_.push_back({pos, chain_, false});
       left_matched_ = true;
     }

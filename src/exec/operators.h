@@ -9,6 +9,7 @@
 #include "catalog/table.h"
 #include "common/result.h"
 #include "exec/aggregates.h"
+#include "exec/join_build.h"
 #include "exec/row_batch.h"
 #include "sql/ast.h"
 #include "types/value.h"
@@ -198,31 +199,35 @@ class NestedLoopJoinOp : public Operator {
 /// joins. The planner takes this path only when every key pair's declared
 /// types compare without raising (DESIGN.md §6a), so a probe cannot fail.
 ///
-/// The batch path builds a columnar table at the first Next(): the right
-/// input's tuples (those with no NULL key) are moved, in right-input order,
-/// into one column-major vector per right column, and each distinct key maps
-/// to a chain of build indices — first and last index, linked through
-/// next_ — so a chain lists its tuples in right-input order. One key column
-/// is keyed by Value; several by a Row. The probe reads each left key in
-/// place from the left batch's column and emits (left position, build index)
-/// pairs, which are then copied out column by column: the left batch's
-/// columns at the position (moved, on a position's last pair) and the build
-/// columns at the index. A chain longer than the room left in the output
+/// The batch path probes an immutable JoinBuild (exec/join_build.h), made
+/// from the right input at the first Next() — or, given a cache and the
+/// catalog table the right input scans, reused from an earlier execution
+/// while that table's version is unchanged. The probe reads each left key
+/// in place from the left batch's column and emits (left position, build
+/// index) pairs, which are then copied out column by column: the left
+/// batch's columns at the position (moved, on a position's last pair) and
+/// the build columns at the index. SetColumns() narrows that copy to the
+/// columns read above the join — the rest are NULL-filled to the batch
+/// length, as TableScanOp::SetColumns does — and the build stores only the
+/// live right columns. A chain longer than the room left in the output
 /// batch resumes mid-chain on the next call, so batches never exceed
-/// capacity. The row path keeps a Row-keyed map of right Rows.
+/// capacity. The row path keeps a Row-keyed map of right Rows and is never
+/// cached.
 class HashJoinOp : public Operator {
  public:
   HashJoinOp(OperatorPtr left, OperatorPtr right, std::vector<int> left_keys,
-             std::vector<int> right_keys, bool left_outer, size_t right_width);
+             std::vector<int> right_keys, bool left_outer, size_t right_width,
+             JoinBuildCache* cache = nullptr, const Table* right_table = nullptr);
   Status Open() override;
   Result<bool> Next(Row* out) override;
   Result<bool> Next(RowBatch* out) override;
 
+  /// Marks the left and right columns read above the join (empty = all);
+  /// the batch path copies only those and NULL-fills the others.
+  void SetColumns(std::vector<bool> left_live, std::vector<bool> right_live);
+
  private:
-  static constexpr uint32_t kNoMatch = UINT32_MAX;
-  struct Chain {
-    uint32_t first, last;
-  };
+  static constexpr uint32_t kNoMatch = JoinBuild::kNoMatch;
   /// One output tuple: left batch position and build index (kNoMatch for a
   /// NULL-extended LEFT JOIN tuple). `last` marks the position's final pair.
   struct Pair {
@@ -230,8 +235,12 @@ class HashJoinOp : public Operator {
     bool last;
   };
 
+  bool RightLive(size_t c) const {
+    return right_live_.empty() || right_live_[c];
+  }
   Status BuildRows();
-  Status BuildBatched(size_t batch_size);
+  /// Drains the right input into a new build table.
+  Result<std::shared_ptr<JoinBuild>> BuildBatched(size_t batch_size);
   /// First build index whose key equals the key at left batch position
   /// `pos`, or kNoMatch.
   uint32_t ProbeChain(uint32_t pos);
@@ -242,6 +251,9 @@ class HashJoinOp : public Operator {
   std::vector<int> left_keys_, right_keys_;
   bool left_outer_;
   size_t right_width_;
+  JoinBuildCache* cache_;
+  const Table* right_table_;  // null: the right input is not a table scan
+  std::vector<bool> left_live_, right_live_;
   bool built_ = false;
   bool left_matched_ = false;  // the current left tuple has joined (both modes)
   // Row-mode state.
@@ -250,11 +262,8 @@ class HashJoinOp : public Operator {
   const std::vector<Row>* matches_ = nullptr;
   size_t match_index_ = 0;
   bool have_left_ = false;
-  // Batch-mode state: the columnar build table and the probe cursor.
-  std::vector<std::vector<Value>> build_columns_;
-  std::vector<uint32_t> next_;
-  std::unordered_map<Value, Chain, ValueHash> value_chains_;
-  std::unordered_map<Row, Chain, RowHash, RowEq> row_chains_;
+  // Batch-mode state: the build table and the probe cursor.
+  std::shared_ptr<const JoinBuild> table_;
   Row probe_key_;
   RowBatch left_batch_;
   std::vector<uint32_t> left_positions_;

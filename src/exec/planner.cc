@@ -119,11 +119,15 @@ bool CannotRaise(const Expr& e, const Scope& scope) {
   }
   if (!IsComparison(e.op)) return false;
   const Expr* column = e.args[0].get();
-  const Expr* literal = e.args[1].get();
-  if (column->kind != ExprKind::kColumnRef) std::swap(column, literal);
+  const Expr* other = e.args[1].get();
+  if (column->kind != ExprKind::kColumnRef) std::swap(column, other);
   std::optional<DataType> type = typed_column(*column);
-  if (!type || literal->kind != ExprKind::kLiteral) return false;
-  return !TypesClash(type, literal->literal.type());
+  if (!type) return false;
+  if (other->kind == ExprKind::kLiteral) {
+    return !TypesClash(type, other->literal.type());
+  }
+  std::optional<DataType> other_type = typed_column(*other);
+  return other_type.has_value() && !TypesClash(type, other_type);
 }
 
 namespace {
@@ -164,7 +168,8 @@ void FoldStmtConstants(SelectStmt* stmt) {
 Result<PlannedQuery> PlanSelect(SelectStmt* stmt, Catalog& catalog,
                                 ExternalResolver* resolver,
                                 const ExecOptions& exec,
-                                std::vector<AggGroup>* groups) {
+                                std::vector<AggGroup>* groups,
+                                JoinBuildCache* join_builds) {
   size_t batch_size = EffectiveBatchSize(exec);
   PlannedQuery plan;
   Scope scope;
@@ -182,8 +187,8 @@ Result<PlannedQuery> PlanSelect(SelectStmt* stmt, Catalog& catalog,
   // The table of a single-table FROM (no joins): the key-direct leaf's
   // candidate.
   const Table* key_table = nullptr;
-  // The scan leaf of a single-table FROM, serial or morsel-parallel (at most
-  // one is set): column pruning narrows it to the referenced columns.
+  // The scan of the first source, serial or morsel-parallel (at most one is
+  // set): column pruning narrows it to the columns read above it.
   TableScanOp* scan_leaf = nullptr;
   ParallelScanOp* parallel_scan = nullptr;
   ParallelAggregateOp* parallel_aggregate = nullptr;
@@ -196,6 +201,9 @@ Result<PlannedQuery> PlanSelect(SelectStmt* stmt, Catalog& catalog,
     std::vector<int> left_keys, right_keys;  // hash join; empty = nested loop
     const Expr* on = nullptr;                // nested-loop condition
     bool left_outer = false;
+    // Built with the join chain; column pruning narrows them.
+    HashJoinOp* hash = nullptr;
+    TableScanOp* right_scan = nullptr;
   };
   std::vector<JoinStep> steps;
 
@@ -230,7 +238,7 @@ Result<PlannedQuery> PlanSelect(SelectStmt* stmt, Catalog& catalog,
     } else {
       root = MakeScan(first, 0, kScanAll, batch_size);
     }
-    if (key_table != nullptr) {
+    if (first.table != nullptr) {
       scan_leaf = static_cast<TableScanOp*>(root.get());
     }
 
@@ -296,6 +304,13 @@ Result<PlannedQuery> PlanSelect(SelectStmt* stmt, Catalog& catalog,
     root = std::make_unique<RowsScanOp>(std::move(one));
   }
 
+  // prefix_width[l]: the scope columns present at level l of the join chain
+  // (level 0: the first source; level i: after the i-th join).
+  std::vector<size_t> prefix_width(steps.size() + 1, scope.columns.size());
+  for (size_t i = steps.size(); i-- > 0;) {
+    prefix_width[i] = prefix_width[i + 1] - steps[i].right.num_columns();
+  }
+
   // ---- WHERE ----
   // With joins, a WHERE none of whose conjuncts can raise is split on AND,
   // and each conjunct filters at the lowest level of the join chain whose
@@ -322,12 +337,9 @@ Result<PlannedQuery> PlanSelect(SelectStmt* stmt, Catalog& catalog,
       }
     }
     if (!steps.empty() && CannotRaise(*stmt->where, scope)) {
-      // prefix_width[l]: the scope columns present at level l.
-      std::vector<size_t> prefix_width(steps.size() + 1, scope.columns.size());
       size_t floor = 0;
-      for (size_t i = steps.size(); i-- > 0;) {
-        prefix_width[i] = prefix_width[i + 1] - steps[i].right.num_columns();
-        if (steps[i].on != nullptr) floor = std::max(floor, i + 1);
+      for (size_t i = 0; i < steps.size(); ++i) {
+        if (steps[i].on != nullptr) floor = i + 1;
       }
       std::vector<const Expr*> conjuncts;
       SplitConjuncts(stmt->where.get(), &conjuncts);
@@ -359,9 +371,17 @@ Result<PlannedQuery> PlanSelect(SelectStmt* stmt, Catalog& catalog,
     size_t right_width = step.right.num_columns();
     OperatorPtr right_op = MakeScan(step.right, 0, kScanAll, batch_size);
     if (!step.left_keys.empty()) {
-      root = std::make_unique<HashJoinOp>(
-          std::move(root), std::move(right_op), std::move(step.left_keys),
-          std::move(step.right_keys), step.left_outer, right_width);
+      // A catalog table's build may be reused across executions
+      // (JoinBuildCache); a RANGETABLE's is built every time.
+      if (step.right.table != nullptr) {
+        step.right_scan = static_cast<TableScanOp*>(right_op.get());
+      }
+      auto op = std::make_unique<HashJoinOp>(
+          std::move(root), std::move(right_op), step.left_keys,
+          step.right_keys, step.left_outer, right_width, join_builds,
+          step.right.table);
+      step.hash = op.get();
+      root = std::move(op);
     } else {
       root = std::make_unique<NestedLoopJoinOp>(std::move(root),
                                                 std::move(right_op), step.on,
@@ -555,34 +575,59 @@ Result<PlannedQuery> PlanSelect(SelectStmt* stmt, Catalog& catalog,
   }
 
   // ---- Column pruning ----
-  // A single-table leaf reads only the columns some expression above it
-  // references: select list (star expansions included), WHERE, GROUP BY,
-  // HAVING, aggregate arguments (inside the first two), and — for
-  // non-aggregate queries, which sort input rows — ORDER BY. Aggregate
-  // queries sort their output rows, so their ORDER BY reads no input column.
-  if (scan_leaf != nullptr || parallel_scan != nullptr ||
-      parallel_aggregate != nullptr) {
-    std::vector<bool> used(key_table->schema().num_columns(), false);
-    for (const Expr* e : output_exprs) MarkColumns(e, &used);
-    MarkColumns(stmt->where.get(), &used);
-    for (const ExprPtr& g : stmt->group_by) MarkColumns(g.get(), &used);
-    MarkColumns(stmt->having.get(), &used);
-    if (!any_aggregate) {
-      for (const sql::OrderItem& item : stmt->order_by) {
-        MarkColumns(item.expr.get(), &used);
+  // Each operator reads only the columns some expression above it
+  // references: select list (star expansions included), GROUP BY, HAVING,
+  // aggregate arguments (inside the first two), and — for non-aggregate
+  // queries, which sort input rows — ORDER BY. Aggregate queries sort their
+  // output rows, so their ORDER BY reads no input column. Walking the join
+  // chain down, each join passes on what is read above it plus its WHERE
+  // conjuncts and its own keys (or ON); the first source's scan reads what
+  // is left at the bottom.
+  std::vector<bool> used(scope.columns.size(), false);
+  for (const Expr* e : output_exprs) MarkColumns(e, &used);
+  for (const ExprPtr& g : stmt->group_by) MarkColumns(g.get(), &used);
+  MarkColumns(stmt->having.get(), &used);
+  if (!any_aggregate) {
+    for (const sql::OrderItem& item : stmt->order_by) {
+      MarkColumns(item.expr.get(), &used);
+    }
+  }
+  MarkColumns(top_where, &used);
+  MarkColumns(leaf_where, &used);
+  for (size_t i = steps.size(); i-- > 0;) {
+    for (const Expr* c : level_filters[i + 1]) MarkColumns(c, &used);
+    const JoinStep& step = steps[i];
+    auto live = used.begin() + static_cast<ptrdiff_t>(prefix_width[i]);
+    if (step.hash != nullptr) {
+      std::vector<bool> right_live(live, live + static_cast<ptrdiff_t>(
+                                                   step.right.num_columns()));
+      if (step.right_scan != nullptr) {
+        std::vector<size_t> columns;
+        for (size_t c = 0; c < right_live.size(); ++c) {
+          bool key = std::find(step.right_keys.begin(), step.right_keys.end(),
+                               static_cast<int>(c)) != step.right_keys.end();
+          if (right_live[c] || key) columns.push_back(c);
+        }
+        step.right_scan->SetColumns(std::move(columns));
       }
-    }
-    std::vector<size_t> columns;
-    for (size_t c = 0; c < used.size(); ++c) {
-      if (used[c]) columns.push_back(c);
-    }
-    if (scan_leaf != nullptr) {
-      scan_leaf->SetColumns(std::move(columns));
-    } else if (parallel_scan != nullptr) {
-      parallel_scan->SetColumns(std::move(columns));
+      step.hash->SetColumns(std::vector<bool>(used.begin(), live),
+                            std::move(right_live));
+      for (int k : step.left_keys) used[static_cast<size_t>(k)] = true;
     } else {
-      parallel_aggregate->SetColumns(std::move(columns));
+      MarkColumns(step.on, &used);
     }
+  }
+  for (const Expr* c : level_filters[0]) MarkColumns(c, &used);
+  std::vector<size_t> columns;
+  for (size_t c = 0; c < prefix_width[0]; ++c) {
+    if (used[c]) columns.push_back(c);
+  }
+  if (scan_leaf != nullptr) {
+    scan_leaf->SetColumns(std::move(columns));
+  } else if (parallel_scan != nullptr) {
+    parallel_scan->SetColumns(std::move(columns));
+  } else if (parallel_aggregate != nullptr) {
+    parallel_aggregate->SetColumns(std::move(columns));
   }
 
   // Constant folding last: ORDER BY's textual matching (case 3 above) must
@@ -596,9 +641,10 @@ Result<PlannedQuery> PlanSelect(SelectStmt* stmt, Catalog& catalog,
 Result<ResultSet> RunSelect(SelectStmt* stmt, Catalog& catalog,
                             ExternalResolver* resolver,
                             const ExecOptions& exec,
-                            std::vector<AggGroup>* groups) {
-  DS_ASSIGN_OR_RETURN(PlannedQuery plan,
-                      PlanSelect(stmt, catalog, resolver, exec, groups));
+                            std::vector<AggGroup>* groups,
+                            JoinBuildCache* join_builds) {
+  DS_ASSIGN_OR_RETURN(PlannedQuery plan, PlanSelect(stmt, catalog, resolver,
+                                                    exec, groups, join_builds));
   std::vector<Row> rows;
   if (exec.row_at_a_time) {
     DS_ASSIGN_OR_RETURN(rows, Materialize(plan.root.get()));

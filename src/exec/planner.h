@@ -40,10 +40,10 @@ struct PlannedQuery {
 ///    right-hand duplicates from `SELECT *`; a shared pair of numeric and
 ///    TEXT columns is a plan-time TypeError naming the column;
 ///  - with joins, a WHERE none of whose conjuncts can raise (typed column
-///    against a literal, IS [NOT] NULL, AND) is split on AND, and each
-///    conjunct filters at the lowest point of the left-deep join chain whose
-///    columns it reads, never below a nested-loop ON; any other WHERE runs
-///    whole above the joins;
+///    against a literal or a typed column, IS [NOT] NULL, AND) is split on
+///    AND, and each conjunct filters at the lowest point of the left-deep
+///    join chain whose columns it reads, never below a nested-loop ON; any
+///    other WHERE runs whole above the joins;
 ///  - ORDER BY under a LIMIT with no DISTINCT between them becomes a top-K
 ///    sort keeping LIMIT + OFFSET rows;
 ///  - a bare `SELECT ... FROM t LIMIT n OFFSET k` (no predicates or ordering)
@@ -54,23 +54,32 @@ struct PlannedQuery {
 ///    KeyLookupOp leaf — the primary-key index — instead of a scan, ahead of
 ///    the morsel-parallel leaf.
 ///
+/// Every operator reads only the columns read above it (column pruning):
+/// the first source's scan, each hash join's copy-out and build table, and
+/// each build side's scan (keys plus live columns).
+///
 /// `exec` shapes execution: batch size for the vectorized pipeline (also the
 /// table scan's fetch granularity) and the row-at-a-time fallback switch.
 /// With `groups` set, an aggregate query's operator hands its folded groups
 /// (first-seen order, before HAVING) to `*groups` when it has built them.
+/// With `join_builds` set, batch hash joins count their builds there and
+/// reuse the build of a catalog table whose version has not moved
+/// (DESIGN.md §6a "Build reuse").
 Result<PlannedQuery> PlanSelect(sql::SelectStmt* stmt, Catalog& catalog,
                                 ExternalResolver* resolver,
                                 const ExecOptions& exec = {},
-                                std::vector<AggGroup>* groups = nullptr);
+                                std::vector<AggGroup>* groups = nullptr,
+                                JoinBuildCache* join_builds = nullptr);
 
 /// Plans, executes, and materializes a SELECT into a ResultSet. Drives the
 /// plan through the vectorized batch pipeline unless `exec.row_at_a_time`
 /// asks for the Volcano baseline; both produce identical results. `groups`
-/// as for PlanSelect.
+/// and `join_builds` as for PlanSelect.
 Result<ResultSet> RunSelect(sql::SelectStmt* stmt, Catalog& catalog,
                             ExternalResolver* resolver,
                             const ExecOptions& exec = {},
-                            std::vector<AggGroup>* groups = nullptr);
+                            std::vector<AggGroup>* groups = nullptr,
+                            JoinBuildCache* join_builds = nullptr);
 
 /// What a maintained DBSQL result keeps of the execution that seeded it
 /// (Database::Execute's optional out-param, DESIGN.md §6c): the executed
@@ -86,9 +95,10 @@ struct SelectCapture {
 void MarkColumns(const sql::Expr* e, std::vector<bool>* used);
 
 /// True when evaluating the bound, folded `e` can never raise, by shape: a
-/// comparison between a typed column and a literal whose types do not mix
-/// numeric with TEXT (the catalog coerces every stored value to its column's
-/// declared type), IS [NOT] NULL of a typed column, or an AND of those.
+/// comparison between a typed column and a literal, or between two typed
+/// columns, whose types do not mix numeric with TEXT (the catalog coerces
+/// every stored value to its column's declared type), IS [NOT] NULL of a
+/// typed column, or an AND of those.
 bool CannotRaise(const sql::Expr& e, const Scope& scope);
 
 }  // namespace dataspread

@@ -15,6 +15,8 @@
 //   - multi-statement transactions: readers interleave with a writer's
 //     BEGIN..COMMIT / ROLLBACK brackets and only ever observe statement
 //     boundaries — a ROLLBACK's undo retracts its batch atomically,
+//   - shared hash-join builds: reader sessions reuse one retained build
+//     while a writer's transactions change its table,
 //   - the advisory pair lock: a second open fails fast with AlreadyExists
 //     while the first database lives, and succeeds after it dies.
 #include <gtest/gtest.h>
@@ -218,6 +220,77 @@ TEST(GroupCommitTest, ConcurrentCommittersAreEachDurableAcrossACrash) {
   EXPECT_EQ(r.value().rows[0][0], Value::Int(n));
   EXPECT_EQ(r.value().rows[0][1], Value::Int(sum));
   EXPECT_EQ(r.value().rows[0][2], Value::Int(sum * 3));
+}
+
+// ---------------------------------------------------------------------------
+// Shared hash-join builds (DESIGN.md §6a "Build reuse")
+// ---------------------------------------------------------------------------
+
+// Reader sessions run the same join concurrently, sharing the retained build
+// of `b`, while a writer session bumps every row of `b` inside transactions
+// that commit or roll back. A reader only ever sees committed states, where
+// all of `b`'s w values are equal, and never an older state after a newer
+// one — a build kept past a change of its table would show one. TSan over
+// this test proves the build cache and the shared builds are race-free.
+TEST(JoinBuildConcurrencyTest, ReadersShareBuildsBesideABuildTableWriter) {
+  constexpr int kRows = 40;
+  Database db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE p (k INT, v INT)").ok());
+  ASSERT_TRUE(db.Execute("CREATE TABLE b (k INT, w INT)").ok());
+  for (int k = 0; k < kRows; ++k) {
+    std::string key = std::to_string(k);
+    ASSERT_TRUE(db.Execute("INSERT INTO p VALUES (" + key + ", " + key + ")").ok());
+    ASSERT_TRUE(db.Execute("INSERT INTO b VALUES (" + key + ", 0)").ok());
+  }
+  const std::string join = "SELECT p.v, b.w FROM p JOIN b ON p.k = b.k";
+
+  std::atomic<bool> done{false};
+  std::atomic<int> writer_errors{0};
+  std::atomic<int> reader_errors{0};
+  std::thread writer([&] {
+    auto session = db.CreateSession();
+    std::mt19937 rng(1717);
+    auto run = [&](const std::string& sql) {
+      if (!session->Execute(sql).ok()) writer_errors.fetch_add(1);
+    };
+    for (int txn = 0; txn < 30; ++txn) {
+      run("BEGIN");
+      run("UPDATE b SET w = w + 1");
+      run(rng() % 3 == 0 ? "ROLLBACK" : "COMMIT");
+    }
+    done.store(true);
+  });
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&] {
+      auto session = db.CreateSession();
+      int64_t seen = 0;
+      while (!done.load()) {
+        auto res = session->Execute(join);
+        if (!res.ok() || res.value().num_rows() != static_cast<size_t>(kRows)) {
+          reader_errors.fetch_add(1);
+          continue;
+        }
+        int64_t w = res.value().rows[0][1].int_value();
+        for (const Row& row : res.value().rows) {
+          if (row[1] != Value::Int(w)) reader_errors.fetch_add(1);
+        }
+        if (w < seen) reader_errors.fetch_add(1);
+        seen = w;
+      }
+    });
+  }
+  writer.join();
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(writer_errors.load(), 0);
+  EXPECT_EQ(reader_errors.load(), 0);
+
+  uint64_t reuses = db.join_build_reuses();
+  auto before = db.Execute(join);
+  auto after = db.Execute(join);
+  ASSERT_TRUE(before.ok() && after.ok());
+  EXPECT_EQ(before.value().rows, after.value().rows);
+  EXPECT_GE(db.join_build_reuses(), reuses + 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -240,6 +240,248 @@ TEST_F(JoinWhereTest, MixedWhereIsNotSplit) {
             0u);
 }
 
+TEST_F(JoinWhereTest, TypedColumnPairsSplitAndClashingPairsKeepTheirError) {
+  // Column against column of compatible declared types cannot raise, so
+  // the conjuncts split below the joins: `t.id < t.x` filters t, and
+  // `t.id <= u.tag` the join's output. The answer is the unsplit one.
+  ResultSet rs = Run(
+      "SELECT t.id, u.tag FROM t JOIN u ON t.grp = u.grp "
+      "WHERE t.id < t.x AND t.id <= u.tag AND u.grp <> t.grp ORDER BY t.id");
+  EXPECT_EQ(rs.num_rows(), 0u);
+  rs = Run(
+      "SELECT t.id, u.tag FROM t JOIN u ON t.grp = u.grp "
+      "WHERE t.id < t.x AND t.id <= u.tag ORDER BY t.id");
+  ASSERT_EQ(rs.num_rows(), 2u);
+  EXPECT_EQ(rs.rows[0], (Row{Value::Int(1), Value::Int(1)}));
+  EXPECT_EQ(rs.rows[1], (Row{Value::Int(2), Value::Int(2)}));
+  // TEXT against INTEGER can raise: the WHERE stays whole above the join,
+  // and raises on the first joined row.
+  auto r = db_.Execute(
+      "SELECT t.id FROM t JOIN u ON t.grp = u.grp WHERE t.grp > u.tag");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().message(), "cannot compare TEXT with INTEGER");
+  EXPECT_EQ(Run("SELECT t.id FROM t JOIN u ON t.grp = u.grp "
+                "WHERE u.tag < 0 AND t.grp > u.tag")
+                .num_rows(),
+            0u);
+}
+
+// Build reuse (DESIGN.md §6a): a hash join whose right input scans a catalog
+// table keeps its build table while that table's version stands still.
+class JoinBuildReuseTest : public DatabaseTest {
+ protected:
+  static constexpr const char* kJoin =
+      "SELECT title, name FROM m NATURAL JOIN l NATURAL JOIN a "
+      "ORDER BY title, name";
+
+  void SetUp() override {
+    Run("CREATE TABLE m (movieid INT PRIMARY KEY, title TEXT, year INT)");
+    Run("CREATE TABLE l (movieid INT, actorid INT)");
+    Run("CREATE TABLE a (actorid INT PRIMARY KEY, name TEXT)");
+    Run("INSERT INTO m VALUES (1, 'Heat', 1995), (2, 'Ran', 1985), "
+        "(3, 'Up', 2009)");
+    Run("INSERT INTO l VALUES (1, 10), (1, 11), (2, 12), (3, 10), (NULL, 11)");
+    Run("INSERT INTO a VALUES (10, 'Ann'), (11, 'Bo'), (12, 'Cy')");
+  }
+
+  /// Runs `sql` and returns the (builds, reuses) it caused.
+  std::pair<uint64_t, uint64_t> Counted(const std::string& sql,
+                                        ResultSet* rs = nullptr) {
+    uint64_t builds = db_.join_builds(), reuses = db_.join_build_reuses();
+    ResultSet got = Run(sql);
+    if (rs != nullptr) *rs = std::move(got);
+    return {db_.join_builds() - builds, db_.join_build_reuses() - reuses};
+  }
+
+  static std::vector<std::string> Texts(const ResultSet& rs) {
+    std::vector<std::string> out;
+    for (const Row& row : rs.rows) {
+      std::string line;
+      for (const Value& v : row) line += v.ToDisplayString() + "|";
+      out.push_back(line);
+    }
+    return out;
+  }
+
+  using Counts = std::pair<uint64_t, uint64_t>;
+};
+
+TEST_F(JoinBuildReuseTest, SecondIdenticalJoinReusesBothBuilds) {
+  ResultSet first, second;
+  EXPECT_EQ(Counted(kJoin, &first), (Counts{2, 0}));
+  EXPECT_EQ(Counted(kJoin, &second), (Counts{0, 2}));
+  EXPECT_EQ(Texts(second),
+            (std::vector<std::string>{"Heat|Ann|", "Heat|Bo|", "Ran|Cy|",
+                                      "Up|Ann|"}));
+  EXPECT_EQ(Texts(first), Texts(second));
+  // Another session shares the builds.
+  auto session = db_.CreateSession();
+  uint64_t reuses = db_.join_build_reuses();
+  ASSERT_TRUE(session->Execute(kJoin).ok());
+  EXPECT_EQ(db_.join_build_reuses(), reuses + 2);
+}
+
+TEST_F(JoinBuildReuseTest, ProbeTableWritesRebuildNothing) {
+  Run(kJoin);
+  ResultSet rs;
+  Run("UPDATE m SET title = 'Alien' WHERE movieid = 3");
+  EXPECT_EQ(Counted(kJoin, &rs), (Counts{0, 2}));
+  EXPECT_EQ(Texts(rs).front(), "Alien|Ann|");
+}
+
+TEST_F(JoinBuildReuseTest, BuildTableWriteRebuildsExactlyThatBuild) {
+  Run(kJoin);
+  Run("UPDATE a SET name = 'Al' WHERE actorid = 10");
+  ResultSet rs;
+  EXPECT_EQ(Counted(kJoin, &rs), (Counts{1, 1}));
+  EXPECT_EQ(Texts(rs), (std::vector<std::string>{"Heat|Al|", "Heat|Bo|",
+                                                 "Ran|Cy|", "Up|Al|"}));
+  EXPECT_EQ(Counted(kJoin), (Counts{0, 2}));
+  // A direct table-API write moves the version too.
+  Table* l = db_.catalog().GetTable("l").ValueOrDie();
+  ASSERT_TRUE(l->DeleteRowAt(0).ok());
+  EXPECT_EQ(Counted(kJoin, &rs), (Counts{1, 1}));
+  EXPECT_EQ(rs.num_rows(), 3u);
+}
+
+TEST_F(JoinBuildReuseTest, RolledBackWriteRebuildsWithTheOriginalRows) {
+  ResultSet before;
+  Run(kJoin);
+  Run("BEGIN");
+  Run("INSERT INTO l VALUES (2, 10)");
+  ResultSet inside;
+  EXPECT_EQ(Counted(kJoin, &inside), (Counts{1, 1}));
+  EXPECT_EQ(inside.num_rows(), 5u);
+  Run("ROLLBACK");
+  ResultSet after;
+  EXPECT_EQ(Counted(kJoin, &after), (Counts{1, 1}));
+  EXPECT_EQ(Texts(after), (std::vector<std::string>{"Heat|Ann|", "Heat|Bo|",
+                                                    "Ran|Cy|", "Up|Ann|"}));
+}
+
+TEST_F(JoinBuildReuseTest, DropAndRecreateServesTheNewRows) {
+  Run(kJoin);
+  Run("DROP TABLE a");
+  Run("CREATE TABLE a (actorid INT PRIMARY KEY, name TEXT)");
+  Run("INSERT INTO a VALUES (10, 'Zed')");
+  ResultSet rs;
+  EXPECT_EQ(Counted(kJoin, &rs), (Counts{1, 1}));
+  EXPECT_EQ(Texts(rs), (std::vector<std::string>{"Heat|Zed|", "Up|Zed|"}));
+}
+
+TEST_F(JoinBuildReuseTest, AddColumnOnABuildTableRebuilds) {
+  Run(kJoin);
+  Run("ALTER TABLE a ADD COLUMN age INT DEFAULT 40");
+  ResultSet rs;
+  EXPECT_EQ(Counted("SELECT title, name, age FROM m NATURAL JOIN l "
+                    "NATURAL JOIN a ORDER BY title, name",
+                    &rs),
+            (Counts{1, 1}));
+  ASSERT_EQ(rs.num_rows(), 4u);
+  EXPECT_EQ(rs.rows[0][2], Value::Int(40));
+  // The unchanged query's build of `a` is rebuilt as well: new version.
+  EXPECT_EQ(Counted(kJoin), (Counts{1, 1}));
+}
+
+TEST_F(JoinBuildReuseTest, RangeTableRightInputIsNeverCached) {
+  class Ranges : public ExternalResolver {
+   public:
+    RangeTableData data{{"actorid", "nick"},
+                        {{Value::Int(10), Value::Text("A")},
+                         {Value::Int(12), Value::Text("C")}}};
+    Result<Value> ResolveRangeValue(const std::string&) override {
+      return Status::NotFound("no cells");
+    }
+    Result<RangeTableData> ResolveRangeTable(const std::string&) override {
+      return data;
+    }
+  } ranges;
+  const std::string sql =
+      "SELECT l.movieid, r.nick FROM l JOIN RANGETABLE(A1:B2) r "
+      "ON l.actorid = r.actorid ORDER BY 1, 2";
+  const std::vector<std::string> want[] = {
+      {"1|A|", "2|C|", "3|A|"},
+      {"|B|", "1|A|", "1|B|", "2|Cee|", "3|A|"},
+  };
+  for (const std::vector<std::string>& rows : want) {
+    uint64_t builds = db_.join_builds(), reuses = db_.join_build_reuses();
+    auto rs = db_.Execute(sql, &ranges);
+    ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+    EXPECT_EQ(db_.join_builds(), builds + 1);
+    EXPECT_EQ(db_.join_build_reuses(), reuses);
+    EXPECT_EQ(Texts(rs.value()), rows);
+    // The sheet changes under the query; no version tracks it.
+    ranges.data.rows[1][1] = Value::Text("Cee");
+    ranges.data.rows.push_back({Value::Int(11), Value::Text("B")});
+  }
+}
+
+TEST_F(JoinBuildReuseTest, LeftAndMultiKeyJoinsReuseCorrectly) {
+  Run("CREATE TABLE c (movieid INT, year INT, note TEXT)");
+  Run("INSERT INTO c VALUES (1, 1995, 'ok'), (2, 1900, 'no'), "
+      "(3, 2009, 'yes'), (3, 2009, 'again'), (NULL, 1985, 'null')");
+  const std::string left =
+      "SELECT m.title, c.note FROM m LEFT JOIN c ON m.movieid = c.movieid "
+      "AND m.year = c.year ORDER BY 1, 2";
+  ResultSet first, second;
+  EXPECT_EQ(Counted(left, &first), (Counts{1, 0}));
+  EXPECT_EQ(Counted(left, &second), (Counts{0, 1}));
+  EXPECT_EQ(Texts(second), (std::vector<std::string>{"Heat|ok|", "Ran||",
+                                                     "Up|again|", "Up|yes|"}));
+  EXPECT_EQ(Texts(first), Texts(second));
+  Run("INSERT INTO c VALUES (2, 1985, 'fix')");
+  EXPECT_EQ(Counted(left, &second), (Counts{1, 0}));
+  EXPECT_EQ(Texts(second), (std::vector<std::string>{"Heat|ok|", "Ran|fix|",
+                                                     "Up|again|", "Up|yes|"}));
+  EXPECT_EQ(Counted(left), (Counts{0, 1}));
+}
+
+TEST_F(JoinBuildReuseTest, BuildOverTheByteBoundIsUsedOnceAndNotKept) {
+  DatabaseOptions options;
+  options.pager.max_resident_pages = 1;  // a bound of one frame
+  Database db(options);
+  ASSERT_TRUE(db.Execute("CREATE TABLE p (k INT, v TEXT)").ok());
+  ASSERT_TRUE(db.Execute("CREATE TABLE b (k INT, w TEXT)").ok());
+  for (int i = 0; i < 400; ++i) {
+    std::string k = std::to_string(i);
+    ASSERT_TRUE(db.Execute("INSERT INTO b VALUES (" + k + ", 'w" + k + "')")
+                    .ok());
+  }
+  ASSERT_TRUE(db.Execute("INSERT INTO p VALUES (7, 'x'), (399, 'y')").ok());
+  const std::string sql =
+      "SELECT v, w FROM p JOIN b ON p.k = b.k ORDER BY v";
+  for (int run = 0; run < 2; ++run) {
+    uint64_t builds = db.join_builds();
+    auto rs = db.Execute(sql);
+    ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+    ASSERT_EQ(rs.value().num_rows(), 2u);
+    EXPECT_EQ(rs.value().rows[0][1], Value::Text("w7"));
+    EXPECT_EQ(rs.value().rows[1][1], Value::Text("w399"));
+    EXPECT_EQ(db.join_builds(), builds + 1);
+  }
+  EXPECT_EQ(db.join_build_reuses(), 0u);
+  EXPECT_EQ(db.join_build_cache().retained_bytes(), 0u);
+  // Raising the bound lets the same build stay.
+  db.pager().set_max_resident_pages(4096);
+  ASSERT_TRUE(db.Execute(sql).ok());
+  ASSERT_TRUE(db.Execute(sql).ok());
+  EXPECT_EQ(db.join_build_reuses(), 1u);
+  EXPECT_GT(db.join_build_cache().retained_bytes(), 0u);
+}
+
+TEST_F(JoinBuildReuseTest, DropTableReleasesItsBuilds) {
+  Run(kJoin);
+  Table* a = db_.catalog().GetTable("a").ValueOrDie();
+  std::vector<std::shared_ptr<const JoinBuild>> kept =
+      db_.join_build_cache().Retained(a);
+  ASSERT_EQ(kept.size(), 1u);
+  std::weak_ptr<const JoinBuild> build = kept.front();
+  kept.clear();
+  EXPECT_FALSE(build.expired());
+  Run("DROP TABLE a");
+  EXPECT_TRUE(build.expired());
+}
+
 TEST_F(DatabaseTest, RangeConstructsRequireResolver) {
   Run("CREATE TABLE t (a INT)");
   auto r = db_.Execute("SELECT * FROM t WHERE a = RANGEVALUE(A1)");

@@ -682,8 +682,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ReopenTransparencyTest,
 // window pushdown), rows scan, filter, project, hash/nested-loop/natural/
 // left joins, aggregation with HAVING, sort, distinct, limit/offset. Two
 // oracles cover what both modes share, the plan: join queries whose WHERE
-// the planner splits below the joins must match the same conjuncts spelled
-// `(c) = TRUE`, which it leaves above them; and every ORDER BY ... LIMIT n
+// the planner splits below the joins (column against literal or against a
+// typed column) must match the same conjuncts spelled `(c) = TRUE`, which
+// it leaves above them; and every ORDER BY ... LIMIT n
 // OFFSET m (a top-K sort in batch mode) must return rows [m, m + n) of the
 // same query without the window.
 // ---------------------------------------------------------------------------
@@ -865,6 +866,15 @@ TEST_P(BatchTransparencyTest, RowAndBatchPipelinesProduceIdenticalResults) {
       {"SELECT t.grp, COUNT(*) FROM t JOIN u ON t.grp = u.grp",
        {"t.x > 300", "u.tag <> 7"},
        "GROUP BY t.grp ORDER BY t.grp"},
+      // Typed column against column: INTEGER, REAL and TEXT pairs, within
+      // one source and across sources, below and above a LEFT JOIN.
+      {"SELECT t.id, u.tag, t2.x FROM t JOIN u ON t.grp = u.grp "
+       "JOIN t t2 ON u.tag = t2.id",
+       {"t.id > u.tag", "t2.x <= t.x", "t.grp >= u.grp", "t.x > t.id"},
+       "ORDER BY t.id, u.tag"},
+      {"SELECT t.id, u.tag FROM t LEFT JOIN u ON t.grp = u.grp",
+       {"u.tag < t.id", "t.x > t.id"},
+       "ORDER BY t.id, u.tag"},
   };
   // Heavy ties (ORDER BY grp), DESC keys, NULL keys, LIMIT 0, an OFFSET
   // past the end, a join, and an aggregate-output sort.
@@ -1866,6 +1876,223 @@ TEST_P(MaintenanceTransparencyTest, MaintainedCellsMatchFreshExecution) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MaintenanceTransparencyTest,
                          ::testing::Values(14u, 1414u, 141414u));
+
+// ---------------------------------------------------------------------------
+// Invariant 15: build reuse is invisible (DESIGN.md §6a "Build reuse"). Join
+// queries — NATURAL, ON, LEFT, 3-way, multi-key, a column-against-column
+// WHERE split below the joins, an aggregate over a join, and ORDER BY ...
+// LIMIT over heavy ties — re-run after every step of a random tape:
+// table-API edits (UpdateAt, InsertRowAt, DeleteRowAt), SQL UPDATE/DELETE/
+// INSERT (some failing midway, so their compensations run), transactions
+// that commit or roll back (queried inside too), a second session's writes,
+// ALTER TABLE ADD COLUMN, and DROP plus re-CREATE. The batch pipeline, which
+// reuses retained hash-join builds, must return exactly what the row
+// pipeline returns, which never does — on every storage model. Both fresh
+// builds and reuses must have happened.
+// ---------------------------------------------------------------------------
+
+class BuildReuseTransparencyTest : public ::testing::TestWithParam<uint32_t> {
+};
+
+TEST_P(BuildReuseTransparencyTest, ReusedBuildsMatchTheRowPipeline) {
+  constexpr StorageModel kModels[] = {StorageModel::kRow,
+                                      StorageModel::kColumn,
+                                      StorageModel::kRcv,
+                                      StorageModel::kHybrid};
+  const Schema kT({ColumnDef{"id", DataType::kInt, true},
+                   ColumnDef{"grp", DataType::kText, false},
+                   ColumnDef{"x", DataType::kInt, false}});
+  const Schema kU({ColumnDef{"grp", DataType::kText, false},
+                   ColumnDef{"tag", DataType::kInt, false},
+                   ColumnDef{"k", DataType::kInt, false}});
+  const Schema kW({ColumnDef{"tag", DataType::kInt, false},
+                   ColumnDef{"k", DataType::kInt, false},
+                   ColumnDef{"label", DataType::kText, false}});
+  const char* const kQueries[] = {
+      "SELECT t.id, u.tag FROM t JOIN u ON t.grp = u.grp ORDER BY t.id, u.tag",
+      "SELECT * FROM t NATURAL JOIN u ORDER BY id, tag, k",
+      "SELECT t.id, u.tag, w.label FROM t JOIN u ON t.grp = u.grp "
+      "JOIN w ON u.tag = w.tag AND u.k = w.k ORDER BY 1, 2, 3",
+      "SELECT t.id, w.label FROM t LEFT JOIN w ON t.x = w.tag "
+      "ORDER BY t.id, w.label",
+      "SELECT t.id, w.label FROM t JOIN u ON t.grp = u.grp "
+      "JOIN w ON u.k = w.k WHERE t.x > 3 AND w.tag >= u.tag "
+      "ORDER BY t.id, w.label LIMIT 12",
+      "SELECT u.tag, COUNT(*), SUM(t.x) FROM t NATURAL JOIN u GROUP BY u.tag "
+      "ORDER BY 1",
+      // Heavy ties: four groups, so the window cuts through runs of equals.
+      "SELECT t.grp, u.tag, t.id FROM u JOIN t ON u.grp = t.grp "
+      "ORDER BY t.grp LIMIT 9 OFFSET 4",
+  };
+
+  std::mt19937 rng(GetParam());
+  auto pick = [&](uint32_t n) { return static_cast<int64_t>(rng() % n); };
+  auto value_of = [&](DataType type) {
+    if (pick(9) == 0) return Value::Null();
+    if (type == DataType::kText) return Value::Text("g" + std::to_string(pick(4)));
+    return Value::Int(pick(8));
+  };
+
+  for (StorageModel model : kModels) {
+    const std::string config = std::string(" model ") +
+                               StorageModelName(model) + " seed " +
+                               std::to_string(GetParam());
+    Database db;
+    auto session = db.CreateSession();
+    int64_t next_id = 0;
+    auto row_of = [&](const Table* table) {
+      Row row;
+      for (const ColumnDef& c : table->schema().columns()) {
+        row.push_back(c.primary_key ? Value::Int(next_id++) : value_of(c.type));
+      }
+      return row;
+    };
+    auto create = [&](const std::string& name, const Schema& schema,
+                      int rows) {
+      Table* table = db.CreateTable(name, schema, model).ValueOrDie();
+      for (int i = 0; i < rows; ++i) {
+        ASSERT_TRUE(table->AppendRow(row_of(table)).ok());
+      }
+    };
+    create("t", kT, 30);
+    create("u", kU, 12);
+    create("w", kW, 12);
+    auto table = [&](const char* name) {
+      return db.catalog().GetTable(name).ValueOrDie();
+    };
+    auto literal = [](const Value& v) { return v.ToSqlLiteral(); };
+
+    // Every query through the batch pipeline (which may reuse builds) and
+    // the row pipeline (which never does), on `on` (a session or null for
+    // the default one, so a transaction's own writes are visible).
+    auto check = [&](Session* on, const std::string& what) {
+      for (const char* q : kQueries) {
+        ResultSet got[2];
+        for (int row_mode = 0; row_mode < 2; ++row_mode) {
+          db.set_exec_options(ExecOptions{0, row_mode == 1});
+          auto rs = on != nullptr ? on->Execute(q) : db.Execute(q);
+          ASSERT_TRUE(rs.ok()) << q << what << ": " << rs.status().ToString();
+          got[row_mode] = std::move(rs).value();
+        }
+        db.set_exec_options(ExecOptions{});
+        ExpectSameRows(got[1], got[0], q + what);
+      }
+    };
+    check(nullptr, config + " at seed");
+
+    for (int step = 0; step < 60; ++step) {
+      std::string what = config + " step " + std::to_string(step);
+      const char* names[] = {"t", "u", "w"};
+      const char* name = names[pick(3)];
+      Table* target = table(name);
+      const size_t rows = target->num_rows();
+      auto position = [&] {
+        return static_cast<size_t>(pick(static_cast<uint32_t>(rows)));
+      };
+      switch (rows == 0 ? 1 : pick(12)) {
+        case 0: {
+          size_t col = 1 + static_cast<size_t>(pick(2));
+          (void)target->UpdateAt(position(), col,
+                                 value_of(target->schema().column(col).type));
+          what += std::string(" UpdateAt ") + name;
+          break;
+        }
+        case 1:
+          (void)target->InsertRowAt(
+              static_cast<size_t>(pick(static_cast<uint32_t>(rows + 1))),
+              row_of(target));
+          what += std::string(" InsertRowAt ") + name;
+          break;
+        case 2:
+          (void)target->DeleteRowAt(position());
+          what += std::string(" DeleteRowAt ") + name;
+          break;
+        case 3:
+          (void)db.Execute("UPDATE u SET tag = tag + 1 WHERE grp = " +
+                           literal(value_of(DataType::kText)));
+          what += " UPDATE u";
+          break;
+        case 4:  // moves keys onto each other: fails midway, compensates
+          (void)db.Execute("UPDATE t SET id = id + 1, grp = " +
+                           literal(value_of(DataType::kText)) +
+                           " WHERE x > " + std::to_string(pick(6)));
+          what += " UPDATE-collide t";
+          break;
+        case 5:
+          (void)db.Execute("DELETE FROM w WHERE k = " + std::to_string(pick(8)));
+          what += " DELETE w";
+          break;
+        case 6: {  // a duplicate key midway: the prefix is taken back
+          Table* t = table("t");
+          if (t->num_rows() == 0) break;
+          (void)db.Execute(
+              "INSERT INTO t (id, grp, x) VALUES (" +
+              std::to_string(next_id++) +
+              ", 'g1', 2), (" +
+              literal(t->GetAt(static_cast<size_t>(pick(static_cast<uint32_t>(
+                                   t->num_rows()))),
+                               0)
+                          .ValueOrDie()) +
+              ", 'g2', 3)");
+          what += " INSERT-dup t";
+          break;
+        }
+        case 7: {
+          bool commit = pick(2) == 0;
+          ASSERT_TRUE(db.Execute("BEGIN").ok());
+          (void)db.Execute("UPDATE w SET tag = " + std::to_string(pick(8)) +
+                           " WHERE k = " + std::to_string(pick(8)));
+          (void)db.Execute("INSERT INTO u (grp, tag, k) VALUES ('g" +
+                           std::to_string(pick(4)) + "', 1, 2)");
+          check(nullptr, what + " inside txn");
+          ASSERT_TRUE(db.Execute(commit ? "COMMIT" : "ROLLBACK").ok());
+          what += commit ? " txn-commit" : " txn-rollback";
+          break;
+        }
+        case 8:
+          if (pick(2) == 0) {
+            (void)session->Execute("UPDATE w SET label = 'z' WHERE tag = " +
+                                   std::to_string(pick(8)));
+            what += " session-UPDATE w";
+          } else {
+            ASSERT_TRUE(session->Execute("BEGIN").ok());
+            (void)session->Execute("INSERT INTO u (grp, tag, k) VALUES ('g2', " +
+                                   std::to_string(pick(8)) + ", " +
+                                   std::to_string(pick(8)) + ")");
+            check(session.get(), what + " inside session txn");
+            ASSERT_TRUE(
+                session->Execute(pick(2) == 0 ? "COMMIT" : "ROLLBACK").ok());
+            what += " session-txn";
+          }
+          break;
+        case 9:
+          ASSERT_TRUE(db.Execute(std::string("ALTER TABLE ") + name +
+                                 " ADD COLUMN c" + std::to_string(step) +
+                                 " INT DEFAULT 3")
+                          .ok());
+          what += std::string(" ALTER ") + name;
+          break;
+        case 10: {
+          const Schema& schema = name[0] == 't' ? kT : name[0] == 'u' ? kU : kW;
+          ASSERT_TRUE(db.Execute(std::string("DROP TABLE ") + name).ok());
+          create(name, schema, 4 + static_cast<int>(pick(10)));
+          what += std::string(" DROP+CREATE ") + name;
+          break;
+        }
+        default:
+          what += " (no change)";
+          break;
+      }
+      check(nullptr, what);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    EXPECT_GT(db.join_builds(), 0u) << config;
+    EXPECT_GT(db.join_build_reuses(), 0u) << config;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BuildReuseTransparencyTest,
+                         ::testing::Values(15u, 1515u, 151515u));
 
 }  // namespace
 }  // namespace dataspread
