@@ -5,7 +5,8 @@
 # exercises the bounded buffer pool (eviction + spill) end to end, a perf
 # smoke for the scan-resistant eviction policy, a per-edit cost gate for
 # maintained DBSQL aggregate cells (flat from 20k to 1M rows, no DBSQL
-# re-execution), a crash-recovery smoke
+# re-execution), a per-edit WAL gate for durable mid-sheet row edits (flat
+# from 10k to 1M rows), a crash-recovery smoke
 # (SIGKILL a durable workload, reopen, diff, gate recovery time), a
 # catalog-recovery smoke (SIGKILL a durable *database* mid-DDL-stream,
 # reopen by path, verify schemas + data), an execution-pipeline perf smoke
@@ -135,6 +136,40 @@ if [[ -x "${BUILD_DIR}/bench_fig2a_dbsql" ]]; then
   fi
 else
   echo "ci/check.sh: bench_fig2a_dbsql not built; skipping maintained-DBSQL gate"
+fi
+
+# ---------------------------------------------------------------------------
+# Logged display order (DESIGN.md §6 "Catalog recovery"): a row inserted at
+# (and deleted from) the middle of a durable table logs one display-order
+# record, not the shifted tail of the order, so the WAL bytes per edit must
+# not grow with the table: wal_bytes at 1M rows <= 2x wal_bytes at 10k.
+# Count-based (bytes, not time), so the gate is deterministic.
+# ---------------------------------------------------------------------------
+if [[ -x "${BUILD_DIR}/bench_positional_index" ]]; then
+  DS_SPILL_DIR="${SMOKE_DIR}" DS_BENCH_JSON_DIR="${SMOKE_DIR}" \
+    "${BUILD_DIR}/bench_positional_index" \
+    --benchmark_filter='BM_Positional_DurableMidSheetEdit/(10000|1000000)/'
+  mid_edit_wal() {
+    sed -n "s/.*\"run\":\"DurableMidSheetEdit\/$1\".*\"wal_bytes\":\([0-9][0-9.e+-]*\).*/\1/p" \
+      "${SMOKE_DIR}/BENCH_positional.json" | head -n1
+  }
+  wal_10k="$(mid_edit_wal 10000)"
+  wal_1m="$(mid_edit_wal 1000000)"
+  if [[ -z "${wal_10k}" || -z "${wal_1m}" ]]; then
+    echo "ci/check.sh: could not parse DurableMidSheetEdit from BENCH_positional.json" >&2
+    exit 1
+  fi
+  echo "ci/check.sh: durable mid-sheet edit WAL: 10k=${wal_10k} B" \
+       "1M=${wal_1m} B (need <= 2x)"
+  if ! awk -v a="${wal_1m}" -v b="${wal_10k}" \
+       'BEGIN { exit !(b > 0 && a <= 2 * b) }'; then
+    echo "ci/check.sh: a durable mid-sheet row edit logs ${wal_1m} B of WAL" \
+         "at 1M rows vs ${wal_10k} B at 10k — per-edit cost grows with" \
+         "the table (order persistence regression)" >&2
+    exit 1
+  fi
+else
+  echo "ci/check.sh: bench_positional_index not built; skipping durable edit WAL gate"
 fi
 
 # ---------------------------------------------------------------------------

@@ -75,14 +75,12 @@ Result<Table*> Catalog::AdoptTable(std::unique_ptr<Table> table) {
   return raw;
 }
 
-std::vector<TableDescriptor> Catalog::Describe() const {
-  std::vector<TableDescriptor> out;
-  out.reserve(creation_order_.size());
+void Catalog::EncodeSnapshot(std::string* out) const {
+  BeginCatalogBlob(creation_order_.size(), out);
   for (const std::string& key : creation_order_) {
-    auto it = tables_.find(key);
-    if (it != tables_.end()) out.push_back(it->second->Describe());
+    const Table& table = *tables_.at(key);
+    EncodeSnapshotTable(table.Describe(), table.order(), out);
   }
-  return out;
 }
 
 Result<Table*> Catalog::GetTable(std::string_view name) const {

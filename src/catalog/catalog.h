@@ -49,9 +49,9 @@ class Catalog {
   /// AlreadyExists on a name collision.
   Result<Table*> AdoptTable(std::unique_ptr<Table> table);
 
-  /// Descriptors of every table in creation order — the catalog blob's
-  /// payload (see catalog_codec.h).
-  std::vector<TableDescriptor> Describe() const;
+  /// Serializes every table in creation order — descriptor and display
+  /// order — as the checkpoint snapshot's catalog blob (catalog_codec.h).
+  void EncodeSnapshot(std::string* out) const;
 
   /// Case-insensitive lookup.
   Result<Table*> GetTable(std::string_view name) const;

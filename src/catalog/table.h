@@ -69,13 +69,15 @@ struct TableChange {
 /// stores row ids in display order, and an id→slot table absorbs the storage
 /// layer's swap-on-delete renumbering.
 ///
-/// On a *durable* pager (PagerConfig{wal_path}) the table also owns two side
-/// files inside the pager — `order_file` (display position → row id) and
-/// `rid_file` (storage slot → row id) — updated alongside every DML so the
-/// page-level WAL makes the display order and id maps exactly as durable as
-/// the data, and schema changes append catalog DDL records
-/// (storage::WalRecordType::kAddColumn etc.). Scratch tables skip all of it:
-/// zero extra writes, unchanged accounting. DESIGN.md §6 "Catalog recovery".
+/// On a *durable* pager (PagerConfig{wal_path}) every positional insert or
+/// delete also logs one display-order record (storage::WalRecordType::
+/// kOrderInsert / kOrderErase) inside its statement bracket, the table owns
+/// one side file inside the pager — `rid_file` (storage slot → row id),
+/// updated alongside every DML — and schema changes append catalog DDL
+/// records (kAddColumn etc.). So the display order and id maps are exactly
+/// as durable as the data at O(1) log cost per edit. Scratch tables skip all
+/// of it: zero extra writes, unchanged accounting. DESIGN.md §6 "Catalog
+/// recovery".
 class Table {
  public:
   /// Creates an empty table. `model` selects the physical layout; the paper's
@@ -90,14 +92,15 @@ class Table {
       const storage::PagerConfig& pager_config = {});
 
   /// Rebinds a table to its recovered pager files — the reopen path. The
-  /// storage is attached to the manifest's files, the display order and id
-  /// maps are read back from the descriptor's side files, and the pk index
-  /// is rebuilt from data. WAL statement brackets make recovery itself
-  /// discard any statement torn by a crash (DESIGN.md §7), so this normally
-  /// sees a committed boundary; the legacy torn-statement reconciliation
-  /// (DESIGN.md §6) is retained as a fallback for pre-bracket logs.
-  /// Anything beyond that is corruption and fails.
-  static Result<std::unique_ptr<Table>> Attach(const TableDescriptor& desc,
+  /// storage is attached to the manifest's files, the display order is
+  /// bulk-loaded from the snapshot and the logged order operations are
+  /// replayed into it, the id maps are read back from the rid side file,
+  /// and the pk index is rebuilt from data. WAL statement brackets make
+  /// recovery discard any statement torn by a crash (DESIGN.md §7), so the
+  /// order, the rid file and the heap always agree; when they do not (or an
+  /// order operation names a position out of range) this returns
+  /// Corruption and repairs nothing.
+  static Result<std::unique_ptr<Table>> Attach(const RecoveredTable& rec,
                                                storage::Pager* pager);
 
   /// This table's durable identity: everything Attach needs. Valid at any
@@ -115,6 +118,8 @@ class Table {
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
   size_t num_rows() const { return order_.size(); }
+  /// The display order: row ids by display position.
+  const PositionalIndex& order() const { return order_; }
   /// Advances on every change. Versions come from one process-wide counter,
   /// so a version never repeats — not across tables, and not across a
   /// table's DROP and re-CREATE under the same name.
@@ -271,17 +276,12 @@ class Table {
   void RebuildPkIndex();
 
   /// True when this table persists its catalog state (durable pager).
-  bool durable() const { return order_file_ != 0; }
-  /// Rewrites order-file slots [from, order_.size()) from the in-memory
-  /// order — the shifted tail after a positional insert/delete. O(1) for
-  /// appends, O(n - from) for middle edits.
-  void PersistOrderTail(size_t from);
+  bool durable() const { return rid_file_ != 0; }
+  /// Logs one display-order record (`op.table` is rid_file_) in the open
+  /// statement.
+  void LogOrderOp(const OrderOp& op);
   /// Appends a catalog DDL record carrying this table's full descriptor.
   void LogDdl(storage::WalRecordType type);
-  /// Installs recovered order/rid maps (Attach's last step).
-  void AdoptRowMaps(const std::vector<uint64_t>& order_rids,
-                    const std::vector<uint64_t>& slot_rids,
-                    uint64_t next_rid_floor);
 
   std::string name_;
   Schema schema_;
@@ -295,7 +295,6 @@ class Table {
   int next_listener_token_ = 1;
   std::vector<std::pair<int, Listener>> listeners_;
   // Durable catalog state (0 = scratch table): see the class comment.
-  storage::FileId order_file_ = 0;
   storage::FileId rid_file_ = 0;
   bool retain_files_ = false;
   UndoJournal* undo_ = nullptr;  // non-null while a txn holds the write latch

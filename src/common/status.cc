@@ -28,6 +28,8 @@ const char* StatusCodeName(StatusCode code) {
       return "Internal";
     case StatusCode::kSerializationConflict:
       return "SerializationConflict";
+    case StatusCode::kCorruption:
+      return "Corruption";
   }
   return "Unknown";
 }

@@ -22,6 +22,7 @@ enum class StatusCode {
   kInternal,            ///< Invariant breach; indicates a bug in DataSpread.
   kSerializationConflict, ///< Write-latch conflict; the losing transaction was
                           ///< rolled back and the statement is safe to retry.
+  kCorruption,          ///< Persistent state failed a consistency check.
 };
 
 /// Human-readable name of a StatusCode (e.g. "InvalidArgument").
@@ -71,6 +72,9 @@ class Status {
   }
   static Status SerializationConflict(std::string msg) {
     return Status(StatusCode::kSerializationConflict, std::move(msg));
+  }
+  static Status Corruption(std::string msg) {
+    return Status(StatusCode::kCorruption, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

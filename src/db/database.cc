@@ -188,16 +188,23 @@ Result<ResultSet> Session::Execute(std::string_view sql,
 // ---------------------------------------------------------------------------
 
 Database::Database(const DatabaseOptions& options)
-    : Database(options, LockPairOrDie(options)) {}
+    : Database(options, LockPairOrDie(options)) {
+  if (!pager_.durable()) return;
+  Status s = RecoverCatalog();
+  if (!s.ok()) {
+    // No error channel in a constructor; TryOpen is the graceful path.
+    std::fprintf(stderr, "dataspread::Database catalog recovery failed: %s\n",
+                 s.ToString().c_str());
+    std::abort();
+  }
+}
 
 Database::Database(const DatabaseOptions& options, storage::FileLock lock)
     : file_lock_(std::move(lock)),
       pager_(options.pager),
       exec_(options.exec),
       sync_on_commit_(options.sync_on_commit),
-      group_commit_(options.group_commit) {
-  if (pager_.durable()) RecoverCatalog();
-}
+      group_commit_(options.group_commit) {}
 
 std::string Database::LockPathFor(const DatabaseOptions& options) {
   if (options.pager.wal_path.empty()) return std::string();
@@ -254,7 +261,13 @@ Result<std::unique_ptr<Database>> Database::TryOpen(
   DS_RETURN_IF_ERROR(lock.Acquire(LockPathFor(opts)));
   // The lock is handed to the constructor pre-acquired (flock from a second
   // descriptor in the same process would conflict with our own lock).
-  return std::unique_ptr<Database>(new Database(opts, std::move(lock)));
+  std::unique_ptr<Database> db(new Database(opts, std::move(lock)));
+  // A failure stops recovery before the orphan sweep and before the
+  // snapshot provider is installed, so the pager's closing checkpoint
+  // carries the recovered catalog state forward verbatim: a later open
+  // meets the same failure.
+  DS_RETURN_IF_ERROR(db->RecoverCatalog());
+  return db;
 }
 
 void Database::Close() {
@@ -273,35 +286,27 @@ std::unique_ptr<Session> Database::CreateSession() {
   return std::unique_ptr<Session>(new Session(this));
 }
 
-void Database::RecoverCatalog() {
-  // Corruption here aborts — the same stance the pager takes on an
-  // unreadable WAL: state this fundamental is not silently discarded.
-  auto die_on = [](const Status& status, const std::string& context) {
-    if (status.ok()) return;
-    std::fprintf(stderr, "dataspread::Database catalog recovery failed%s: %s\n",
-                 context.c_str(), status.message().c_str());
-    std::abort();
-  };
-  auto descriptors = ReplayCatalogState(pager_.recovered_catalog_blob(),
-                                        pager_.recovered_catalog_ddl());
-  die_on(descriptors.status(), "");
+Status Database::RecoverCatalog() {
+  DS_ASSIGN_OR_RETURN(
+      std::vector<RecoveredTable> tables,
+      ReplayCatalogState(pager_.recovered_catalog_blob(),
+                         pager_.recovered_catalog_records()));
   std::unordered_set<storage::FileId> referenced;
-  for (const TableDescriptor& desc : descriptors.value()) {
-    auto table = Table::Attach(desc, &pager_);
-    die_on(table.status(), " for table '" + desc.name + "'");
-    referenced.insert(desc.order_file);
-    referenced.insert(desc.rid_file);
-    // Use the *attached* table's manifest, not the recovered descriptor's:
-    // Attach may have repaired a torn statement, but bindings come from it
-    // either way and this keeps the sweep honest against the live state.
-    TableDescriptor live = table.value()->Describe();
-    for (uint64_t f : live.manifest.files) referenced.insert(f);
-    for (const StorageManifest::Group& g : live.manifest.groups) {
+  for (const RecoveredTable& rec : tables) {
+    auto table = Table::Attach(rec, &pager_);
+    if (!table.ok()) {
+      return Status(table.status().code(), "recovering table '" +
+                                               rec.desc.name + "': " +
+                                               table.status().message());
+    }
+    referenced.insert(rec.desc.rid_file);
+    for (uint64_t f : rec.desc.manifest.files) referenced.insert(f);
+    for (const StorageManifest::Group& g : rec.desc.manifest.groups) {
       referenced.insert(g.file);
     }
-    auto adopted = catalog_.AdoptTable(std::move(table).value());
-    die_on(adopted.status(), "");
-    AttachForwarding(adopted.value());
+    DS_ASSIGN_OR_RETURN(Table * adopted,
+                        catalog_.AdoptTable(std::move(table).value()));
+    AttachForwarding(adopted);
   }
   // Orphan sweep: a crash between a DDL's file creations and its (never
   // durable) catalog record leaves files no descriptor references — legal
@@ -311,9 +316,9 @@ void Database::RecoverCatalog() {
     if (referenced.count(file) == 0) pager_.DropFile(file);
   }
   // From here on every checkpoint snapshot embeds the live catalog.
-  pager_.set_catalog_snapshot_provider([this](std::string* out) {
-    EncodeCatalogBlob(catalog_.Describe(), out);
-  });
+  pager_.set_catalog_snapshot_provider(
+      [this](std::string* out) { catalog_.EncodeSnapshot(out); });
+  return Status::OK();
 }
 
 size_t Database::Checkpoint() {

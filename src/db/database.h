@@ -150,8 +150,9 @@ class Database {
   /// pool of a few hundred frames with cold pages spilled to disk. With a
   /// durable PagerConfig this is also the recovery path: page redo runs in
   /// the pager's constructor, then the catalog is rebuilt from the recovered
-  /// snapshot blob + DDL records and every table rebinds to its files —
+  /// snapshot blob + catalog records and every table rebinds to its files —
   /// the constructed database is ready to query, no schema rebuild needed.
+  /// A catalog that fails recovery aborts (TryOpen returns it instead).
   explicit Database(const DatabaseOptions& options);
 
   /// A clean shutdown: captures the final catalog snapshot, then tears
@@ -167,14 +168,17 @@ class Database {
   /// holds every table exactly as last checkpointed/logged — see
   /// docs/DURABILITY.md for the full lifecycle. The pair is guarded by an
   /// advisory lock on `<base_path>.wal.lock`: a second open while this one
-  /// is alive *aborts* (construction has no error channel). Use TryOpen for
-  /// the graceful-failure path.
+  /// is alive *aborts* (construction has no error channel), and so does a
+  /// catalog that fails recovery. Use TryOpen for the graceful-failure path.
   static std::unique_ptr<Database> Open(const std::string& base_path,
                                         DatabaseOptions options = {});
 
   /// Like Open, but fails softly: returns AlreadyExists when another live
-  /// Database (this process or another) holds the pair's lock, instead of
-  /// aborting. The lock is released when the returned Database is destroyed.
+  /// Database (this process or another) holds the pair's lock, and the
+  /// recovery error (Corruption for a catalog that fails Table::Attach's
+  /// invariant or does not decode) when the catalog cannot be recovered,
+  /// instead of aborting. The lock is released when the returned Database
+  /// is destroyed.
   static Result<std::unique_ptr<Database>> TryOpen(
       const std::string& base_path, DatabaseOptions options = {});
 
@@ -257,7 +261,8 @@ class Database {
   struct WriteGuard;
 
   /// Lock-then-construct: the advisory pair lock must be held before the
-  /// pager's constructor opens (and possibly recovers) the WAL.
+  /// pager's constructor opens (and possibly recovers) the WAL. Leaves a
+  /// durable catalog unrecovered; the caller runs RecoverCatalog.
   Database(const DatabaseOptions& options, storage::FileLock lock);
   /// Acquires the pair lock for durable options (no-op otherwise); aborts
   /// with the lock holder's message on conflict — the constructor path's
@@ -320,9 +325,9 @@ class Database {
   /// recovered blob + DDL records, attach every table, sweep orphan files
   /// (a DDL torn before its record became durable), then install the
   /// snapshot provider so future checkpoints embed the live catalog.
-  /// Catalog corruption aborts — the same stance the pager takes on an
-  /// unreadable WAL: state this fundamental is not silently discarded.
-  void RecoverCatalog();
+  /// Returns the first failure without repairing anything: state this
+  /// fundamental is never silently discarded.
+  Status RecoverCatalog();
 
   storage::FileLock file_lock_;  // declared (acquired) before pager_: the
                                  // pair must be ours before recovery touches it

@@ -498,6 +498,12 @@ Result<std::shared_ptr<JoinBuild>> HashJoinOp::BuildBatched(
       link(&it->second, inserted, i);
     }
   }
+  // Reserving for every build row over-sizes the maps when keys repeat:
+  // resize them to the distinct keys the build retains, at a load factor
+  // of about 2/3 so probe chains stay as short as the per-row sizing left
+  // them.
+  t.value_chains.rehash(t.value_chains.size() * 3 / 2);
+  t.row_chains.rehash(t.row_chains.size() * 3 / 2);
   // A key column nobody reads above the join only served the chains.
   for (int k : right_keys_) {
     if (!RightLive(k)) std::vector<Value>().swap(t.columns[k]);

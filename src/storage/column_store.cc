@@ -117,22 +117,6 @@ Result<size_t> ColumnStore::AppendRow(const Row& row) {
 Result<size_t> ColumnStore::DeleteRow(size_t row) {
   if (row >= num_rows_) return Status::OutOfRange("row " + std::to_string(row));
   size_t last = num_rows_ - 1;
-  if (pager_->durable()) {
-    // Two strict phases — copy everything, then truncate everything — with
-    // non-destructive reads: a crash mid-copy leaves every file at its old
-    // size (so Table::Attach redoes the whole delete from the intact last
-    // row), and any file truncated implies every copy completed. The
-    // interleaved Take version below would let a torn delete corrupt the
-    // moved row.
-    if (row != last) {
-      for (storage::FileId f : files_) {
-        pager_->Write(f, row, pager_->Read(f, last));
-      }
-    }
-    for (storage::FileId f : files_) pager_->Truncate(f, last);
-    num_rows_ -= 1;
-    return last;
-  }
   for (storage::FileId f : files_) {
     if (row != last) {
       pager_->Write(f, row, pager_->Take(f, last));

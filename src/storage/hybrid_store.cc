@@ -187,24 +187,6 @@ Result<size_t> HybridStore::AppendRow(const Row& row) {
 Result<size_t> HybridStore::DeleteRow(size_t row) {
   if (row >= num_rows_) return Status::OutOfRange("row " + std::to_string(row));
   size_t last = num_rows_ - 1;
-  if (pager_->durable()) {
-    // Copy-all then truncate-all with non-destructive reads (see
-    // ColumnStore::DeleteRow): keeps a crash-torn delete redoable and the
-    // per-group size signature sound.
-    if (row != last) {
-      for (const Group& g : groups_) {
-        for (size_t o = 0; o < g.width; ++o) {
-          pager_->Write(g.file, Entry(g, row, o),
-                        pager_->Read(g.file, Entry(g, last, o)));
-        }
-      }
-    }
-    for (const Group& g : groups_) {
-      pager_->Truncate(g.file, last * g.width);
-    }
-    num_rows_ -= 1;
-    return last;
-  }
   for (const Group& g : groups_) {
     if (row != last) {
       for (size_t o = 0; o < g.width; ++o) {

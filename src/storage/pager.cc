@@ -1117,11 +1117,11 @@ void Pager::BuildSnapshot(std::string* out) const {
   AppendU64(out, dir.end_offset);
   AppendU64(out, dir.dead_bytes);
   // Catalog section. With a live provider the blob is serialized fresh and
-  // subsumes any earlier DDL records; without one (recovery-time checkpoint,
-  // plain-pager users) the recovered blob and DDL list are carried forward
-  // verbatim so a checkpoint can never lose catalog state the pager does
-  // not understand. Absent entirely in pre-catalog (PR 4) snapshots, which
-  // RestoreSnapshot treats as an empty section.
+  // subsumes any earlier catalog records; without one (recovery-time
+  // checkpoint, plain-pager users) the recovered blob and record list are
+  // carried forward verbatim so a checkpoint can never lose catalog state
+  // the pager does not understand. Absent entirely in pre-catalog
+  // snapshots, which RestoreSnapshot treats as an empty section.
   if (catalog_provider_) {
     std::string blob;
     catalog_provider_(&blob);
@@ -1131,8 +1131,8 @@ void Pager::BuildSnapshot(std::string* out) const {
   } else {
     AppendU64(out, catalog_blob_.size());
     out->append(catalog_blob_);
-    AppendU32(out, static_cast<uint32_t>(catalog_ddl_.size()));
-    for (const CatalogRecord& rec : catalog_ddl_) {
+    AppendU32(out, static_cast<uint32_t>(catalog_records_.size()));
+    for (const CatalogRecord& rec : catalog_records_) {
       out->push_back(static_cast<char>(rec.type));
       AppendU64(out, rec.payload.size());
       out->append(rec.payload);
@@ -1179,7 +1179,7 @@ void Pager::RestoreSnapshot(const std::string& payload) {
        ReadU64(payload, &pos, &dir.dead_bytes);
   // Catalog section (absent in pre-catalog snapshots: those end right here).
   catalog_blob_.clear();
-  catalog_ddl_.clear();
+  catalog_records_.clear();
   if (ok && pos < payload.size()) {
     uint64_t blob_len = 0;
     ok = ReadU64(payload, &pos, &blob_len) &&
@@ -1203,7 +1203,7 @@ void Pager::RestoreSnapshot(const std::string& payload) {
       if (ok) {
         rec.payload.assign(payload, pos, static_cast<size_t>(len));
         pos += static_cast<size_t>(len);
-        catalog_ddl_.push_back(std::move(rec));
+        catalog_records_.push_back(std::move(rec));
       }
     }
   }
@@ -1330,11 +1330,13 @@ void Pager::ReplayRecord(const Wal::Record& rec) {
     case WalRecordType::kDropColumn:
     case WalRecordType::kRenameColumn:
     case WalRecordType::kReorganize:
-      // Opaque catalog DDL: collected in log order for the catalog layer,
-      // which applies them over the recovered blob after page redo is done
-      // (the records carry full descriptors, so order relative to page
-      // records does not matter — only their order among themselves).
-      catalog_ddl_.push_back(CatalogRecord{rec.type, rec.payload});
+    case WalRecordType::kOrderInsert:
+    case WalRecordType::kOrderErase:
+      // Opaque catalog records: collected for the catalog layer, which
+      // applies them over the recovered blob after page redo is done. DDL
+      // arrives here as it is read; an order record when its bracket
+      // closes. Only their order among themselves matters.
+      catalog_records_.push_back(CatalogRecord{rec.type, rec.payload});
       return;
   }
   DS_PAGER_CHECK(false, "unknown WAL record type");
@@ -1366,6 +1368,16 @@ uint64_t Pager::LogCatalogRecord(WalRecordType type,
   return lsn;
 }
 
+void Pager::LogOrderRecord(WalRecordType type, const std::string& payload) {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
+  DS_PAGER_CHECK(IsOrderRecordType(type),
+                 "LogOrderRecord with a non-order record type");
+  if (wal_ == nullptr || replaying_ || crashed_) return;
+  DS_PAGER_CHECK(CurrentCtxLocked() != nullptr,
+                 "display-order record outside a statement");
+  LogStructural(type, payload);
+}
+
 void Pager::set_catalog_snapshot_provider(
     std::function<void(std::string*)> provider) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
@@ -1373,7 +1385,7 @@ void Pager::set_catalog_snapshot_provider(
   // The live catalog now owns this state; the recovered copies are spent.
   catalog_blob_.clear();
   catalog_blob_.shrink_to_fit();
-  catalog_ddl_.clear();
+  catalog_records_.clear();
 }
 
 void Pager::DetachCatalogProvider() {
@@ -1383,7 +1395,7 @@ void Pager::DetachCatalogProvider() {
   // (notably the destructor's) keep carrying the full catalog forward.
   catalog_blob_.clear();
   catalog_provider_(&catalog_blob_);
-  catalog_ddl_.clear();
+  catalog_records_.clear();
   catalog_provider_ = nullptr;
 }
 

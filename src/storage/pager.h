@@ -419,8 +419,9 @@ class Pager {
   uint64_t AbortTxn(TxnId txn);
 
   /// True when this pager runs in durable mode (a WAL is configured). The
-  /// catalog layer keys its own persistence on this: side files, DDL
-  /// records, and file retention only exist for durable pools.
+  /// catalog layer keys its own persistence on this: the rid side file,
+  /// DDL and display-order records, and file retention only exist for
+  /// durable pools.
   bool durable() const { return wal_ != nullptr; }
   /// The write-ahead log, when configured (null in scratch mode).
   const Wal* wal() const { return wal_.get(); }
@@ -445,16 +446,21 @@ class Pager {
   // primitives it never interprets:
   //   1. an opaque blob embedded in every checkpoint snapshot, produced on
   //      demand by a provider callback (the catalog serializes its current
-  //      state), and
-  //   2. opaque DDL records (WalRecordType::kCreateTable..kReorganize)
-  //      appended via LogCatalogRecord between checkpoints.
-  // Recovery replays page redo as usual and *collects* the blob + DDL
-  // records for the catalog layer to consume after construction; until a
-  // provider is installed, checkpoints carry the recovered blob and DDL
-  // list forward verbatim, so a recovery-time checkpoint can never lose
-  // catalog state it does not understand.
+  //      state, display orders included), and
+  //   2. opaque records appended between checkpoints: DDL
+  //      (WalRecordType::kCreateTable..kReorganize) via LogCatalogRecord,
+  //      each its own commit point, and display-order operations
+  //      (kOrderInsert/kOrderErase) via LogOrderRecord, inside the
+  //      statement bracket like page redo.
+  // Recovery replays page redo as usual and *collects* the blob + records
+  // for the catalog layer to consume after construction — DDL as it is
+  // read, order records when their bracket closes — so the list is in the
+  // order the changes took effect. Until a provider is installed,
+  // checkpoints carry the recovered blob and record list forward verbatim,
+  // so a recovery-time checkpoint can never lose catalog state it does not
+  // understand.
 
-  /// One recovered catalog DDL record, in log order.
+  /// One recovered catalog record (DDL or display order), in replay order.
   struct CatalogRecord {
     WalRecordType type = WalRecordType::kCreateTable;
     std::string payload;
@@ -466,6 +472,11 @@ class Pager {
   /// 0 when the pager is not durable / is replaying / has crashed — callers
   /// log unconditionally and let the pager sort out the mode.
   uint64_t LogCatalogRecord(WalRecordType type, const std::string& payload);
+
+  /// Appends one opaque display-order record (kOrderInsert/kOrderErase)
+  /// under the calling thread's open statement, without a sync: it commits
+  /// or vanishes with the statement's bracket. No-op when not durable.
+  void LogOrderRecord(WalRecordType type, const std::string& payload);
 
   /// Installs the checkpoint blob provider. From now on every snapshot
   /// embeds a freshly serialized blob (and no DDL carry-forward — the blob
@@ -481,12 +492,13 @@ class Pager {
   /// before the catalog layer is destroyed; the pager outlives it.
   void DetachCatalogProvider();
 
-  /// The catalog blob of the recovered checkpoint snapshot and the DDL
-  /// records logged after it, in log order. Valid after construction until
-  /// set_catalog_snapshot_provider() clears them; empty on a fresh start.
+  /// The catalog blob of the recovered checkpoint snapshot and the catalog
+  /// records logged after it, in replay order. Valid after construction
+  /// until set_catalog_snapshot_provider() clears them; empty on a fresh
+  /// start.
   const std::string& recovered_catalog_blob() const { return catalog_blob_; }
-  const std::vector<CatalogRecord>& recovered_catalog_ddl() const {
-    return catalog_ddl_;
+  const std::vector<CatalogRecord>& recovered_catalog_records() const {
+    return catalog_records_;
   }
 
   /// All live file ids, ascending — the catalog layer's orphan sweep
@@ -797,7 +809,7 @@ class Pager {
   // (recovered, pre-provider); see the public section.
   std::function<void(std::string*)> catalog_provider_;
   std::string catalog_blob_;
-  std::vector<CatalogRecord> catalog_ddl_;
+  std::vector<CatalogRecord> catalog_records_;
   // Deferred spill-slot frees, FIFO by freeing-record LSN.
   std::deque<DeferredFree> deferred_frees_;
   // Auto-checkpoint deferral (see CheckpointDeferral): while > 0, an

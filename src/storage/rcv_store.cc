@@ -253,26 +253,6 @@ Result<size_t> RcvStore::AppendRow(const Row& row) {
 Result<size_t> RcvStore::DeleteRow(size_t row) {
   if (row >= num_rows_) return Status::OutOfRange("row " + std::to_string(row));
   size_t last = num_rows_ - 1;
-  if (pager_->durable() && row != last) {
-    // Three strict phases so a crash-torn delete stays mostly redoable
-    // (Table::Attach re-copies from the intact last row): erase the
-    // target's triples where the moved row has none, copy the moved row's
-    // triples over the target, and only then unmaterialize the last row.
-    // The interleaved version below erases sources before all copies are
-    // done, which a redo could no longer read.
-    for (InternalColumn& ic : columns_) {
-      if (ic.row_to_slot.count(last) == 0) EraseTriple(ic, row);
-    }
-    for (InternalColumn& ic : columns_) {
-      auto last_it = ic.row_to_slot.find(last);
-      if (last_it != ic.row_to_slot.end()) {
-        SetTriple(ic, row, Value(pager_->Read(ic.file, last_it->second)));
-      }
-    }
-    for (InternalColumn& ic : columns_) EraseTriple(ic, last);
-    num_rows_ -= 1;
-    return last;
-  }
   for (InternalColumn& ic : columns_) {
     if (row == last) {
       EraseTriple(ic, last);

@@ -46,7 +46,7 @@ Result<std::unique_ptr<RowStore>> RowStore::Attach(
                             "row count — durability hole");
   }
   // Excess slots are the remnant of a statement in flight at the crash
-  // (never acknowledged by the order file): trim them away.
+  // (never acknowledged by the catalog): trim them away.
   if (pager->FileSize(heap) > want) pager->Truncate(heap, want);
   return std::unique_ptr<RowStore>(new RowStore(
       pager, heap, manifest.num_columns, static_cast<size_t>(num_rows)));
@@ -112,20 +112,8 @@ Result<size_t> RowStore::DeleteRow(size_t row) {
   }
   size_t last = num_rows_ - 1;
   if (row != last) {
-    if (pager_->durable()) {
-      // Copy, don't take: the source row must stay intact until the
-      // truncate below, so a crash-torn delete can be *redone* from the
-      // still-complete last row (Table::Attach), and the file-size
-      // signature "size unchanged ⇒ no swap is missing" holds.
-      for (size_t c = 0; c < num_columns_; ++c) {
-        pager_->Write(file_, Entry(row, c),
-                      pager_->Read(file_, Entry(last, c)));
-      }
-    } else {
-      for (size_t c = 0; c < num_columns_; ++c) {
-        pager_->Write(file_, Entry(row, c),
-                      pager_->Take(file_, Entry(last, c)));
-      }
+    for (size_t c = 0; c < num_columns_; ++c) {
+      pager_->Write(file_, Entry(row, c), pager_->Take(file_, Entry(last, c)));
     }
   }
   pager_->Truncate(file_, last * num_columns_);

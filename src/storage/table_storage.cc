@@ -129,7 +129,7 @@ Result<uint64_t> ManifestRows(const StorageManifest& manifest,
     }
     case StorageModel::kRcv:
       // Only non-NULL cells materialize: file sizes cannot bound the row
-      // count. The catalog's order file is the authority.
+      // count. The catalog's display order is the authority.
       return kUnbounded;
     case StorageModel::kHybrid: {
       uint64_t rows = kUnbounded;

@@ -197,14 +197,14 @@ std::unique_ptr<TableStorage> CreateStorage(
 /// smallest file/width ratio is the last fully persisted row count. Returns
 /// UINT64_MAX for layouts whose files cannot bound the row count (kRcv
 /// materializes only non-NULL cells; zero-column tables) — the caller then
-/// relies on the catalog's order file. Fails on a manifest referencing
+/// relies on the catalog's display order. Fails on a manifest referencing
 /// unknown files.
 Result<uint64_t> ManifestRows(const StorageManifest& manifest,
                               const storage::Pager& pager);
 
 /// Rebinds a storage object to the recovered pager files named by
-/// `manifest`, with exactly `num_rows` rows (the catalog layer derives the
-/// count from its order file and ManifestRows). Files holding more than
+/// `manifest`, with exactly `num_rows` rows (the catalog layer's display
+/// order, checked against ManifestRows). Files holding more than
 /// `num_rows` rows are truncated down — the remnant of a statement in
 /// flight at the crash; files holding fewer make the attach fail. The
 /// result has retain_files() set: recovered files are persistent data.

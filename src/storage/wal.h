@@ -45,10 +45,10 @@ enum class WalRecordType : uint8_t {
   // The catalog layer logs schema changes through Pager::LogCatalogRecord
   // with these types. Their payloads are serialized TableDescriptors
   // (catalog/catalog_codec.h) that the pager neither parses nor applies: on
-  // replay they are collected in order and handed to the catalog layer after
-  // page redo completes (Pager::recovered_catalog_ddl). Every one of them is
-  // a commit point — LogCatalogRecord fsyncs, so an acknowledged DDL
-  // statement survives any crash. DESIGN.md §6 "Catalog recovery".
+  // replay they are collected in order and handed to the catalog layer
+  // after page redo completes (Pager::recovered_catalog_records). Every one
+  // of them is a commit point — LogCatalogRecord fsyncs, so an acknowledged
+  // DDL statement survives any crash. DESIGN.md §6 "Catalog recovery".
 
   /// Full descriptor of a newly created table.
   kCreateTable = 9,
@@ -98,11 +98,33 @@ enum class WalRecordType : uint8_t {
   /// records of concurrently open brackets interleave in one log while
   /// recovery routes each to its own bracket buffer.
   kTxnData = 18,
+
+  // ---- Catalog display-order records (opaque to the Pager) -----------------
+  //
+  // A durable table's display order lives in its in-memory PositionalIndex;
+  // these records make it durable one positional operation at a time
+  // (catalog/catalog_codec.h has the payloads, keyed by the table's rid
+  // file id). Unlike DDL they are ordinary statement records: logged inside
+  // the statement bracket, never synced on their own, and collected on
+  // replay when their bracket closes, in close order, into the same list
+  // as the DDL records (Pager::recovered_catalog_records). The checkpoint
+  // snapshot's catalog blob carries each table's full order, so only the
+  // records since the last checkpoint ever replay.
+
+  /// A row id entered the display order: table id, position, row id.
+  kOrderInsert = 19,
+  /// The row at a display position left the order: table id, position.
+  kOrderErase = 20,
 };
 
 /// True for the record types the pager treats as opaque catalog DDL.
 inline bool IsCatalogRecordType(WalRecordType t) {
   return t >= WalRecordType::kCreateTable && t <= WalRecordType::kReorganize;
+}
+
+/// True for the opaque catalog display-order records.
+inline bool IsOrderRecordType(WalRecordType t) {
+  return t == WalRecordType::kOrderInsert || t == WalRecordType::kOrderErase;
 }
 
 /// The redo-only write-ahead log of a durable Pager (ARIES-lite; see

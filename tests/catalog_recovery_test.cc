@@ -320,13 +320,113 @@ TEST(DropTableTest, DropSurvivesCrashAndOrphansAreSwept) {
   EXPECT_EQ(keep->num_rows(), 300u);
   // Sweep check: every live pager file is accounted to the surviving table.
   TableDescriptor desc = keep->Describe();
-  std::vector<FileId> expected_files = {desc.order_file, desc.rid_file};
+  std::vector<FileId> expected_files = {desc.rid_file};
   for (uint64_t f : desc.manifest.files) expected_files.push_back(f);
   for (const StorageManifest::Group& g : desc.manifest.groups) {
     expected_files.push_back(g.file);
   }
   std::sort(expected_files.begin(), expected_files.end());
   EXPECT_EQ(reopened.pager().FileIds(), expected_files);
+}
+
+// ---------------------------------------------------------------------------
+// A catalog that fails recovery is a Status from TryOpen, never a repair
+// ---------------------------------------------------------------------------
+
+/// Builds a 3-row table, then commits `forge` — a statement logging records
+/// the engine itself would never write (each behind a valid CRC) — and
+/// crashes. TryOpen must fail with Corruption, twice: the failed open
+/// changes nothing on disk.
+void ExpectCorruptionAfter(const std::string& tag,
+                           const std::function<void(Database&, Table*)>& forge,
+                           const std::string& message_part) {
+  DurablePair pair(tag);
+  {
+    Database db(pair.Options());
+    Table* t = db.catalog().CreateTable("t", ThreeColumnSchema()).ValueOrDie();
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(
+          t->AppendRow(Row{Value::Int(i), Value::Text("r"), Value::Real(i)})
+              .ok());
+    }
+    {
+      storage::StatementScope stmt(db.pager());
+      forge(db, t);
+      stmt.Commit();
+    }
+    db.pager().SyncWal();
+    db.pager().CrashForTesting();
+  }
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    auto db = Database::TryOpen(pair.base);
+    ASSERT_FALSE(db.ok()) << "attempt " << attempt;
+    EXPECT_EQ(db.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(db.status().message().find(message_part), std::string::npos)
+        << db.status().ToString();
+  }
+}
+
+TEST(CatalogCorruptionTest, OutOfRangeOrderRecordFailsTryOpen) {
+  ExpectCorruptionAfter(
+      "bad_order_pos",
+      [](Database& db, Table* t) {
+        std::string payload;
+        EncodeOrderOp(OrderOp{true, t->Describe().rid_file, 9, 3}, &payload);
+        db.pager().LogOrderRecord(storage::WalRecordType::kOrderInsert,
+                                  payload);
+      },
+      "insert position 9 > 3");
+}
+
+TEST(CatalogCorruptionTest, RidFileDisagreeingWithTheOrderFailsTryOpen) {
+  ExpectCorruptionAfter(
+      "bad_rid_file",
+      [](Database& db, Table* t) {
+        db.pager().Write(t->Describe().rid_file, 1, Value::Int(42));
+      },
+      "disagree");
+  ExpectCorruptionAfter(
+      "long_rid_file",
+      [](Database& db, Table* t) {
+        db.pager().Write(t->Describe().rid_file, 3, Value::Int(3));
+      },
+      "rid file 4");
+}
+
+// Order records name a table incarnation (its rid file), not its name: a
+// DROP + re-CREATE under one name between checkpoints must replay each
+// incarnation's records into its own order only.
+TEST(OrderRecordTest, DropAndRecreateReplayIntoTheirOwnOrders) {
+  DurablePair pair("order_recreate");
+  std::vector<int64_t> want;
+  {
+    Database db(pair.Options());
+    for (int incarnation = 0; incarnation < 2; ++incarnation) {
+      if (incarnation == 1) ASSERT_TRUE(db.catalog().DropTable("t").ok());
+      Table* t =
+          db.catalog().CreateTable("t", ThreeColumnSchema()).ValueOrDie();
+      want.clear();
+      for (int i = 0; i < 6; ++i) {
+        int64_t id = 10 * incarnation + i;
+        size_t pos = static_cast<size_t>(i) / 2;  // middle inserts
+        ASSERT_TRUE(t->InsertRowAt(pos, Row{Value::Int(id), Value::Text("x"),
+                                            Value::Real(0)})
+                        .ok());
+        want.insert(want.begin() + static_cast<ptrdiff_t>(pos), id);
+      }
+      ASSERT_TRUE(t->DeleteRowAt(1).ok());
+      want.erase(want.begin() + 1);
+    }
+    db.pager().SyncWal();
+    db.pager().CrashForTesting();
+  }
+  Database reopened(pair.Options());
+  Table* t = reopened.catalog().GetTable("t").ValueOrDie();
+  std::vector<int64_t> got;
+  for (size_t r = 0; r < t->num_rows(); ++r) {
+    got.push_back(t->GetAt(r, 0).ValueOrDie().int_value());
+  }
+  EXPECT_EQ(got, want);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <functional>
+
 #include "catalog/catalog.h"
 
 namespace dataspread {
@@ -272,6 +275,89 @@ TEST(TableTest, ScanEarlyStop) {
     return visited < 3;
   });
   EXPECT_EQ(visited, 3);
+}
+
+// The checkpoint blob stores a display order as runs of consecutive row ids:
+// an append-only table costs one run whatever its size, a fragmented order
+// one run per fragment, and both decode back to the same order.
+TEST(CatalogCodecTest, OrdersRoundTripAsRuns) {
+  TableDescriptor desc;
+  desc.name = "t";
+  desc.schema = MovieSchema();
+  desc.manifest.model = StorageModel::kColumn;
+  desc.manifest.num_columns = 3;
+  desc.manifest.files = {1, 2, 3};
+  desc.rid_file = 4;
+  desc.next_rid = 100000;
+  std::string descriptor_only;
+  EncodeTableDescriptor(desc, &descriptor_only);
+  std::vector<uint64_t> appended(100000);
+  for (size_t i = 0; i < appended.size(); ++i) appended[i] = i;
+  std::vector<uint64_t> fragmented = {7, 8, 9, 0, 1, 2, 3, 99999, 4};
+  for (const std::vector<uint64_t>& order : {appended, fragmented}) {
+    PositionalIndex index;
+    index.Build(order);
+    std::string blob;
+    BeginCatalogBlob(1, &blob);
+    EncodeSnapshotTable(desc, index, &blob);
+    size_t runs = order == appended ? 1 : 4;
+    EXPECT_EQ(blob.size(), 8 + descriptor_only.size() + 8 + 16 * runs);
+    auto tables = ReplayCatalogState(blob, {});
+    ASSERT_TRUE(tables.ok()) << tables.status().ToString();
+    ASSERT_EQ(tables.value().size(), 1u);
+    EXPECT_EQ(tables.value()[0].order, order);
+  }
+  // A version-1 blob (order side files) is refused, not misread.
+  std::string old_blob("\x01\x00\x00\x00\x00\x00\x00\x00", 8);
+  auto old = ReplayCatalogState(old_blob, {});
+  ASSERT_FALSE(old.ok());
+  EXPECT_EQ(old.status().code(), StatusCode::kCorruption);
+}
+
+// A positional edit on a durable table logs one display-order record, not
+// the shifted tail of the order: the WAL it writes and the slots it touches
+// do not depend on the table size or the edit position.
+TEST(TableTest, DurableMidTableEditsLogConstantWal) {
+  std::string base = ::testing::TempDir() + "ds_catalog_flat_wal";
+  storage::PagerConfig config;
+  config.spill_path = base + ".pages";
+  config.wal_path = base + ".wal";
+  config.durable_spill = true;  // auto-checkpoint off: no FPI mid-test
+  std::remove(config.spill_path.c_str());
+  std::remove(config.wal_path.c_str());
+  {
+    storage::Pager pager(config);
+    auto table = Table::Create("movies", MovieSchema(), StorageModel::kHybrid,
+                               &pager)
+                     .ValueOrDie();
+    constexpr int kRows = 20000;
+    for (int i = 0; i < kRows; ++i) {
+      ASSERT_TRUE(
+          table->AppendRow({Value::Int(i), Value::Text("t"), Value::Int(i)})
+              .ok());
+    }
+    auto cost = [&](const std::function<Status()>& edit) {
+      storage::PagerStats before = pager.stats();
+      EXPECT_TRUE(edit().ok());
+      storage::PagerStats after = pager.stats();
+      return std::make_pair(after.wal_bytes - before.wal_bytes,
+                            after.slot_writes - before.slot_writes);
+    };
+    auto insert = cost([&] {
+      return table->InsertRowAt(
+          kRows / 2, {Value::Int(-1), Value::Text("mid"), Value::Int(0)});
+    });
+    EXPECT_LT(insert.first, 1024u);
+    EXPECT_LT(insert.second, 16u);
+    auto erase = cost([&] { return table->DeleteRowAt(kRows / 4); });
+    EXPECT_LT(erase.first, 1024u);
+    EXPECT_LT(erase.second, 16u);
+    EXPECT_EQ(table->num_rows(), static_cast<size_t>(kRows));
+    EXPECT_EQ(table->GetAt(kRows / 2 - 1, 0).value(), Value::Int(-1));
+    EXPECT_EQ(table->GetAt(kRows / 2, 0).value(), Value::Int(kRows / 2));
+  }
+  std::remove(config.spill_path.c_str());
+  std::remove(config.wal_path.c_str());
 }
 
 }  // namespace

@@ -469,6 +469,43 @@ TEST_F(JoinBuildReuseTest, BuildOverTheByteBoundIsUsedOnceAndNotKept) {
   EXPECT_GT(db.join_build_cache().retained_bytes(), 0u);
 }
 
+TEST_F(JoinBuildReuseTest, ChainMapsAreSizedByDistinctKeys) {
+  // 2,000 build rows over 200 keys, ten rows each: reserving a bucket per
+  // build row would leave the maps about ten times too large.
+  constexpr int kRows = 2000, kKeys = 200;
+  Run("CREATE TABLE p (k INT, j INT)");
+  Run("CREATE TABLE r (k INT, j INT, w INT)");
+  Table* r = db_.catalog().GetTable("r").ValueOrDie();
+  for (int i = 0; i < kRows; ++i) {
+    ASSERT_TRUE(r->AppendRow(Row{Value::Int(i % kKeys),
+                                 Value::Int(i / kKeys % 2), Value::Int(i)})
+                    .ok());
+  }
+  Run("INSERT INTO p VALUES (7, 1), (8, 0)");
+  ResultSet one = Run("SELECT w FROM p JOIN r ON p.k = r.k ORDER BY w");
+  EXPECT_EQ(one.num_rows(), 20u);
+  ResultSet two =
+      Run("SELECT w FROM p JOIN r ON p.k = r.k AND p.j = r.j ORDER BY w");
+  EXPECT_EQ(two.num_rows(), 10u);
+  std::vector<std::shared_ptr<const JoinBuild>> kept =
+      db_.join_build_cache().Retained(r);
+  ASSERT_EQ(kept.size(), 2u);
+  for (const std::shared_ptr<const JoinBuild>& build : kept) {
+    size_t keys = build->value_chains.size() + build->row_chains.size();
+    size_t buckets = build->value_chains.empty()
+                         ? build->row_chains.bucket_count()
+                         : build->value_chains.bucket_count();
+    EXPECT_EQ(keys, build->value_chains.empty() ? 400u : 200u);
+    EXPECT_LE(buckets, 2 * keys);
+    // The same build with a bucket reserved per build row estimates more.
+    JoinBuild per_row = *build;
+    per_row.value_chains.reserve(per_row.next.size());
+    per_row.row_chains.reserve(per_row.next.size());
+    per_row.MeasureBytes();
+    EXPECT_LT(build->bytes, per_row.bytes);
+  }
+}
+
 TEST_F(JoinBuildReuseTest, DropTableReleasesItsBuilds) {
   Run(kJoin);
   Table* a = db_.catalog().GetTable("a").ValueOrDie();
