@@ -71,18 +71,20 @@ MixedResult RunMixedPass(TableStorage& s, size_t rows, std::mt19937& rng) {
   MixedResult result;
   std::vector<size_t> columns(kCols);
   for (size_t c = 0; c < kCols; ++c) columns[c] = c;
-  std::vector<std::vector<Value>> values(kCols);
-  std::vector<std::vector<Value>*> out;
-  for (std::vector<Value>& v : values) out.push_back(&v);
+  std::vector<ColumnVector> values(kCols);
+  std::vector<ColumnVector*> out;
+  for (ColumnVector& v : values) out.push_back(&v);
   std::vector<size_t> slots;
   for (size_t i = 0; i < rows; i += kScanChunkRows) {
     size_t n = std::min(kScanChunkRows, rows - i);
     slots.resize(n);
     for (size_t k = 0; k < n; ++k) slots[k] = i + k;
-    for (std::vector<Value>& v : values) v.clear();
+    for (ColumnVector& v : values) v.Reset(ColumnKind::kValue);
     (void)s.GatherRows(slots.data(), n, columns, out.data());
     int64_t chunk_sum = 0;
-    for (const Value& v : values[0]) chunk_sum += v.int_value();
+    for (size_t k = 0; k < n; ++k) {
+      chunk_sum += values[0].value_at(k).int_value();
+    }
     result.checksum += chunk_sum;
     uint64_t faults_before = s.pager().stats().faults;
     for (size_t k = 0; k < kLookupsPerChunk; ++k) {

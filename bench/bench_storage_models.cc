@@ -74,18 +74,18 @@ int64_t ScanAll(TableStorage& s, size_t rows) {
   constexpr size_t kChunk = 1024;
   std::vector<size_t> columns(s.num_columns());
   for (size_t c = 0; c < columns.size(); ++c) columns[c] = c;
-  std::vector<std::vector<Value>> values(columns.size());
-  std::vector<std::vector<Value>*> out;
-  for (std::vector<Value>& v : values) out.push_back(&v);
+  std::vector<ColumnVector> values(columns.size());
+  std::vector<ColumnVector*> out;
+  for (ColumnVector& v : values) out.push_back(&v);
   std::vector<size_t> slots;
   int64_t sum = 0;
   for (size_t start = 0; start < rows; start += kChunk) {
     size_t n = std::min(kChunk, rows - start);
     slots.resize(n);
     for (size_t k = 0; k < n; ++k) slots[k] = start + k;
-    for (std::vector<Value>& v : values) v.clear();
+    for (ColumnVector& v : values) v.Reset(ColumnKind::kValue);
     (void)s.GatherRows(slots.data(), n, columns, out.data());
-    for (const Value& v : values[0]) sum += v.int_value();
+    for (size_t k = 0; k < n; ++k) sum += values[0].value_at(k).int_value();
   }
   return sum;
 }

@@ -305,6 +305,46 @@ if [[ -x "${BUILD_DIR}/bench_exec_pipeline" ]]; then
     echo "ci/check.sh: only ${JOBS} core(s) visible; skipping the 1.8x @4-thread" \
          "speedup gate (the par1-overhead gate above still ran)"
   fi
+  # -------------------------------------------------------------------------
+  # Absolute ceilings on the typed batch pipeline (DESIGN.md §6b "Batch
+  # layout"), each on the fastest of 5 runs so one descheduled run on a
+  # shared machine cannot fail it:
+  #   ScanFilterAggregate/batch/100000 <= 10 ms  (28 ms with Value columns)
+  #   JoinFilterTopK/warm/100000      <= 100 ms  (257 ms with Value columns)
+  # Measured at about 7 ms and 40 ms on a 4-core container; the ceilings
+  # arm only when nproc >= 4, the machine class they were recorded on.
+  # -------------------------------------------------------------------------
+  if (( JOBS >= 4 )); then
+    ceiling_dir="${SMOKE_DIR}/ceilings"
+    mkdir -p "${ceiling_dir}"
+    for _ in 1 2 3 4 5; do
+      DS_SPILL_DIR="${SMOKE_DIR}" DS_BENCH_JSON_DIR="${ceiling_dir}" \
+        "${BUILD_DIR}/bench_exec_pipeline" \
+        --benchmark_filter='BM_ScanFilterAggregate/100000/0/0/0$|BM_JoinFilterTopKWarm/100000$' \
+        --benchmark_min_time=0.02 > /dev/null
+    done
+    check_ceiling() {  # <run, sed-escaped> <ceiling ms>
+      local ms
+      ms="$(sed -n "s/.*\"run\":\"$1\".*\"op_ms\":\([0-9][0-9.e+-]*\),.*/\1/p" \
+        "${ceiling_dir}/BENCH_exec_pipeline.json" | sort -g | head -n1)"
+      if [[ -z "${ms}" ]]; then
+        echo "ci/check.sh: could not parse $1 op_ms for its ceiling" >&2
+        exit 1
+      fi
+      local run="${1//\\/}"
+      echo "ci/check.sh: exec ceiling ${run}: fastest of 5 runs ${ms} ms (need <= $2 ms)"
+      if ! awk -v m="${ms}" -v c="$2" 'BEGIN { exit !(m <= c) }'; then
+        echo "ci/check.sh: ${run} took ${ms} ms at best, over its $2 ms ceiling —" \
+             "typed batch pipeline regression" >&2
+        exit 1
+      fi
+    }
+    check_ceiling 'ScanFilterAggregate\/batch\/100000' 10
+    check_ceiling 'JoinFilterTopK\/warm\/100000' 100
+  else
+    echo "ci/check.sh: only ${JOBS} core(s) visible; skipping the exec ceilings" \
+         "(recorded on a 4-core machine)"
+  fi
 else
   echo "ci/check.sh: bench_exec_pipeline not built; skipping exec perf smoke"
 fi

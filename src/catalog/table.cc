@@ -363,7 +363,7 @@ std::vector<size_t> Table::WindowSlots(size_t start, size_t count) const {
 
 Status Table::GatherWindow(size_t start, size_t count,
                            const std::vector<size_t>& columns,
-                           std::vector<Value>* const* out) const {
+                           ColumnVector* const* out) const {
   std::vector<size_t> slots = WindowSlots(start, count);
   return storage_->GatherRows(slots.data(), slots.size(), columns, out);
 }

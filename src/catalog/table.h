@@ -159,7 +159,7 @@ class Table {
   /// whatever the display order — so only the listed columns are read.
   Status GatherWindow(size_t start, size_t count,
                       const std::vector<size_t>& columns,
-                      std::vector<Value>* const* out) const;
+                      ColumnVector* const* out) const;
 
   /// The slot-run structure of a window, for morsel partitioning
   /// (src/exec/morsel.h): resolves display positions

@@ -168,15 +168,34 @@ AggregateFold::AggregateFold(const std::vector<const sql::Expr*>& group_exprs,
       key_scratch_(group_exprs.size()),
       arg_scratch_(agg_calls.size()) {}
 
-Result<const std::vector<Value>*> AggregateFold::Column(
+Result<const ColumnVector*> AggregateFold::Column(
     const sql::Expr& e, const RowBatch& batch,
-    const std::vector<uint32_t>& active, std::vector<Value>* scratch) {
+    const std::vector<uint32_t>& active, ColumnVector* scratch) {
   if (e.kind == sql::ExprKind::kColumnRef && e.bound_column >= 0 &&
       static_cast<size_t>(e.bound_column) < batch.num_columns()) {
     return &batch.column(static_cast<size_t>(e.bound_column));
   }
-  DS_RETURN_IF_ERROR(EvalScalarBatch(e, batch, active, scratch));
+  DS_RETURN_IF_ERROR(
+      EvalScalarBatch(e, batch, active, scratch->MutableValues()));
   return scratch;
+}
+
+uint32_t AggregateFold::AddGroup(Row key, const RowBatch& batch, uint32_t p,
+                                 uint64_t order_key) {
+  AggGroup g = MakeAggGroup(agg_calls_);
+  g.key = std::move(key);
+  g.first_row = batch.MaterializeRow(p);
+  g.order_key = order_key;
+  groups_.push_back(std::move(g));
+  return static_cast<uint32_t>(groups_.size() - 1);
+}
+
+void AggregateFold::SwitchToRowKeys() {
+  row_keys_ = true;
+  for (const auto& [key, id] : int_ids_) ids_.emplace(Row{Value::Int(key)}, id);
+  if (null_group_ != kNoGroup) ids_.emplace(Row{Value::Null()}, null_group_);
+  int_ids_.clear();
+  null_group_ = kNoGroup;
 }
 
 Status AggregateFold::Fold(const RowBatch& batch, uint64_t* seq) {
@@ -185,50 +204,87 @@ Status AggregateFold::Fold(const RowBatch& batch, uint64_t* seq) {
   const uint64_t base = *seq;
   *seq += active.size();
 
-  // Route every live row to its group.
-  if (group_exprs_.empty()) {
-    if (groups_.empty()) {
-      groups_.push_back(MakeAggGroup(agg_calls_));
-      groups_[0].first_row = batch.MaterializeRow(active[0]);
-      groups_[0].order_key = base;
-    }
-    group_ids_.assign(active.size(), 0);
+  // Route every live row to its group; with no GROUP BY every row is
+  // group 0 and group_ids_ is not consulted.
+  const bool single = group_exprs_.empty();
+  if (single) {
+    if (groups_.empty()) AddGroup(Row{}, batch, active[0], base);
+    groups_[0].rows += static_cast<int64_t>(active.size());
   } else {
     for (size_t g = 0; g < group_exprs_.size(); ++g) {
       DS_ASSIGN_OR_RETURN(key_cols_[g], Column(*group_exprs_[g], batch, active,
                                                &key_scratch_[g]));
     }
     group_ids_.resize(active.size());
-    for (size_t i = 0; i < active.size(); ++i) {
-      uint32_t p = active[i];
-      key_.clear();
-      for (const std::vector<Value>* col : key_cols_) key_.push_back((*col)[p]);
-      auto it = ids_.find(key_);
-      if (it == ids_.end()) {
-        AggGroup g = MakeAggGroup(agg_calls_);
-        g.key = key_;
-        g.first_row = batch.MaterializeRow(p);
-        g.order_key = base + i;
-        it = ids_.emplace(key_, static_cast<uint32_t>(groups_.size())).first;
-        groups_.push_back(std::move(g));
-      }
-      group_ids_[i] = it->second;
+    if (!row_keys_ && (key_cols_.size() != 1 ||
+                       key_cols_[0]->kind() != ColumnKind::kInt)) {
+      SwitchToRowKeys();
     }
+    if (!row_keys_) {
+      const ColumnVector& col = *key_cols_[0];
+      for (size_t i = 0; i < active.size(); ++i) {
+        uint32_t p = active[i];
+        uint32_t* id = &null_group_;
+        if (!col.IsNull(p)) {
+          id = &int_ids_.try_emplace(col.int_at(p), kNoGroup).first->second;
+        }
+        if (*id == kNoGroup) {
+          *id = AddGroup(Row{col.GetValue(p)}, batch, p, base + i);
+        }
+        group_ids_[i] = *id;
+      }
+    } else {
+      for (size_t i = 0; i < active.size(); ++i) {
+        uint32_t p = active[i];
+        key_.clear();
+        for (const ColumnVector* col : key_cols_) {
+          key_.push_back(col->GetValue(p));
+        }
+        auto it = ids_.find(key_);
+        if (it == ids_.end()) {
+          uint32_t id = AddGroup(key_, batch, p, base + i);
+          it = ids_.emplace(key_, id).first;
+        }
+        group_ids_[i] = it->second;
+      }
+    }
+    for (uint32_t id : group_ids_) ++groups_[id].rows;
   }
-  for (uint32_t id : group_ids_) ++groups_[id].rows;
 
   // Fold each aggregate over its argument column.
   for (size_t a = 0; a < agg_calls_.size(); ++a) {
-    if (!groups_[0].states[a].needs_arg()) {
-      for (uint32_t id : group_ids_) groups_[id].states[a].UpdateStar();
+    auto state = [&](size_t i) -> AggState& {
+      return groups_[single ? 0 : group_ids_[i]].states[a];
+    };
+    const AggState& proto = groups_[0].states[a];
+    if (!proto.needs_arg()) {
+      for (size_t i = 0; i < active.size(); ++i) state(i).UpdateStar();
       continue;
     }
     DS_ASSIGN_OR_RETURN(
-        const std::vector<Value>* arg,
+        const ColumnVector* arg,
         Column(*agg_calls_[a]->args[0], batch, active, &arg_scratch_[a]));
+    const ColumnKind kind = proto.known() ? arg->kind() : ColumnKind::kValue;
+    if (kind == ColumnKind::kInt || kind == ColumnKind::kReal) {
+      const bool nulls = !arg->no_nulls();
+      for (size_t i = 0; i < active.size(); ++i) {
+        uint32_t p = active[i];
+        if (nulls && arg->IsNull(p)) continue;
+        if (kind == ColumnKind::kInt) {
+          state(i).UpdateInt(arg->int_at(p));
+        } else {
+          state(i).UpdateReal(arg->real_at(p));
+        }
+      }
+      continue;
+    }
     for (size_t i = 0; i < active.size(); ++i) {
-      DS_RETURN_IF_ERROR(
-          groups_[group_ids_[i]].states[a].UpdateValue((*arg)[active[i]]));
+      uint32_t p = active[i];
+      if (arg->kind() == ColumnKind::kValue) {
+        DS_RETURN_IF_ERROR(state(i).UpdateValue(arg->value_at(p)));
+      } else {
+        DS_RETURN_IF_ERROR(state(i).UpdateValue(arg->GetValue(p)));
+      }
     }
   }
   return Status::OK();
@@ -239,6 +295,8 @@ std::vector<AggGroup> AggregateFold::TakeGroups() {
     groups_.push_back(MakeAggGroup(agg_calls_));
   }
   ids_.clear();
+  int_ids_.clear();
+  null_group_ = kNoGroup;
   return std::move(groups_);
 }
 

@@ -8,6 +8,7 @@
 #include "common/result.h"
 #include "exec/row_batch.h"
 #include "sql/ast.h"
+#include "types/column_vector.h"
 #include "types/value.h"
 
 namespace dataspread {
@@ -36,6 +37,37 @@ class AggState {
   /// (needs_arg() false) call UpdateStar() instead.
   Status UpdateValue(const Value& v);
   void UpdateStar() { ++count_; }
+  /// UpdateValue of a non-NULL INT or REAL read from a typed column: the
+  /// same state, with no Value built for COUNT, SUM and AVG. Only for a
+  /// known() call that needs_arg().
+  void UpdateInt(int64_t v) {
+    if (op_ != Op::kSum && op_ != Op::kAvg && op_ != Op::kCount) {
+      (void)UpdateValue(Value::Int(v));  // MIN / MAX: cannot fail
+      return;
+    }
+    ++count_;
+    if (op_ == Op::kCount) return;
+    if (is_real_) {
+      sum_real_ += static_cast<double>(v);
+    } else {
+      sum_int_ += v;
+    }
+  }
+  void UpdateReal(double v) {
+    if (op_ != Op::kSum && op_ != Op::kAvg && op_ != Op::kCount) {
+      (void)UpdateValue(Value::Real(v));  // MIN / MAX: cannot fail
+      return;
+    }
+    ++count_;
+    if (op_ == Op::kCount) return;
+    if (!is_real_) {
+      sum_real_ = static_cast<double>(sum_int_);
+      is_real_ = true;
+    }
+    sum_real_ += v;
+  }
+  /// False for a call name no opcode matches (UpdateValue reports it).
+  bool known() const { return op_ != Op::kUnknown; }
 
   /// Takes back one value an earlier UpdateValue folded in — the retraction
   /// a maintained result applies for a deleted or updated row (DESIGN.md
@@ -108,10 +140,12 @@ AggGroup MakeAggGroup(const std::vector<sql::Expr*>& agg_calls);
 /// its group and every aggregate folds its argument column.
 ///
 /// Per batch: each live row gets a group id — with no GROUP BY every row is
-/// group 0 and nothing is hashed; otherwise one hash probe per row on the
-/// key tuple. Then each aggregate folds its argument column. Keys and
-/// arguments that are plain column references are read from the batch
-/// column in place; other expressions go through EvalScalarBatch into
+/// group 0 and nothing is hashed; a single key that is an INTEGER column
+/// (kind kInt) is probed by int64_t; otherwise one hash probe per row on
+/// the key tuple. Then each aggregate folds its argument column: an INT or
+/// REAL column natively (UpdateInt/UpdateReal), any other through Values.
+/// Keys and arguments that are plain column references are read from the
+/// batch column in place; other expressions go through EvalScalarBatch into
 /// reused scratch columns, so scratch stays bounded by the batch size.
 ///
 /// Groups are kept in first-seen order; a group first seen at the i-th live
@@ -135,23 +169,34 @@ class AggregateFold {
   std::vector<AggGroup> TakeGroups();
 
  private:
+  static constexpr uint32_t kNoGroup = UINT32_MAX;
+
   /// The values of `e` at the batch's positions: the batch column itself
   /// for a plain column reference, otherwise `scratch` filled by
   /// EvalScalarBatch at the `active` positions.
-  Result<const std::vector<Value>*> Column(const sql::Expr& e,
-                                           const RowBatch& batch,
-                                           const std::vector<uint32_t>& active,
-                                           std::vector<Value>* scratch);
+  Result<const ColumnVector*> Column(const sql::Expr& e, const RowBatch& batch,
+                                     const std::vector<uint32_t>& active,
+                                     ColumnVector* scratch);
+  /// Appends a new group keyed `key`, first seen at position `p`.
+  uint32_t AddGroup(Row key, const RowBatch& batch, uint32_t p,
+                    uint64_t order_key);
+  /// Moves the int64-keyed groups into `ids_` for good (a batch whose key
+  /// column is not kInt arrived).
+  void SwitchToRowKeys();
 
   const std::vector<const sql::Expr*>& group_exprs_;
   const std::vector<sql::Expr*>& agg_calls_;
   std::vector<AggGroup> groups_;
   std::unordered_map<Row, uint32_t, RowHash, RowEq> ids_;  // key -> group
+  // A single INTEGER key: int64 key -> group, and the NULL key's group.
+  bool row_keys_ = false;
+  std::unordered_map<int64_t, uint32_t> int_ids_;
+  uint32_t null_group_ = kNoGroup;
   // Per-batch scratch, reused across batches.
   std::vector<uint32_t> positions_;
   std::vector<uint32_t> group_ids_;  // group of the i-th live row
-  std::vector<const std::vector<Value>*> key_cols_;
-  std::vector<std::vector<Value>> key_scratch_, arg_scratch_;
+  std::vector<const ColumnVector*> key_cols_;
+  std::vector<ColumnVector> key_scratch_, arg_scratch_;
   Row key_;
 };
 

@@ -1,6 +1,8 @@
 #include "exec/expr_eval.h"
 
 #include <cmath>
+#include <memory>
+#include <type_traits>
 
 #include "common/str_util.h"
 
@@ -50,6 +52,17 @@ bool IsCompareCode(BinOpCode c) {
          c == BinOpCode::kLe || c == BinOpCode::kGt || c == BinOpCode::kGe;
 }
 
+/// INTEGER + - * (`op`) with two's-complement wrap-around, computed unsigned
+/// so that overflow is defined.
+int64_t WrappingArith(BinOpCode op, int64_t x, int64_t y) {
+  uint64_t ux = static_cast<uint64_t>(x), uy = static_cast<uint64_t>(y);
+  switch (op) {
+    case BinOpCode::kAdd: return static_cast<int64_t>(ux + uy);
+    case BinOpCode::kSub: return static_cast<int64_t>(ux - uy);
+    default: return static_cast<int64_t>(ux * uy);  // kMul
+  }
+}
+
 /// Numeric addition/subtraction/multiplication preserving INT when both sides
 /// are INT (with wrap-around like typical engines), REAL otherwise. The one
 /// per-value kernel behind both the scalar and the batch evaluator.
@@ -63,9 +76,10 @@ Result<Value> ArithCode(BinOpCode op, const Value& a, const Value& b) {
     int64_t x = a.int_value();
     int64_t y = b.int_value();
     switch (op) {
-      case BinOpCode::kAdd: return Value::Int(x + y);
-      case BinOpCode::kSub: return Value::Int(x - y);
-      case BinOpCode::kMul: return Value::Int(x * y);
+      case BinOpCode::kAdd:
+      case BinOpCode::kSub:
+      case BinOpCode::kMul:
+        return Value::Int(WrappingArith(op, x, y));
       case BinOpCode::kMod:
         if (y == 0) return Status::InvalidArgument("division by zero");
         return Value::Int(x % y);
@@ -385,9 +399,9 @@ Status EvalBatchInto(const Expr& e, const RowBatch& batch,
           static_cast<size_t>(e.bound_column) >= batch.num_columns()) {
         return Status::Internal("unbound column reference " + e.ToString());
       }
-      const std::vector<Value>& col =
+      const ColumnVector& col =
           batch.column(static_cast<size_t>(e.bound_column));
-      for (uint32_t pos : active) (*out)[pos] = col[pos];
+      for (uint32_t pos : active) (*out)[pos] = col.GetValue(pos);
       return Status::OK();
     }
     case ExprKind::kRangeValue:
@@ -582,15 +596,341 @@ Status EvalScalarBatch(const sql::Expr& e, const RowBatch& batch,
   return EvalBatchInto(e, batch, active, out);
 }
 
-Status EvalPredicateBatch(const sql::Expr& e, const RowBatch& batch,
-                          const std::vector<uint32_t>& active,
-                          std::vector<uint32_t>* passing) {
+namespace {
+
+// ---------------------------------------------------------------------------
+// Typed predicate kernels (DESIGN.md §6b "Batch layout")
+// ---------------------------------------------------------------------------
+
+/// Three-valued outcomes of the typed kernels, one byte per batch position.
+constexpr uint8_t kTriFalse = 0, kTriTrue = 1, kTriNull = 2;
+
+bool IsTypedKind(ColumnKind kind) {
+  return kind == ColumnKind::kInt || kind == ColumnKind::kReal ||
+         kind == ColumnKind::kBool || kind == ColumnKind::kText;
+}
+
+bool IsColumnRef(const Expr& e, const RowBatch& batch) {
+  return e.kind == ExprKind::kColumnRef && e.bound_column >= 0 &&
+         static_cast<size_t>(e.bound_column) < batch.num_columns();
+}
+
+/// The kind of a literal operand (kValue for NULL, which has none).
+ColumnKind LiteralKind(const Expr& e) { return KindForType(e.literal.type()); }
+
+ColumnKind OperandKind(const Expr& e, const RowBatch& batch);
+
+/// The kind of `a op b` for a typed arithmetic node: both sides of one
+/// numeric kind (literals included, one side at least not a literal) for
+/// + - *; an INT operand by an INT literal other than 0 and -1 for %; a
+/// REAL operand by a non-zero REAL literal for /. kValue otherwise — every
+/// shape that could raise or change kind falls back.
+ColumnKind ArithKind(BinOpCode op, const Expr& a, const Expr& b,
+                     const RowBatch& batch) {
+  if (a.kind == ExprKind::kLiteral) {
+    if (b.kind == ExprKind::kLiteral ||
+        (op != BinOpCode::kAdd && op != BinOpCode::kMul)) {
+      return ColumnKind::kValue;
+    }
+    return ArithKind(op, b, a, batch);  // commutative: literal on the right
+  }
+  ColumnKind kind = OperandKind(a, batch);
+  if (kind != ColumnKind::kInt && kind != ColumnKind::kReal) {
+    return ColumnKind::kValue;
+  }
+  bool literal = b.kind == ExprKind::kLiteral;
+  if (literal ? LiteralKind(b) != kind : OperandKind(b, batch) != kind) {
+    return ColumnKind::kValue;
+  }
+  switch (op) {
+    case BinOpCode::kAdd:
+    case BinOpCode::kSub:
+    case BinOpCode::kMul:
+      return kind;
+    case BinOpCode::kMod:
+      return kind == ColumnKind::kInt && literal &&
+                     b.literal.int_value() != 0 && b.literal.int_value() != -1
+                 ? kind
+                 : ColumnKind::kValue;
+    case BinOpCode::kDiv:
+      return kind == ColumnKind::kReal && literal &&
+                     b.literal.real_value() != 0.0
+                 ? kind
+                 : ColumnKind::kValue;
+    default:
+      return ColumnKind::kValue;
+  }
+}
+
+/// The native kind `e` evaluates to over `batch` — a column reference's
+/// kind, or a typed arithmetic node's (ArithKind) — or kValue when it has
+/// none.
+ColumnKind OperandKind(const Expr& e, const RowBatch& batch) {
+  if (IsColumnRef(e, batch)) {
+    return batch.column(static_cast<size_t>(e.bound_column)).kind();
+  }
+  if (e.kind != ExprKind::kBinary) return ColumnKind::kValue;
+  BinOpCode op = ResolveBinOp(e.op);
+  if (!IsArithCode(op) || op == BinOpCode::kConcat) return ColumnKind::kValue;
+  return ArithKind(op, *e.args[0], *e.args[1], batch);
+}
+
+/// True when `e` has a typed kernel over `batch`: a comparison of two
+/// operands of one typed kind (typed columns, typed arithmetic over them,
+/// and a literal of that kind or NULL on at most one side), or IS [NOT]
+/// NULL of a column. None of these shapes can raise, so evaluating them at
+/// every live position matches the Value evaluator exactly.
+bool HasKernel(const Expr& e, const RowBatch& batch) {
+  switch (e.kind) {
+    case ExprKind::kIsNull:
+      return IsColumnRef(*e.args[0], batch);
+    case ExprKind::kBinary: {
+      BinOpCode code = ResolveBinOp(e.op);
+      if (!IsCompareCode(code)) return false;
+      const Expr* a = e.args[0].get();
+      const Expr* b = e.args[1].get();
+      if (a->kind == ExprKind::kLiteral) std::swap(a, b);
+      ColumnKind kind = OperandKind(*a, batch);
+      if (!IsTypedKind(kind)) return false;
+      if (b->kind == ExprKind::kLiteral) {
+        return b->literal.is_null() || LiteralKind(*b) == kind;
+      }
+      return OperandKind(*b, batch) == kind;
+    }
+    default:
+      return false;
+  }
+}
+
+/// Scratch columns for typed arithmetic results, alive for one kernel call.
+using OperandScratch = std::vector<std::unique_ptr<ColumnVector>>;
+
+template <typename T>
+T NativeAt(const ColumnVector& c, size_t pos) {
+  if constexpr (std::is_same_v<T, int64_t>) {
+    return c.int_at(pos);
+  } else {
+    return c.real_at(pos);
+  }
+}
+
+/// `a op b` at every position of the batch (dense: inactive positions hold
+/// defined but unread values), NULL where either side is.
+template <typename T>
+void ArithLoop(BinOpCode op, const ColumnVector& a, const ColumnVector* b,
+               T literal, size_t n, ColumnVector* out) {
+  auto apply = [op](T x, T y) -> T {
+    if constexpr (std::is_same_v<T, int64_t>) {
+      // kMod's divisor is a literal other than 0 and -1 (ArithKind).
+      return op == BinOpCode::kMod ? x % y : WrappingArith(op, x, y);
+    } else {
+      switch (op) {
+        case BinOpCode::kAdd: return x + y;
+        case BinOpCode::kSub: return x - y;
+        case BinOpCode::kMul: return x * y;
+        default: return x / y;  // kDiv, y non-zero
+      }
+    }
+  };
+  out->Reset(std::is_same_v<T, int64_t> ? ColumnKind::kInt : ColumnKind::kReal);
+  out->Reserve(n);
+  const bool nulls = !a.no_nulls() || (b != nullptr && !b->no_nulls());
+  for (size_t pos = 0; pos < n; ++pos) {
+    if (nulls && (a.IsNull(pos) || (b != nullptr && b->IsNull(pos)))) {
+      out->AppendNull();
+      continue;
+    }
+    T y = b != nullptr ? NativeAt<T>(*b, pos) : literal;
+    T r = apply(NativeAt<T>(a, pos), y);
+    if constexpr (std::is_same_v<T, int64_t>) {
+      out->AppendInt(r);
+    } else {
+      out->AppendReal(r);
+    }
+  }
+}
+
+/// The column of an OperandKind() != kValue expression, holding every
+/// position of the batch: the batch's own column for a column reference,
+/// else a scratch column appended to `scratch`.
+const ColumnVector& EvalOperand(const Expr& e, const RowBatch& batch,
+                                OperandScratch* scratch) {
+  if (IsColumnRef(e, batch)) {
+    return batch.column(static_cast<size_t>(e.bound_column));
+  }
+  BinOpCode op = ResolveBinOp(e.op);
+  const Expr* a = e.args[0].get();
+  const Expr* b = e.args[1].get();
+  if (a->kind == ExprKind::kLiteral) std::swap(a, b);  // ArithKind's rule
+  const ColumnVector& left = EvalOperand(*a, batch, scratch);
+  const ColumnVector* right = b->kind == ExprKind::kLiteral
+                                  ? nullptr
+                                  : &EvalOperand(*b, batch, scratch);
+  scratch->push_back(std::make_unique<ColumnVector>());
+  ColumnVector* out = scratch->back().get();
+  if (left.kind() == ColumnKind::kInt) {
+    ArithLoop<int64_t>(op, left, right, right ? 0 : b->literal.int_value(),
+                       batch.size(), out);
+  } else {
+    ArithLoop<double>(op, left, right, right ? 0.0 : b->literal.real_value(),
+                      batch.size(), out);
+  }
+  return *out;
+}
+
+uint8_t TriOfCompare(BinOpCode op, int c) {
+  bool r = false;
+  switch (op) {
+    case BinOpCode::kEq: r = c == 0; break;
+    case BinOpCode::kNe: r = c != 0; break;
+    case BinOpCode::kLt: r = c < 0; break;
+    case BinOpCode::kLe: r = c <= 0; break;
+    case BinOpCode::kGt: r = c > 0; break;
+    default: r = c >= 0; break;  // kGe
+  }
+  return r ? kTriTrue : kTriFalse;
+}
+
+template <typename T>
+int Cmp3(const T& a, const T& b) {
+  if (a < b) return -1;
+  if (b < a) return 1;
+  return 0;
+}
+
+/// `a op b` at every live position, where `read(x, pos)` is the native
+/// value of typed column x (Value::Compare's order for one type) and `b`
+/// null stands for `literal`. `flip` reverses the operands (literal left).
+template <typename Read, typename T>
+void CompareLoop(BinOpCode op, const ColumnVector& a, const ColumnVector* b,
+                 const T& literal, bool flip,
+                 const std::vector<uint32_t>& active, Read read, uint8_t* out) {
+  const bool nulls = !a.no_nulls() || (b != nullptr && !b->no_nulls());
+  for (uint32_t pos : active) {
+    if (nulls && (a.IsNull(pos) || (b != nullptr && b->IsNull(pos)))) {
+      out[pos] = kTriNull;
+      continue;
+    }
+    int c = Cmp3(read(a, pos), b != nullptr ? read(*b, pos) : literal);
+    out[pos] = TriOfCompare(op, flip ? -c : c);
+  }
+}
+
+void CompareTri(BinOpCode op, const Expr& e, const RowBatch& batch,
+                const std::vector<uint32_t>& active, OperandScratch* scratch,
+                uint8_t* out) {
+  const Expr* a = e.args[0].get();
+  const Expr* b = e.args[1].get();
+  const bool flip = a->kind == ExprKind::kLiteral;
+  if (flip) std::swap(a, b);
+  const ColumnVector& left = EvalOperand(*a, batch, scratch);
+  const ColumnVector* right = nullptr;
+  Value literal;
+  if (b->kind == ExprKind::kLiteral) {
+    literal = b->literal;
+    if (literal.is_null()) {
+      for (uint32_t pos : active) out[pos] = kTriNull;
+      return;
+    }
+  } else {
+    right = &EvalOperand(*b, batch, scratch);
+  }
+  auto ints = [](const ColumnVector& c, uint32_t p) { return c.int_at(p); };
+  auto reals = [](const ColumnVector& c, uint32_t p) { return c.real_at(p); };
+  auto bools = [](const ColumnVector& c, uint32_t p) { return c.bool_at(p); };
+  auto texts = [](const ColumnVector& c, uint32_t p) { return c.text_at(p); };
+  switch (left.kind()) {
+    case ColumnKind::kInt:
+      return CompareLoop(op, left, right, right ? 0 : literal.int_value(), flip,
+                         active, ints, out);
+    case ColumnKind::kReal:
+      return CompareLoop(op, left, right, right ? 0.0 : literal.real_value(),
+                         flip, active, reals, out);
+    case ColumnKind::kBool:
+      return CompareLoop(op, left, right, right ? false : literal.bool_value(),
+                         flip, active, bools, out);
+    default:
+      return CompareLoop(op, left, right,
+                         right ? std::string_view()
+                               : std::string_view(literal.text_value()),
+                         flip, active, texts, out);
+  }
+}
+
+/// `e` as a predicate at the live positions into `out` (indexed by
+/// position), raising exactly what the scalar evaluator raises there. AND
+/// and OR evaluate their left side at every live position and their right
+/// side only where the left does not decide, as the scalar evaluator does,
+/// so a kernel operand keeps its kernel beside one that falls back; NOT
+/// negates its operand. A comparison or IS NULL with a kernel runs it; any
+/// other expression goes through EvalScalarBatch and AsBool.
+Status PredicateTri(const Expr& e, const RowBatch& batch,
+                    const std::vector<uint32_t>& active, uint8_t* out) {
+  const BinOpCode code =
+      e.kind == ExprKind::kBinary ? ResolveBinOp(e.op) : BinOpCode::kUnknown;
+  if (code == BinOpCode::kAnd || code == BinOpCode::kOr) {
+    DS_RETURN_IF_ERROR(PredicateTri(*e.args[0], batch, active, out));
+    // The deciding value: FALSE for AND, TRUE for OR.
+    const uint8_t decides = code == BinOpCode::kAnd ? kTriFalse : kTriTrue;
+    std::vector<uint32_t> undecided;
+    for (uint32_t pos : active) {
+      if (out[pos] != decides) undecided.push_back(pos);
+    }
+    if (undecided.empty()) return Status::OK();
+    std::vector<uint8_t> right(batch.size());
+    DS_RETURN_IF_ERROR(
+        PredicateTri(*e.args[1], batch, undecided, right.data()));
+    for (uint32_t pos : undecided) {
+      // The left side is the non-deciding value or NULL here.
+      if (right[pos] == decides || right[pos] == kTriNull) {
+        out[pos] = right[pos];
+      }
+    }
+    return Status::OK();
+  }
+  if (e.kind == ExprKind::kUnary && e.op == "NOT") {
+    DS_RETURN_IF_ERROR(PredicateTri(*e.args[0], batch, active, out));
+    for (uint32_t pos : active) {
+      if (out[pos] != kTriNull) out[pos] ^= 1;
+    }
+    return Status::OK();
+  }
+  if (HasKernel(e, batch)) {
+    if (e.kind == ExprKind::kIsNull) {
+      const ColumnVector& col =
+          batch.column(static_cast<size_t>(e.args[0]->bound_column));
+      for (uint32_t pos : active) {
+        out[pos] = col.IsNull(pos) != e.negated ? kTriTrue : kTriFalse;
+      }
+    } else {
+      OperandScratch scratch;
+      CompareTri(code, e, batch, active, &scratch, out);
+    }
+    return Status::OK();
+  }
   std::vector<Value> vals;
   DS_RETURN_IF_ERROR(EvalScalarBatch(e, batch, active, &vals));
   for (uint32_t pos : active) {
-    if (vals[pos].is_null()) continue;
+    if (vals[pos].is_null()) {
+      out[pos] = kTriNull;
+      continue;
+    }
     DS_ASSIGN_OR_RETURN(bool b, vals[pos].AsBool());
-    if (b) passing->push_back(pos);
+    out[pos] = b ? kTriTrue : kTriFalse;
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Status EvalPredicateBatch(const sql::Expr& e, const RowBatch& batch,
+                          const std::vector<uint32_t>& active,
+                          std::vector<uint32_t>* passing) {
+  std::vector<uint8_t> tri(batch.size());
+  DS_RETURN_IF_ERROR(PredicateTri(e, batch, active, tri.data()));
+  passing->reserve(passing->size() + active.size());
+  for (uint32_t pos : active) {
+    if (tri[pos] == kTriTrue) passing->push_back(pos);
   }
   return Status::OK();
 }

@@ -45,6 +45,9 @@ Status EvalScalarBatch(const sql::Expr& e, const RowBatch& batch,
 
 /// Vectorized WHERE/HAVING/ON acceptance: appends to `passing` the subset of
 /// `active` positions where `e` evaluates to TRUE (NULL and FALSE reject).
+/// Comparisons over typed columns, and AND/OR/NOT of them, run as typed
+/// kernels (DESIGN.md §6b "Batch layout"); every other shape goes through
+/// EvalScalarBatch, with identical results and errors.
 Status EvalPredicateBatch(const sql::Expr& e, const RowBatch& batch,
                           const std::vector<uint32_t>& active,
                           std::vector<uint32_t>* passing);

@@ -16,10 +16,11 @@ size_t TextBytes(const Value& v) {
 void JoinBuild::MeasureBytes() {
   constexpr size_t kNode = 2 * sizeof(void*);  // next link + cached hash
   bytes = sizeof(JoinBuild) + next.capacity() * sizeof(uint32_t);
-  for (const std::vector<Value>& column : columns) {
-    bytes += column.capacity() * sizeof(Value);
-    for (const Value& v : column) bytes += TextBytes(v);
+  for (const ColumnVector& column : columns) {
+    bytes += sizeof(column) + column.MemoryBytes();
   }
+  bytes += int_chains.bucket_count() * sizeof(void*);
+  bytes += int_chains.size() * (kNode + sizeof(int64_t) + sizeof(Chain));
   bytes += value_chains.bucket_count() * sizeof(void*);
   for (const auto& [key, chain] : value_chains) {
     bytes += kNode + sizeof(key) + sizeof(chain) + TextBytes(key);

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "types/column_vector.h"
 #include "types/value.h"
 
 namespace dataspread {
@@ -20,20 +21,23 @@ class Pager;
 }
 
 /// The batch hash join's build table, immutable once built: the right
-/// input's tuples with no NULL key, in right-input order, as one
-/// column-major vector per right column, and each distinct key's chain of
-/// build indices — first and last index, linked through `next` — so a chain
-/// lists its tuples in right-input order. One key column is keyed by Value;
-/// several by a Row. Only the columns read above the join are stored; the
-/// others (key copies nobody reads included) are empty vectors.
+/// input's tuples with no NULL key, in right-input order, as one typed
+/// column per right column (DESIGN.md §6b "Batch layout"; TEXT in each
+/// column's own arena), and each distinct key's chain of build indices —
+/// first and last index, linked through `next` — so a chain lists its
+/// tuples in right-input order. A single key column of kind kInt is keyed
+/// by int64_t; any other single key by Value; several by a Row. Only the
+/// columns read above the join are stored; the others (key copies nobody
+/// reads included) are absent.
 struct JoinBuild {
   static constexpr uint32_t kNoMatch = UINT32_MAX;
   struct Chain {
     uint32_t first, last;
   };
 
-  std::vector<std::vector<Value>> columns;
+  std::vector<ColumnVector> columns;
   std::vector<uint32_t> next;
+  std::unordered_map<int64_t, Chain> int_chains;
   std::unordered_map<Value, Chain, ValueHash> value_chains;
   std::unordered_map<Row, Chain, RowHash, RowEq> row_chains;
   /// Estimated heap footprint, set by MeasureBytes().

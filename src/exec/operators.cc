@@ -13,14 +13,12 @@ namespace {
 void AppendJoined(RowBatch* out, const Row& left, const Row* right,
                   size_t right_width) {
   size_t lw = left.size();
-  for (size_t c = 0; c < lw; ++c) out->column(c).push_back(left[c]);
-  if (right != nullptr) {
-    for (size_t c = 0; c < right_width; ++c) {
-      out->column(lw + c).push_back((*right)[c]);
-    }
-  } else {
-    for (size_t c = 0; c < right_width; ++c) {
-      out->column(lw + c).push_back(Value::Null());
+  for (size_t c = 0; c < lw; ++c) out->column(c).Append(left[c]);
+  for (size_t c = 0; c < right_width; ++c) {
+    if (right != nullptr) {
+      out->column(lw + c).Append((*right)[c]);
+    } else {
+      out->column(lw + c).AppendNull();
     }
   }
   out->set_size(out->size() + 1);
@@ -84,13 +82,19 @@ Result<bool> TableScanOp::Next(RowBatch* out) {
   if (remaining_ == 0 || next_pos_ >= table_->num_rows()) return false;
   size_t want = std::min({out->capacity(), remaining_,
                           table_->num_rows() - next_pos_});
+  // Read columns take their declared type's kind; pruned ones are absent.
+  for (size_t c = 0; c < ncols; ++c) out->column(c).Reset(ColumnKind::kAbsent);
   for (size_t j = 0; j < columns_.size(); ++j) {
-    column_out_[j] = &out->column(columns_[j]);
+    ColumnVector& col = out->column(columns_[j]);
+    col.Reset(KindForType(table_->schema().column(columns_[j]).type));
+    column_out_[j] = &col;
   }
   DS_RETURN_IF_ERROR(
       table_->GatherWindow(next_pos_, want, columns_, column_out_.data()));
-  // Pruned columns read as NULL at every position of the batch.
-  for (size_t c = 0; c < ncols; ++c) out->column(c).resize(want);
+  for (size_t c = 0; c < ncols; ++c) {
+    ColumnVector& col = out->column(c);
+    if (col.kind() == ColumnKind::kAbsent) col.AppendNulls(want);
+  }
   out->set_size(want);
   next_pos_ += want;
   remaining_ -= want;
@@ -191,7 +195,7 @@ Result<bool> ProjectOp::Next(RowBatch* out) {
   out->Reset(exprs_.size());
   for (size_t c = 0; c < exprs_.size(); ++c) {
     DS_RETURN_IF_ERROR(EvalScalarBatch(*exprs_[c], input_, active,
-                                       &out->column(c)));
+                                       out->column(c).MutableValues()));
   }
   out->set_size(input_.size());
   if (input_.has_selection()) out->SetSelection(input_.selection());
@@ -333,10 +337,10 @@ Result<bool> NestedLoopJoinOp::Next(RowBatch* out) {
         for (size_t i = 0; i < chunk; ++i) {
           const Row& r = right_rows_[right_index_ + i];
           for (size_t c = 0; c < lw; ++c) {
-            combined_.column(c).push_back(left_row_[c]);
+            combined_.column(c).Append(left_row_[c]);
           }
           for (size_t c = 0; c < right_width_; ++c) {
-            combined_.column(lw + c).push_back(r[c]);
+            combined_.column(lw + c).Append(r[c]);
           }
         }
         combined_.set_size(chunk);
@@ -350,7 +354,7 @@ Result<bool> NestedLoopJoinOp::Next(RowBatch* out) {
         for (uint32_t p : passing_) {
           left_matched_ = true;
           for (size_t c = 0; c < lw + right_width_; ++c) {
-            out->column(c).push_back(std::move(combined_.column(c)[p]));
+            out->column(c).AppendTake(combined_.column(c), p);
           }
           out->set_size(out->size() + 1);
         }
@@ -445,33 +449,41 @@ Result<std::shared_ptr<JoinBuild>> HashJoinOp::BuildBatched(
     size_t batch_size) {
   auto build = std::make_shared<JoinBuild>();
   JoinBuild& t = *build;
-  // Read the keys and the live columns; a table scan's row count sizes the
-  // columns exactly.
+  // Read the keys and the live columns; the others stay absent.
   std::vector<size_t> read_columns;
-  t.columns.assign(right_width_, {});
+  t.columns.assign(right_width_, ColumnVector(ColumnKind::kAbsent));
   for (size_t c = 0; c < right_width_; ++c) {
     bool key = std::find(right_keys_.begin(), right_keys_.end(),
                          static_cast<int>(c)) != right_keys_.end();
-    if (!key && !RightLive(c)) continue;
-    read_columns.push_back(c);
-    if (right_table_ != nullptr) t.columns[c].reserve(right_table_->num_rows());
+    if (key || RightLive(c)) read_columns.push_back(c);
   }
   RowBatch b(batch_size);
   std::vector<uint32_t> scratch;
+  uint32_t n = 0;
+  bool shaped = false;
   while (true) {
     DS_ASSIGN_OR_RETURN(bool more, right_->Next(&b));
     if (!more) break;
+    if (!shaped) {
+      // The build columns take the right input's kinds; a table scan's row
+      // count sizes them exactly.
+      for (size_t c : read_columns) {
+        t.columns[c].Reset(b.column(c).kind());
+        if (right_table_ != nullptr) {
+          t.columns[c].Reserve(right_table_->num_rows());
+        }
+      }
+      shaped = true;
+    }
     for (uint32_t p : b.ActivePositions(&scratch)) {
       bool null_key = false;
-      for (int k : right_keys_) null_key |= b.column(k)[p].is_null();
+      for (int k : right_keys_) null_key |= b.column(k).IsNull(p);
       if (null_key) continue;  // NULL keys never join
-      for (size_t c : read_columns) {
-        t.columns[c].push_back(std::move(b.column(c)[p]));
-      }
+      for (size_t c : read_columns) t.columns[c].AppendTake(b.column(c), p);
+      ++n;
     }
   }
   // Link each key's chain in right-input order.
-  uint32_t n = static_cast<uint32_t>(t.columns[right_keys_[0]].size());
   t.next.assign(n, kNoMatch);
   auto link = [&t](JoinBuild::Chain* chain, bool inserted, uint32_t i) {
     if (!inserted) {
@@ -479,12 +491,19 @@ Result<std::shared_ptr<JoinBuild>> HashJoinOp::BuildBatched(
       chain->last = i;
     }
   };
-  if (right_keys_.size() == 1) {
-    const std::vector<Value>& keys = t.columns[right_keys_[0]];
-    t.value_chains.reserve(n);
+  const ColumnVector& first_key = t.columns[right_keys_[0]];
+  if (right_keys_.size() == 1 && first_key.kind() == ColumnKind::kInt) {
+    t.int_chains.reserve(n);
     for (uint32_t i = 0; i < n; ++i) {
       auto [it, inserted] =
-          t.value_chains.try_emplace(keys[i], JoinBuild::Chain{i, i});
+          t.int_chains.try_emplace(first_key.int_at(i), JoinBuild::Chain{i, i});
+      link(&it->second, inserted, i);
+    }
+  } else if (right_keys_.size() == 1) {
+    t.value_chains.reserve(n);
+    for (uint32_t i = 0; i < n; ++i) {
+      auto [it, inserted] = t.value_chains.try_emplace(first_key.GetValue(i),
+                                                       JoinBuild::Chain{i, i});
       link(&it->second, inserted, i);
     }
   } else {
@@ -492,7 +511,7 @@ Result<std::shared_ptr<JoinBuild>> HashJoinOp::BuildBatched(
     for (uint32_t i = 0; i < n; ++i) {
       Row key;
       key.reserve(right_keys_.size());
-      for (int k : right_keys_) key.push_back(t.columns[k][i]);
+      for (int k : right_keys_) key.push_back(t.columns[k].GetValue(i));
       auto [it, inserted] =
           t.row_chains.try_emplace(std::move(key), JoinBuild::Chain{i, i});
       link(&it->second, inserted, i);
@@ -502,11 +521,12 @@ Result<std::shared_ptr<JoinBuild>> HashJoinOp::BuildBatched(
   // resize them to the distinct keys the build retains, at a load factor
   // of about 2/3 so probe chains stay as short as the per-row sizing left
   // them.
+  t.int_chains.rehash(t.int_chains.size() * 3 / 2);
   t.value_chains.rehash(t.value_chains.size() * 3 / 2);
   t.row_chains.rehash(t.row_chains.size() * 3 / 2);
   // A key column nobody reads above the join only served the chains.
   for (int k : right_keys_) {
-    if (!RightLive(k)) std::vector<Value>().swap(t.columns[k]);
+    if (!RightLive(k)) t.columns[k] = ColumnVector(ColumnKind::kAbsent);
   }
   return build;
 }
@@ -547,18 +567,48 @@ Result<bool> HashJoinOp::Next(Row* out) {
   }
 }
 
+namespace {
+
+/// The INTEGER a probe value equals under Value::Compare, when the value can
+/// equal any: an INT itself, or an integral REAL that an int64 holds
+/// exactly (as the Value-keyed map would match it against an INT key).
+bool IntProbeKey(const Value& v, int64_t* key) {
+  if (v.type() == DataType::kInt) {
+    *key = v.int_value();
+    return true;
+  }
+  if (v.type() != DataType::kReal) return false;
+  double d = v.real_value();
+  if (!(d >= -9223372036854775808.0 && d < 9223372036854775808.0)) return false;
+  *key = static_cast<int64_t>(d);
+  return static_cast<double>(*key) == d;
+}
+
+}  // namespace
+
 uint32_t HashJoinOp::ProbeChain(uint32_t pos) {
   if (left_keys_.size() == 1) {
-    const Value& key = left_batch_.column(left_keys_[0])[pos];
-    if (key.is_null()) return kNoMatch;
-    auto it = table_->value_chains.find(key);
+    const ColumnVector& col = left_batch_.column(left_keys_[0]);
+    if (col.IsNull(pos)) return kNoMatch;
+    if (!table_->int_chains.empty()) {
+      int64_t key;
+      if (col.kind() == ColumnKind::kInt) {
+        key = col.int_at(pos);
+      } else if (!IntProbeKey(col.GetValue(pos), &key)) {
+        return kNoMatch;
+      }
+      auto it = table_->int_chains.find(key);
+      return it == table_->int_chains.end() ? kNoMatch : it->second.first;
+    }
+    if (table_->value_chains.empty()) return kNoMatch;
+    auto it = table_->value_chains.find(col.GetValue(pos));
     return it == table_->value_chains.end() ? kNoMatch : it->second.first;
   }
   probe_key_.clear();
   for (int k : left_keys_) {
-    const Value& v = left_batch_.column(k)[pos];
-    if (v.is_null()) return kNoMatch;
-    probe_key_.push_back(v);
+    const ColumnVector& col = left_batch_.column(k);
+    if (col.IsNull(pos)) return kNoMatch;
+    probe_key_.push_back(col.GetValue(pos));
   }
   auto it = table_->row_chains.find(probe_key_);
   return it == table_->row_chains.end() ? kNoMatch : it->second.first;
@@ -568,29 +618,33 @@ void HashJoinOp::FlushPairs(RowBatch* out) {
   if (pairs_.empty()) return;
   size_t lw = left_batch_.num_columns();
   for (size_t c = 0; c < lw; ++c) {
-    std::vector<Value>& to = out->column(c);
-    if (!left_live_.empty() && !left_live_[c]) {
-      to.resize(to.size() + pairs_.size());
+    ColumnVector& to = out->column(c);
+    if (to.kind() == ColumnKind::kAbsent) {
+      to.AppendNulls(pairs_.size());
       continue;
     }
-    std::vector<Value>& from = left_batch_.column(c);
+    ColumnVector& from = left_batch_.column(c);
     for (const Pair& pair : pairs_) {
       if (pair.last) {
-        to.push_back(std::move(from[pair.left]));
+        to.AppendTake(from, pair.left);
       } else {
-        to.push_back(from[pair.left]);
+        to.AppendFrom(from, pair.left);
       }
     }
   }
   for (size_t c = 0; c < right_width_; ++c) {
-    std::vector<Value>& to = out->column(lw + c);
-    if (!RightLive(c)) {
-      to.resize(to.size() + pairs_.size());
+    ColumnVector& to = out->column(lw + c);
+    if (to.kind() == ColumnKind::kAbsent) {
+      to.AppendNulls(pairs_.size());
       continue;
     }
-    const std::vector<Value>& from = table_->columns[c];
+    const ColumnVector& from = table_->columns[c];
     for (const Pair& pair : pairs_) {
-      to.push_back(pair.right == kNoMatch ? Value::Null() : from[pair.right]);
+      if (pair.right == kNoMatch) {
+        to.AppendNull();
+      } else {
+        to.AppendFrom(from, pair.right);
+      }
     }
   }
   out->set_size(out->size() + pairs_.size());
@@ -614,8 +668,21 @@ Result<bool> HashJoinOp::Next(RowBatch* out) {
     built_ = true;
   }
   bool shaped = false;
+  // Output columns take the kinds of the columns they copy; a column not
+  // read above the join is absent.
   auto shape = [&] {
-    if (!shaped) out->Reset(left_batch_.num_columns() + right_width_);
+    if (shaped) return;
+    size_t lw = left_batch_.num_columns();
+    out->Reset(lw + right_width_);
+    for (size_t c = 0; c < lw; ++c) {
+      bool live = left_live_.empty() || left_live_[c];
+      out->column(c).Reset(live ? left_batch_.column(c).kind()
+                                : ColumnKind::kAbsent);
+    }
+    for (size_t c = 0; c < right_width_; ++c) {
+      out->column(lw + c).Reset(RightLive(c) ? table_->columns[c].kind()
+                                             : ColumnKind::kAbsent);
+    }
     shaped = true;
   };
   // Resuming inside a left batch (possibly mid-chain) from a full batch.
@@ -828,7 +895,11 @@ Status SortOp::BuildRows() {
 Status SortOp::BuildBatched(size_t batch_size) {
   input_.set_capacity(batch_size);
   std::vector<uint32_t> scratch;
-  std::vector<std::vector<Value>> key_vals(keys_.size());
+  // Per key, the column holding its values in the current batch: the input
+  // column itself for a plain column reference (compared in place, in its
+  // native kind), else the key's own scratch column.
+  std::vector<ColumnVector> key_scratch(keys_.size());
+  std::vector<const ColumnVector*> key_cols(keys_.size());
   // Full sort: every row and its key tuple, sorted at the end.
   std::vector<Row> keys;
   // Top-K: kept rows live in slots; heap orders slot ids worst-first by
@@ -846,13 +917,25 @@ Status SortOp::BuildBatched(size_t batch_size) {
     if (!more) break;
     const std::vector<uint32_t>& active = input_.ActivePositions(&scratch);
     for (size_t k = 0; k < keys_.size(); ++k) {
-      DS_RETURN_IF_ERROR(EvalScalarBatch(*keys_[k].expr, input_, active,
-                                         &key_vals[k]));
+      const sql::Expr& e = *keys_[k].expr;
+      if (e.kind == sql::ExprKind::kColumnRef && e.bound_column >= 0 &&
+          static_cast<size_t>(e.bound_column) < input_.num_columns()) {
+        key_cols[k] = &input_.column(static_cast<size_t>(e.bound_column));
+        continue;
+      }
+      DS_RETURN_IF_ERROR(EvalScalarBatch(e, input_, active,
+                                         key_scratch[k].MutableValues()));
+      key_cols[k] = &key_scratch[k];
     }
+    // Materializes the key tuple at `p` (before the row moves out).
     auto take_key = [&](uint32_t p, Row* key) {
       key->clear();
       key->reserve(keys_.size());
-      for (auto& kv : key_vals) key->push_back(std::move(kv[p]));
+      for (size_t k = 0; k < keys_.size(); ++k) {
+        key->push_back(key_cols[k] == &key_scratch[k]
+                           ? key_scratch[k].TakeValue(p)
+                           : key_cols[k]->GetValue(p));
+      }
     };
     for (uint32_t p : active) {
       if (keep_ == kKeepAll) {
@@ -874,7 +957,7 @@ Status SortOp::BuildBatched(size_t batch_size) {
         const Row& worst = slot_keys[heap.front()];
         int c = 0;
         for (size_t k = 0; k < keys_.size() && c == 0; ++k) {
-          c = Value::Compare(key_vals[k][p], worst[k]);
+          c = key_cols[k]->CompareTo(p, worst[k]);
           if (keys_[k].descending) c = -c;
         }
         if (c >= 0) continue;

@@ -45,14 +45,15 @@ using OperatorPtr = std::unique_ptr<Operator>;
 /// implement the interface-aware LIMIT/OFFSET pushdown: a pane fetch reads
 /// exactly the window's tuples (paper §2.2 "Window").
 ///
-/// The batch path fills the batch's column vectors straight from storage:
-/// one Table::GatherWindow per batch (one GatherRows page-cursor sweep per
-/// touched file), so a tuple costs one value copy per *read* column from the
-/// pinned page into the batch — no intermediate Row, no per-row callback.
-/// SetColumns() narrows the read to the columns the plan above references
-/// (planner column pruning); every other column is filled with NULLs up to
-/// the batch length, so each column keeps the batch's size() and
-/// MaterializeRow, DISTINCT, and the join emit path stay valid. The row
+/// The batch path fills the batch's columns straight from storage: one
+/// Table::GatherWindow per batch (one GatherRows page-cursor sweep per
+/// touched file), each read column typed by its declared type (DESIGN.md
+/// §6b "Batch layout"), so a tuple costs one native copy per *read* column
+/// from the pinned page into the batch — no intermediate Row, no per-row
+/// callback. SetColumns() narrows the read to the columns the plan above
+/// references (planner column pruning); every other column is absent and
+/// reads as NULL, so MaterializeRow, DISTINCT, and the join emit path stay
+/// valid. The row
 /// path fetches whole-tuple GetWindow slices of `row_batch_hint` tuples (the
 /// pre-vectorization behavior).
 class TableScanOp : public Operator {
@@ -69,7 +70,7 @@ class TableScanOp : public Operator {
   void SetWindow(size_t start, size_t count);
 
   /// Restricts the batch path to the listed columns (ascending, each below
-  /// the table's column count); the others read as NULL. Default: all.
+  /// the table's column count); the others are absent. Default: all.
   void SetColumns(std::vector<size_t> columns);
 
  private:
@@ -77,7 +78,7 @@ class TableScanOp : public Operator {
   size_t start_, remaining_, next_pos_ = 0;
   size_t row_batch_hint_;
   std::vector<size_t> columns_;  // read by the batch path
-  std::vector<std::vector<Value>*> column_out_;
+  std::vector<ColumnVector*> column_out_;
   std::vector<Row> batch_;
   size_t batch_index_ = 0;
 };
@@ -207,12 +208,12 @@ class NestedLoopJoinOp : public Operator {
 /// index) pairs, which are then copied out column by column: the left
 /// batch's columns at the position (moved, on a position's last pair) and
 /// the build columns at the index. SetColumns() narrows that copy to the
-/// columns read above the join — the rest are NULL-filled to the batch
-/// length, as TableScanOp::SetColumns does — and the build stores only the
-/// live right columns. A chain longer than the room left in the output
-/// batch resumes mid-chain on the next call, so batches never exceed
-/// capacity. The row path keeps a Row-keyed map of right Rows and is never
-/// cached.
+/// columns read above the join — the rest are absent, as
+/// TableScanOp::SetColumns leaves them — and the build stores only the
+/// live right columns, typed as the right input's columns are. A chain
+/// longer than the room left in the output batch resumes mid-chain on the
+/// next call, so batches never exceed capacity. The row path keeps a
+/// Row-keyed map of right Rows and is never cached.
 class HashJoinOp : public Operator {
  public:
   HashJoinOp(OperatorPtr left, OperatorPtr right, std::vector<int> left_keys,
@@ -223,7 +224,7 @@ class HashJoinOp : public Operator {
   Result<bool> Next(RowBatch* out) override;
 
   /// Marks the left and right columns read above the join (empty = all);
-  /// the batch path copies only those and NULL-fills the others.
+  /// the batch path copies only those and leaves the others absent.
   void SetColumns(std::vector<bool> left_live, std::vector<bool> right_live);
 
  private:
@@ -333,7 +334,9 @@ class HashAggregateOp : public Operator {
 /// `keep` best rows seen so far. A later row ties with a kept one only to
 /// lose on arrival, so the heap keeps exactly the stable sort's first `keep`
 /// rows, ties included. A row that does not beat the heap's worst entry is
-/// compared in place and never moved out of its batch. Every row's keys are
+/// compared in place and never moved out of its batch; a key that is a
+/// plain column reference is compared on the typed column itself, so only
+/// a row entering the heap is materialized. Every row's keys are
 /// still evaluated, so key errors surface as in the full sort. The row path
 /// always runs the full stable sort.
 class SortOp : public Operator {

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "types/column_vector.h"
 #include "types/value.h"
 
 namespace dataspread {
@@ -52,9 +53,17 @@ inline size_t EffectiveMorselSize(const ExecOptions& exec) {
 /// A batch of tuples in column-major layout plus an optional selection
 /// vector — the unit of exchange of the vectorized operator pipeline.
 ///
+/// Each column is a ColumnVector of one kind (DESIGN.md §6b "Batch
+/// layout"): a table scan fills int64, double, byte or arena-TEXT columns
+/// with null bitmaps, straight from the pinned pages; a column pruned by the
+/// planner is kAbsent (no storage, reads as NULL); everything else —
+/// RANGETABLE input, expression results, aggregate and sort output — is the
+/// kValue fallback. Reset() shapes every column as kValue; typed producers
+/// re-kind their columns after it.
+///
 /// Physical rows live at positions [0, size()). When a selection is set,
 /// only the positions it lists (strictly increasing) are live; everything
-/// else is dead weight a later Compact() or consumer-side gather drops.
+/// else is dead weight a consumer-side gather drops.
 /// Filters refine batches by *narrowing the selection in place* — no value
 /// is copied or moved on the filter path.
 ///
@@ -74,10 +83,10 @@ class RowBatch {
   }
 
   /// Clears all rows and the selection, shaping the batch to `num_columns`
-  /// columns. Column storage is reused across calls.
+  /// kValue columns. Column storage is reused across calls.
   void Reset(size_t num_columns) {
     columns_.resize(num_columns);
-    for (auto& col : columns_) col.clear();
+    for (auto& col : columns_) col.Reset(ColumnKind::kValue);
     num_rows_ = 0;
     has_selection_ = false;
     selection_.clear();
@@ -88,12 +97,11 @@ class RowBatch {
   size_t size() const { return num_rows_; }
   bool full() const { return num_rows_ >= capacity_; }
 
-  std::vector<Value>& column(size_t c) { return columns_[c]; }
-  const std::vector<Value>& column(size_t c) const { return columns_[c]; }
-  const Value& at(size_t row, size_t col) const { return columns_[col][row]; }
+  ColumnVector& column(size_t c) { return columns_[c]; }
+  const ColumnVector& column(size_t c) const { return columns_[c]; }
 
   /// Producers must call this after appending values column-wise so the row
-  /// count matches the column vectors.
+  /// count matches the columns.
   void set_size(size_t n) { num_rows_ = n; }
 
   // ---- Selection ----------------------------------------------------------
@@ -103,10 +111,6 @@ class RowBatch {
   void SetSelection(std::vector<uint32_t> sel) {
     selection_ = std::move(sel);
     has_selection_ = true;
-  }
-  void ClearSelection() {
-    has_selection_ = false;
-    selection_.clear();
   }
 
   /// Live row count: selection size when set, physical size otherwise.
@@ -129,16 +133,11 @@ class RowBatch {
 
   // ---- Row bridging -------------------------------------------------------
 
-  /// Appends one row-major tuple (copying). The batch must be shaped
-  /// (Reset) to `row.size()` columns.
-  void AppendRow(const Row& row) {
-    for (size_t c = 0; c < columns_.size(); ++c) columns_[c].push_back(row[c]);
-    ++num_rows_;
-  }
-  /// Appends one tuple, moving the values out of `row`.
+  /// Appends one tuple, moving the values out of `row`. The batch must be
+  /// shaped (Reset) to `row.size()` columns.
   void AppendRowMove(Row&& row) {
     for (size_t c = 0; c < columns_.size(); ++c) {
-      columns_[c].push_back(std::move(row[c]));
+      columns_[c].AppendMove(std::move(row[c]));
     }
     ++num_rows_;
   }
@@ -147,7 +146,7 @@ class RowBatch {
   Row MaterializeRow(size_t pos) const {
     Row out;
     out.reserve(columns_.size());
-    for (const auto& col : columns_) out.push_back(col[pos]);
+    for (const auto& col : columns_) out.push_back(col.GetValue(pos));
     return out;
   }
   /// Dense Row moving the values out of physical position `pos` (the
@@ -155,12 +154,12 @@ class RowBatch {
   Row MoveRow(size_t pos) {
     Row out;
     out.reserve(columns_.size());
-    for (auto& col : columns_) out.push_back(std::move(col[pos]));
+    for (auto& col : columns_) out.push_back(col.TakeValue(pos));
     return out;
   }
 
  private:
-  std::vector<std::vector<Value>> columns_;
+  std::vector<ColumnVector> columns_;
   size_t num_rows_ = 0;
   size_t capacity_;
   std::vector<uint32_t> selection_;

@@ -44,11 +44,14 @@ Result<std::unique_ptr<ColumnStore>> ColumnStore::Attach(
     if (!pager->HasFile(f)) {
       return Status::Internal("column-store manifest names a dead file");
     }
-    if (pager->FileSize(f) < num_rows) {
-      return Status::Internal("recovered column heap is shorter than the "
-                              "catalog's row count — durability hole");
+    // As in RowStore::Attach: a committed log never leaves a column heap
+    // longer or shorter than the catalog's row count.
+    if (pager->FileSize(f) != num_rows) {
+      return Status::Corruption("recovered column heap holds " +
+                                std::to_string(pager->FileSize(f)) +
+                                " slots, the catalog's row count " +
+                                std::to_string(num_rows));
     }
-    if (pager->FileSize(f) > num_rows) pager->Truncate(f, num_rows);
   }
   return std::unique_ptr<ColumnStore>(new ColumnStore(
       pager, manifest.files, static_cast<size_t>(num_rows)));
@@ -86,15 +89,15 @@ Result<Row> ColumnStore::GetRow(size_t row) const {
 
 Status ColumnStore::GatherRows(const size_t* slots, size_t n,
                                const std::vector<size_t>& columns,
-                               std::vector<Value>* const* out) const {
+                               ColumnVector* const* out) const {
   DS_RETURN_IF_ERROR(CheckGather(slots, n, columns));
   // One cursor per listed attribute file, swept over the slot list; an
   // unlisted attribute's pages are never touched.
   for (size_t j = 0; j < columns.size(); ++j) {
     storage::PageCursor cursor(*pager_, files_[columns[j]]);
-    std::vector<Value>& dst = *out[j];
-    dst.reserve(dst.size() + n);
-    for (size_t i = 0; i < n; ++i) dst.push_back(cursor.Read(slots[i]));
+    ColumnVector& dst = *out[j];
+    dst.Reserve(dst.size() + n);
+    for (size_t i = 0; i < n; ++i) dst.Append(cursor.Read(slots[i]));
   }
   return Status::OK();
 }
@@ -117,9 +120,11 @@ Result<size_t> ColumnStore::AppendRow(const Row& row) {
 Result<size_t> ColumnStore::DeleteRow(size_t row) {
   if (row >= num_rows_) return Status::OutOfRange("row " + std::to_string(row));
   size_t last = num_rows_ - 1;
+  // The last value is copied, not taken: Truncate clears its slot in the
+  // same statement, so nulling it first would only log a redundant record.
   for (storage::FileId f : files_) {
     if (row != last) {
-      pager_->Write(f, row, pager_->Take(f, last));
+      pager_->Write(f, row, pager_->Read(f, last));
     }
     pager_->Truncate(f, last);
   }

@@ -19,7 +19,7 @@ class ColumnStore : public TableStorage {
   ~ColumnStore() override;
 
   /// Rebinds to recovered per-column heaps (manifest.files[c] = column c);
-  /// see AttachStorage for the num_rows / truncation contract.
+  /// see AttachStorage for the num_rows contract.
   static Result<std::unique_ptr<ColumnStore>> Attach(
       const StorageManifest& manifest, uint64_t num_rows,
       storage::Pager* pager);
@@ -35,7 +35,7 @@ class ColumnStore : public TableStorage {
   Result<Row> GetRow(size_t row) const override;
   Status GatherRows(const size_t* slots, size_t n,
                     const std::vector<size_t>& columns,
-                    std::vector<Value>* const* out) const override;
+                    ColumnVector* const* out) const override;
   Result<size_t> AppendRow(const Row& row) override;
   Result<size_t> DeleteRow(size_t row) override;
   Status AddColumn(const Value& default_value) override;

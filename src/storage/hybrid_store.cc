@@ -55,12 +55,15 @@ Result<std::unique_ptr<HybridStore>> HybridStore::Attach(
       return Status::Internal("hybrid manifest group is malformed or names a "
                               "dead file");
     }
+    // As in RowStore::Attach: a committed log never leaves a group longer
+    // or shorter than the catalog's row count.
     uint64_t want = num_rows * mg.width;
-    if (pager->FileSize(mg.file) < want) {
-      return Status::Internal("recovered attribute group is shorter than the "
-                              "catalog's row count — durability hole");
+    if (pager->FileSize(mg.file) != want) {
+      return Status::Corruption("recovered attribute group holds " +
+                                std::to_string(pager->FileSize(mg.file)) +
+                                " slots, the catalog's row count " +
+                                std::to_string(want));
     }
-    if (pager->FileSize(mg.file) > want) pager->Truncate(mg.file, want);
     Group g;
     g.width = mg.width;
     g.file = mg.file;
@@ -136,13 +139,13 @@ Result<Row> HybridStore::GetRow(size_t row) const {
 
 Status HybridStore::GatherRows(const size_t* slots, size_t n,
                                const std::vector<size_t>& columns,
-                               std::vector<Value>* const* out) const {
+                               ColumnVector* const* out) const {
   DS_RETURN_IF_ERROR(CheckGather(slots, n, columns));
   // One row-major sweep per attribute group holding a listed column: the
   // group's listed offsets are copied out of one span read per tuple, and
   // groups holding no listed column are skipped entirely.
   std::vector<size_t> offsets;
-  std::vector<std::vector<Value>*> dst;
+  std::vector<ColumnVector*> dst;
   for (size_t gi = 0; gi < groups_.size(); ++gi) {
     offsets.clear();
     dst.clear();
@@ -187,11 +190,13 @@ Result<size_t> HybridStore::AppendRow(const Row& row) {
 Result<size_t> HybridStore::DeleteRow(size_t row) {
   if (row >= num_rows_) return Status::OutOfRange("row " + std::to_string(row));
   size_t last = num_rows_ - 1;
+  // The last tuple is copied, not taken: Truncate clears its slots in the
+  // same statement, so nulling them first would only log a redundant record.
   for (const Group& g : groups_) {
     if (row != last) {
       for (size_t o = 0; o < g.width; ++o) {
         pager_->Write(g.file, Entry(g, row, o),
-                      pager_->Take(g.file, Entry(g, last, o)));
+                      pager_->Read(g.file, Entry(g, last, o)));
       }
     }
     pager_->Truncate(g.file, last * g.width);

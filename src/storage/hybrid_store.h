@@ -44,7 +44,7 @@ class HybridStore : public TableStorage {
   Result<Row> GetRow(size_t row) const override;
   Status GatherRows(const size_t* slots, size_t n,
                     const std::vector<size_t>& columns,
-                    std::vector<Value>* const* out) const override;
+                    ColumnVector* const* out) const override;
   Result<size_t> AppendRow(const Row& row) override;
   Result<size_t> DeleteRow(size_t row) override;
   Status AddColumn(const Value& default_value) override;

@@ -172,7 +172,8 @@ const Value& PageCursor::Read(uint64_t slot) {
   return page_->slot(slot - base_);
 }
 
-const Value* PageCursor::ReadSpan(uint64_t slot, uint64_t count) {
+const Value* PageCursor::ReadSpan(uint64_t slot, uint64_t count,
+                                  uint64_t reads) {
   uint64_t page_index = slot / Pager::kSlotsPerPage;
   DS_CURSOR_CHECK(count > 0 &&
                       (slot + count - 1) / Pager::kSlotsPerPage == page_index,
@@ -181,7 +182,7 @@ const Value* PageCursor::ReadSpan(uint64_t slot, uint64_t count) {
     Seek(page_index, /*grow=*/false);
   }
   LatchData();  // held until the cursor leaves the page: the span is stable
-  CountRead(count);
+  CountRead(reads);
   return &page_->slot(slot - base_);
 }
 

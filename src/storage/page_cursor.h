@@ -67,10 +67,11 @@ class PageCursor {
   const Value& Read(uint64_t slot);
   /// Zero-copy read of `count` consecutive slots that share one page
   /// (checked): returns a pointer directly into the pinned frame, valid
-  /// under the same rules as Read(). Accounts `count` slot reads. The
-  /// fastest tuple fetch for row-major layouts whose tuples never straddle
-  /// pages.
-  const Value* ReadSpan(uint64_t slot, uint64_t count);
+  /// under the same rules as Read(). Accounts `reads` slot reads: the slots
+  /// of the span the caller copies (a gather of a few columns of several
+  /// tuples reads fewer than `count`). The fastest tuple fetch for
+  /// row-major layouts whose tuples never straddle pages.
+  const Value* ReadSpan(uint64_t slot, uint64_t count, uint64_t reads);
   /// Writes `slot`, growing the file as needed.
   void Write(uint64_t slot, Value v);
   /// Moves the value out of `slot` (reads + dirties, like Pager::Take).

@@ -40,20 +40,6 @@ RcvStore::~RcvStore() {
   }
 }
 
-void RcvStore::RemoveSlotForAttach(InternalColumn& ic, uint64_t slot) {
-  uint64_t last = ic.slot_to_row.size() - 1;
-  if (slot != last) {
-    pager_->Write(ic.file, slot, pager_->Take(ic.file, last));
-    uint64_t moved_row = ic.slot_to_row[last];
-    pager_->Write(ic.backptr, slot, Value::Int(static_cast<int64_t>(moved_row)));
-    ic.row_to_slot[moved_row] = slot;
-    ic.slot_to_row[slot] = moved_row;
-  }
-  ic.slot_to_row.pop_back();
-  pager_->Truncate(ic.file, last);
-  pager_->Truncate(ic.backptr, last);
-}
-
 Result<std::unique_ptr<RcvStore>> RcvStore::Attach(
     const StorageManifest& manifest, uint64_t num_rows,
     storage::Pager* pager) {
@@ -71,44 +57,33 @@ Result<std::unique_ptr<RcvStore>> RcvStore::Attach(
     if (!pager->HasFile(ic.file) || !pager->HasFile(ic.backptr)) {
       return Status::Internal("rcv manifest names a dead file");
     }
-    // A triple is durable once both its value and its back-pointer are on
-    // disk; a statement torn between the two leaves one file longer — trim
-    // to the shorter (= fully persisted) prefix.
-    uint64_t triples =
-        std::min(pager->FileSize(ic.file), pager->FileSize(ic.backptr));
-    if (pager->FileSize(ic.file) > triples) pager->Truncate(ic.file, triples);
-    if (pager->FileSize(ic.backptr) > triples) {
-      pager->Truncate(ic.backptr, triples);
+    // WAL brackets discard a torn statement whole, so a committed log
+    // leaves the value and back-pointer files of equal length, every
+    // back-pointer naming a distinct row below the row count; anything else
+    // is corruption, reported and never repaired.
+    uint64_t triples = pager->FileSize(ic.file);
+    if (pager->FileSize(ic.backptr) != triples) {
+      return Status::Corruption(
+          "rcv column " + std::to_string(c) + " holds " +
+          std::to_string(triples) + " values but " +
+          std::to_string(pager->FileSize(ic.backptr)) + " back-pointers");
     }
-    // Rebuild the point index; phantom triples (rows past the recovered row
-    // count) and torn-erase duplicates are repaired afterwards. On a
-    // duplicate, keep the *later* slot: EraseTriple moves the back-pointer
-    // before the value, so the earlier (overwritten) slot may still hold
-    // the erased row's stale value while the later one is always intact.
     ic.slot_to_row.reserve(triples);
-    std::vector<uint64_t> doomed;
     for (uint64_t s = 0; s < triples; ++s) {
       Value v = pager->Read(ic.backptr, s);
-      if (v.type() != DataType::kInt) {
-        return Status::Internal("rcv back-pointer file holds a non-INT");
+      if (v.type() != DataType::kInt || v.int_value() < 0 ||
+          static_cast<uint64_t>(v.int_value()) >= num_rows) {
+        return Status::Corruption("rcv back-pointer " + v.ToSqlLiteral() +
+                                  " is not a row below " +
+                                  std::to_string(num_rows));
       }
       uint64_t row = static_cast<uint64_t>(v.int_value());
       ic.slot_to_row.push_back(row);
-      if (row >= num_rows) {
-        doomed.push_back(s);
-        continue;
+      if (!ic.row_to_slot.emplace(row, s).second) {
+        return Status::Corruption("rcv column " + std::to_string(c) +
+                                  " holds two triples for row " +
+                                  std::to_string(row));
       }
-      auto [it, inserted] = ic.row_to_slot.emplace(row, s);
-      if (!inserted) {
-        doomed.push_back(it->second);  // earlier duplicate loses
-        it->second = s;
-      }
-    }
-    // Remove doomed slots highest-first so each removal's swap source is a
-    // live triple (or the doomed slot itself, which then just truncates).
-    std::sort(doomed.begin(), doomed.end());
-    for (size_t i = doomed.size(); i-- > 0;) {
-      store->RemoveSlotForAttach(ic, doomed[i]);
     }
   }
   return store;
@@ -140,8 +115,7 @@ void RcvStore::SetTriple(InternalColumn& ic, uint64_t row, Value v) {
   }
   uint64_t slot = ic.slot_to_row.size();
   pager_->Write(ic.file, slot, std::move(v));
-  // Durable index mirror: the value first, then its back-pointer — a crash
-  // between the two leaves a longer heap, which Attach trims.
+  // Durable index mirror: the back-pointer, in the same statement.
   if (ic.backptr != 0) {
     pager_->Write(ic.backptr, slot, Value::Int(static_cast<int64_t>(row)));
   }
@@ -159,17 +133,11 @@ void RcvStore::EraseTriple(InternalColumn& ic, uint64_t row) {
     // Keep the column heap dense: the last triple's value moves into the hole.
     uint64_t moved_row = ic.slot_to_row[last_slot];
     if (ic.backptr != 0) {
-      // Durable ordering is load-bearing: the back-pointer moves *first*
-      // and the value is copied (not taken), so at every record boundary
-      // the kept mapping (Attach keeps the later duplicate slot) points at
-      // an intact value, and the erased row's mapping dies before any
-      // heap byte changes — no torn state can read another row's value.
       pager_->Write(ic.backptr, slot,
                     Value::Int(static_cast<int64_t>(moved_row)));
-      pager_->Write(ic.file, slot, Value(pager_->Read(ic.file, last_slot)));
-    } else {
-      pager_->Write(ic.file, slot, pager_->Take(ic.file, last_slot));
     }
+    // Copied, not taken: the truncation below clears the last slot.
+    pager_->Write(ic.file, slot, pager_->Read(ic.file, last_slot));
     ic.row_to_slot[moved_row] = slot;
     ic.slot_to_row[slot] = moved_row;
   }
@@ -213,7 +181,7 @@ Result<Row> RcvStore::GetRow(size_t row) const {
 
 Status RcvStore::GatherRows(const size_t* slots, size_t n,
                             const std::vector<size_t>& columns,
-                            std::vector<Value>* const* out) const {
+                            ColumnVector* const* out) const {
   DS_RETURN_IF_ERROR(CheckGather(slots, n, columns));
   // One cursor per listed column heap. Triple slots are not row-ordered (the
   // heap is kept dense by swap-with-last), so this is not a sequential
@@ -223,12 +191,15 @@ Status RcvStore::GatherRows(const size_t* slots, size_t n,
   for (size_t j = 0; j < columns.size(); ++j) {
     const InternalColumn& ic = columns_[columns[j]];
     storage::PageCursor cursor(*pager_, ic.file);
-    std::vector<Value>& dst = *out[j];
-    dst.reserve(dst.size() + n);
+    ColumnVector& dst = *out[j];
+    dst.Reserve(dst.size() + n);
     for (size_t i = 0; i < n; ++i) {
       auto it = ic.row_to_slot.find(slots[i]);
-      dst.push_back(it == ic.row_to_slot.end() ? Value::Null()
-                                               : cursor.Read(it->second));
+      if (it == ic.row_to_slot.end()) {
+        dst.AppendNull();
+      } else {
+        dst.Append(cursor.Read(it->second));
+      }
     }
   }
   return Status::OK();

@@ -31,8 +31,8 @@ class RcvStore : public TableStorage {
 
   /// Rebinds to recovered heaps + back-pointer files (manifest.files =
   /// {heap0, backptr0, heap1, backptr1, ...}); rebuilds the point indexes
-  /// from the back-pointer files and erases triples of rows past `num_rows`
-  /// (remnants of a statement in flight at the crash).
+  /// from the back-pointer files. Files of unequal length, a back-pointer
+  /// past `num_rows` or two triples of one row are Corruption.
   static Result<std::unique_ptr<RcvStore>> Attach(
       const StorageManifest& manifest, uint64_t num_rows,
       storage::Pager* pager);
@@ -48,7 +48,7 @@ class RcvStore : public TableStorage {
   Result<Row> GetRow(size_t row) const override;
   Status GatherRows(const size_t* slots, size_t n,
                     const std::vector<size_t>& columns,
-                    std::vector<Value>* const* out) const override;
+                    ColumnVector* const* out) const override;
   Result<size_t> AppendRow(const Row& row) override;
   Result<size_t> DeleteRow(size_t row) override;
   Status AddColumn(const Value& default_value) override;
@@ -76,9 +76,6 @@ class RcvStore : public TableStorage {
   void EraseTriple(InternalColumn& ic, uint64_t row);
   /// Reads the triple's value, or null when unmaterialized.
   Value ReadTriple(const InternalColumn& ic, uint64_t row) const;
-  /// Attach repair: drops the triple at `slot` (phantom row or torn-erase
-  /// duplicate) by moving the last triple into it, maps included.
-  void RemoveSlotForAttach(InternalColumn& ic, uint64_t slot);
 
   size_t num_rows_ = 0;
   std::vector<InternalColumn> columns_;  // logical col -> column heap

@@ -40,14 +40,16 @@ Result<std::unique_ptr<RowStore>> RowStore::Attach(
     return Status::Internal("row-store manifest does not name one live heap");
   }
   storage::FileId heap = manifest.files[0];
+  // WAL brackets discard a torn statement whole, so a committed log leaves
+  // the heap at exactly the catalog's row count; anything else is
+  // corruption, reported and never repaired.
   uint64_t want = num_rows * manifest.num_columns;
-  if (pager->FileSize(heap) < want) {
-    return Status::Internal("recovered row heap is shorter than the catalog's "
-                            "row count — durability hole");
+  if (pager->FileSize(heap) != want) {
+    return Status::Corruption("recovered row heap holds " +
+                              std::to_string(pager->FileSize(heap)) +
+                              " slots, the catalog's row count " +
+                              std::to_string(want));
   }
-  // Excess slots are the remnant of a statement in flight at the crash
-  // (never acknowledged by the catalog): trim them away.
-  if (pager->FileSize(heap) > want) pager->Truncate(heap, want);
   return std::unique_ptr<RowStore>(new RowStore(
       pager, heap, manifest.num_columns, static_cast<size_t>(num_rows)));
 }
@@ -84,7 +86,7 @@ Result<Row> RowStore::GetRow(size_t row) const {
 
 Status RowStore::GatherRows(const size_t* slots, size_t n,
                             const std::vector<size_t>& columns,
-                            std::vector<Value>* const* out) const {
+                            ColumnVector* const* out) const {
   DS_RETURN_IF_ERROR(CheckGather(slots, n, columns));
   // Logical column == tuple offset in the single heap.
   GatherRowMajor(*pager_, file_, num_columns_, slots, n, columns.data(), out,
@@ -111,9 +113,11 @@ Result<size_t> RowStore::DeleteRow(size_t row) {
     return Status::OutOfRange("row " + std::to_string(row));
   }
   size_t last = num_rows_ - 1;
+  // The last tuple is copied, not taken: Truncate clears its slots in the
+  // same statement, so nulling them first would only log a redundant record.
   if (row != last) {
     for (size_t c = 0; c < num_columns_; ++c) {
-      pager_->Write(file_, Entry(row, c), pager_->Take(file_, Entry(last, c)));
+      pager_->Write(file_, Entry(row, c), pager_->Read(file_, Entry(last, c)));
     }
   }
   pager_->Truncate(file_, last * num_columns_);

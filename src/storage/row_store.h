@@ -19,7 +19,7 @@ class RowStore : public TableStorage {
   ~RowStore() override;
 
   /// Rebinds to a recovered tuple heap (manifest.files = {heap}); see
-  /// AttachStorage for the num_rows / truncation contract.
+  /// AttachStorage for the num_rows contract.
   static Result<std::unique_ptr<RowStore>> Attach(const StorageManifest& manifest,
                                                   uint64_t num_rows,
                                                   storage::Pager* pager);
@@ -35,7 +35,7 @@ class RowStore : public TableStorage {
   Result<Row> GetRow(size_t row) const override;
   Status GatherRows(const size_t* slots, size_t n,
                     const std::vector<size_t>& columns,
-                    std::vector<Value>* const* out) const override;
+                    ColumnVector* const* out) const override;
   Result<size_t> AppendRow(const Row& row) override;
   Result<size_t> DeleteRow(size_t row) override;
   Status AddColumn(const Value& default_value) override;

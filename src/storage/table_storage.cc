@@ -46,30 +46,46 @@ Status TableStorage::CheckGather(const size_t* slots, size_t n,
 void TableStorage::GatherRowMajor(storage::Pager& pager, storage::FileId file,
                                   size_t width, const size_t* slots, size_t n,
                                   const size_t* offsets,
-                                  std::vector<Value>* const* out, size_t k) {
+                                  ColumnVector* const* out, size_t k) {
   if (k == 0 || n == 0) return;
-  // The listed offsets span [lo, hi] of each tuple: one ReadSpan over that
-  // sub-tuple per slot (so slot accounting counts what was read), then a
-  // value copy per listed column.
+  // The listed offsets span [lo, hi] of each tuple: one ReadSpan per run of
+  // consecutive slots on a page, accounting the [lo, hi] sub-tuple of each
+  // slot (what a per-slot read would count), then a value copy per listed
+  // column and slot.
   size_t lo = offsets[0], hi = offsets[0];
   for (size_t j = 0; j < k; ++j) {
     lo = std::min(lo, offsets[j]);
     hi = std::max(hi, offsets[j]);
-    out[j]->reserve(out[j]->size() + n);
+    out[j]->Reserve(out[j]->size() + n);
   }
   const uint64_t span = hi - lo + 1;
   constexpr uint64_t kSlotsPerPage = storage::Pager::kSlotsPerPage;
   storage::PageCursor cursor(pager, file);
-  for (size_t i = 0; i < n; ++i) {
+  for (size_t i = 0; i < n;) {
     uint64_t first = static_cast<uint64_t>(slots[i]) * width + lo;
-    if (first / kSlotsPerPage == (first + span - 1) / kSlotsPerPage) {
-      const Value* tuple = cursor.ReadSpan(first, span);
-      for (size_t j = 0; j < k; ++j) out[j]->push_back(tuple[offsets[j] - lo]);
+    uint64_t page = first / kSlotsPerPage;
+    if (page == (first + span - 1) / kSlotsPerPage) {
+      // A run of consecutive slots whose sub-tuples share the page: one
+      // span read for the run, accounted as the sub-tuples it copies.
+      size_t end = i + 1;
+      while (end < n && slots[end] == slots[end - 1] + 1 &&
+             (static_cast<uint64_t>(slots[end]) * width + hi) / kSlotsPerPage ==
+                 page) {
+        ++end;
+      }
+      const uint64_t tuples = end - i;
+      const Value* run =
+          cursor.ReadSpan(first, (tuples - 1) * width + span, tuples * span);
+      for (size_t j = 0; j < k; ++j) {
+        out[j]->AppendStrided(run + (offsets[j] - lo), width, tuples);
+      }
+      i = end;
     } else {
       // The sub-tuple straddles a page boundary: per-slot reads.
       for (size_t j = 0; j < k; ++j) {
-        out[j]->push_back(cursor.Read(first + (offsets[j] - lo)));
+        out[j]->Append(cursor.Read(first + (offsets[j] - lo)));
       }
+      ++i;
     }
   }
 }

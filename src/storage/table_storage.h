@@ -8,6 +8,7 @@
 #include "common/result.h"
 #include "storage/page.h"
 #include "storage/pager.h"
+#include "types/column_vector.h"
 #include "types/value.h"
 
 namespace dataspread {
@@ -86,7 +87,10 @@ class TableStorage {
   virtual Result<Row> GetRow(size_t row) const = 0;
   /// The one bulk read: for every i, appends logical column `columns[i]` of
   /// the tuples at storage slots `slots[0..n)` — in that order, which may be
-  /// any order — to `*out[i]` (distinct vectors, one per listed column).
+  /// any order — to `*out[i]` (distinct columns, one per listed column), in
+  /// that column's kind: a typed column gets each value's native form
+  /// copied straight from the pinned page, TEXT bytes into the column's own
+  /// arena, so nothing in `out` refers to a pager frame.
   /// Columns may be listed in any order and need not cover the schema, so a
   /// query reads only the attributes it references (column pruning).
   ///
@@ -94,14 +98,15 @@ class TableStorage {
   /// it touches: one page pin per data page visited instead of a chain hash
   /// lookup per cell, which also classifies the traversal as a scan for the
   /// pager's scan-resistant eviction. Row-major files (row store, hybrid
-  /// attribute groups) copy the listed offsets out of one ReadSpan per tuple
-  /// and fall back to per-slot reads for a tuple that straddles a page.
+  /// attribute groups) copy the listed offsets out of one ReadSpan per run
+  /// of consecutive slots on a page and fall back to per-slot reads for a
+  /// tuple that straddles a page.
   /// A file holding no listed column is never touched. A slot >=
   /// num_rows() or a column >= num_columns() fails the whole call with
   /// OutOfRange before anything is appended.
   virtual Status GatherRows(const size_t* slots, size_t n,
                             const std::vector<size_t>& columns,
-                            std::vector<Value>* const* out) const = 0;
+                            ColumnVector* const* out) const = 0;
 
   /// Appends a tuple; `row.size()` must equal num_columns(). Returns the slot.
   virtual Result<size_t> AppendRow(const Row& row) = 0;
@@ -165,7 +170,7 @@ class TableStorage {
   static void GatherRowMajor(storage::Pager& pager, storage::FileId file,
                              size_t width, const size_t* slots, size_t n,
                              const size_t* offsets,
-                             std::vector<Value>* const* out, size_t k);
+                             ColumnVector* const* out, size_t k);
 
   Status CheckCell(size_t row, size_t col) const {
     if (row >= num_rows()) {
@@ -204,9 +209,9 @@ Result<uint64_t> ManifestRows(const StorageManifest& manifest,
 
 /// Rebinds a storage object to the recovered pager files named by
 /// `manifest`, with exactly `num_rows` rows (the catalog layer's display
-/// order, checked against ManifestRows). Files holding more than
-/// `num_rows` rows are truncated down — the remnant of a statement in
-/// flight at the crash; files holding fewer make the attach fail. The
+/// order, checked against ManifestRows). Files holding any other number of
+/// rows are Corruption: WAL brackets discard a torn statement whole, so a
+/// committed log never leaves one, and nothing is repaired here. The
 /// result has retain_files() set: recovered files are persistent data.
 Result<std::unique_ptr<TableStorage>> AttachStorage(
     const StorageManifest& manifest, uint64_t num_rows,

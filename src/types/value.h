@@ -44,6 +44,11 @@ class Value {
   bool is_null() const { return std::holds_alternative<std::monostate>(data_); }
   bool is_error() const { return std::holds_alternative<ErrorPayload>(data_); }
   bool is_numeric() const { return IsNumeric(type()); }
+  /// Inline tests of one type, for per-value loops.
+  bool is_int() const { return std::holds_alternative<int64_t>(data_); }
+  bool is_real() const { return std::holds_alternative<double>(data_); }
+  bool is_bool() const { return std::holds_alternative<bool>(data_); }
+  bool is_text() const { return std::holds_alternative<std::string>(data_); }
 
   /// Typed accessors; only valid when type() matches.
   bool bool_value() const { return std::get<bool>(data_); }

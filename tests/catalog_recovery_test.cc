@@ -333,17 +333,24 @@ TEST(DropTableTest, DropSurvivesCrashAndOrphansAreSwept) {
 // A catalog that fails recovery is a Status from TryOpen, never a repair
 // ---------------------------------------------------------------------------
 
-/// Builds a 3-row table, then commits `forge` — a statement logging records
-/// the engine itself would never write (each behind a valid CRC) — and
-/// crashes. TryOpen must fail with Corruption, twice: the failed open
-/// changes nothing on disk.
+/// Builds a 3-row table in `model`, then commits `forge` — a statement
+/// logging records the engine itself would never write (each behind a valid
+/// CRC) — and crashes. TryOpen must fail with Corruption, twice: a failed
+/// open's closing checkpoint carries the recovered state forward verbatim,
+/// so a repair would have let the second open succeed. Every file listed
+/// in `*forged` (filled by `forge`) must still hold the size the forge left.
+using ForgedSizes = std::vector<std::pair<FileId, uint64_t>>;
 void ExpectCorruptionAfter(const std::string& tag,
                            const std::function<void(Database&, Table*)>& forge,
-                           const std::string& message_part) {
+                           const std::string& message_part,
+                           StorageModel model = StorageModel::kHybrid,
+                           const ForgedSizes* forged = nullptr) {
   DurablePair pair(tag);
   {
     Database db(pair.Options());
-    Table* t = db.catalog().CreateTable("t", ThreeColumnSchema()).ValueOrDie();
+    Table* t = db.catalog()
+                   .CreateTable("t", ThreeColumnSchema(), model)
+                   .ValueOrDie();
     for (int i = 0; i < 3; ++i) {
       ASSERT_TRUE(
           t->AppendRow(Row{Value::Int(i), Value::Text("r"), Value::Real(i)})
@@ -363,6 +370,12 @@ void ExpectCorruptionAfter(const std::string& tag,
     EXPECT_EQ(db.status().code(), StatusCode::kCorruption);
     EXPECT_NE(db.status().message().find(message_part), std::string::npos)
         << db.status().ToString();
+  }
+  if (forged != nullptr) {
+    storage::Pager pager(pair.Options().pager);
+    for (const auto& [file, size] : *forged) {
+      EXPECT_EQ(pager.FileSize(file), size) << "file " << file;
+    }
   }
 }
 
@@ -391,6 +404,52 @@ TEST(CatalogCorruptionTest, RidFileDisagreeingWithTheOrderFailsTryOpen) {
         db.pager().Write(t->Describe().rid_file, 3, Value::Int(3));
       },
       "rid file 4");
+}
+
+// A heap slot past the catalog's row count is never trimmed on open: each
+// model's Attach reports it (3 rows of 3 columns, one forged slot more).
+TEST(CatalogCorruptionTest, ExtraHeapSlotFailsTryOpenInEveryModel) {
+  ForgedSizes forged;
+  // Writes one slot past the end of each listed file of the manifest.
+  auto forge = [&forged](auto files_of, std::vector<Value> values) {
+    return [&forged, files_of, values](Database& db, Table* t) {
+      forged.clear();
+      std::vector<FileId> files = files_of(t->Describe().manifest);
+      for (size_t i = 0; i < files.size(); ++i) {
+        uint64_t size = db.pager().FileSize(files[i]);
+        db.pager().Write(files[i], size, values[i]);
+        forged.emplace_back(files[i], size + 1);
+      }
+    };
+  };
+  auto first = [](const StorageManifest& m) {
+    return std::vector<FileId>{m.files[0]};
+  };
+  ExpectCorruptionAfter("extra_row_slot", forge(first, {Value::Int(9)}),
+                        "row heap holds 10 slots", StorageModel::kRow, &forged);
+  ExpectCorruptionAfter("extra_column_slot", forge(first, {Value::Int(9)}),
+                        "column heap holds 4 slots", StorageModel::kColumn,
+                        &forged);
+  auto group = [](const StorageManifest& m) {
+    return std::vector<FileId>{m.groups[0].file};
+  };
+  ExpectCorruptionAfter("extra_group_slot", forge(group, {Value::Int(9)}),
+                        "attribute group holds 10 slots",
+                        StorageModel::kHybrid, &forged);
+  // RCV: a value without a back-pointer, a phantom row, a duplicate row.
+  ExpectCorruptionAfter("extra_rcv_value", forge(first, {Value::Int(9)}),
+                        "4 values but 3 back-pointers", StorageModel::kRcv,
+                        &forged);
+  auto pair = [](const StorageManifest& m) {
+    return std::vector<FileId>{m.files[0], m.files[1]};
+  };
+  ExpectCorruptionAfter("phantom_rcv_triple",
+                        forge(pair, {Value::Int(9), Value::Int(7)}),
+                        "back-pointer 7 is not a row below 3",
+                        StorageModel::kRcv, &forged);
+  ExpectCorruptionAfter("duplicate_rcv_triple",
+                        forge(pair, {Value::Int(9), Value::Int(1)}),
+                        "two triples for row 1", StorageModel::kRcv, &forged);
 }
 
 // Order records name a table incarnation (its rid file), not its name: a

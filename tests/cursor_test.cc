@@ -258,9 +258,9 @@ void ExpectGatherMatchesGetRow(const TableStorage& s,
                                const std::vector<size_t>& slots,
                                const std::vector<size_t>& columns,
                                const std::string& what) {
-  std::vector<std::vector<Value>> got(columns.size());
-  std::vector<std::vector<Value>*> out;
-  for (std::vector<Value>& g : got) out.push_back(&g);
+  std::vector<ColumnVector> got(columns.size());
+  std::vector<ColumnVector*> out;
+  for (ColumnVector& g : got) out.push_back(&g);
   ASSERT_TRUE(
       s.GatherRows(slots.data(), slots.size(), columns, out.data()).ok())
       << what;
@@ -270,9 +270,9 @@ void ExpectGatherMatchesGetRow(const TableStorage& s,
   for (size_t i = 0; i < slots.size(); ++i) {
     Row expect = s.GetRow(slots[i]).ValueOrDie();
     for (size_t j = 0; j < columns.size(); ++j) {
-      ASSERT_EQ(got[j][i], expect[columns[j]])
+      ASSERT_EQ(got[j].GetValue(i), expect[columns[j]])
           << what << " slot " << slots[i] << " column " << columns[j];
-      ASSERT_EQ(got[j][i].type(), expect[columns[j]].type())
+      ASSERT_EQ(got[j].GetValue(i).type(), expect[columns[j]].type())
           << what << " slot " << slots[i] << " column " << columns[j];
     }
   }
@@ -322,11 +322,11 @@ TEST_P(GatherRowsModelTest, MatchesGetRowLoopDenseAndAfterSchemaChanges) {
     ExpectGatherMatchesGetRow(*s, sample, AllOf(cols), tag + " shuffled");
 
     // No columns or no slots: nothing appended, nothing fails.
-    std::vector<Value> sink;
-    std::vector<Value>* one = &sink;
+    ColumnVector sink;
+    ColumnVector* one = &sink;
     EXPECT_TRUE(s->GatherRows(sample.data(), sample.size(), {}, &one).ok());
     EXPECT_TRUE(s->GatherRows(nullptr, 0, {0}, &one).ok());
-    EXPECT_TRUE(sink.empty());
+    EXPECT_EQ(sink.size(), 0u);
   }
 }
 
@@ -391,19 +391,25 @@ TEST_P(GatherRowsModelTest, BadSlotOrColumnIsOutOfRangeAndAppendsNothing) {
   for (int64_t i = 0; i < 10; ++i) {
     ASSERT_TRUE(s->AppendRow({Value::Int(i), Value::Int(-i)}).ok());
   }
-  std::vector<Value> a, b;
-  std::vector<Value>* out[] = {&a, &b};
+  ColumnVector a(ColumnKind::kInt), b(ColumnKind::kInt);
+  ColumnVector* out[] = {&a, &b};
   const std::vector<size_t> bad_slot = {0, 3, 10};
   Status st = s->GatherRows(bad_slot.data(), bad_slot.size(), {0, 1}, out);
   EXPECT_EQ(st.code(), StatusCode::kOutOfRange) << st.ToString();
   const std::vector<size_t> good = {9, 0};
   st = s->GatherRows(good.data(), good.size(), {1, 2}, out);
   EXPECT_EQ(st.code(), StatusCode::kOutOfRange) << st.ToString();
-  EXPECT_TRUE(a.empty());
-  EXPECT_TRUE(b.empty());
+  EXPECT_EQ(a.size(), 0u);
+  EXPECT_EQ(b.size(), 0u);
   ASSERT_TRUE(s->GatherRows(good.data(), good.size(), {1, 0}, out).ok());
-  EXPECT_EQ(a, (std::vector<Value>{Value::Int(-9), Value::Int(0)}));
-  EXPECT_EQ(b, (std::vector<Value>{Value::Int(9), Value::Int(0)}));
+  // Typed columns receive the native values.
+  ASSERT_EQ(a.kind(), ColumnKind::kInt);
+  ASSERT_EQ(a.size(), 2u);
+  EXPECT_EQ(a.int_at(0), -9);
+  EXPECT_EQ(a.int_at(1), 0);
+  ASSERT_EQ(b.size(), 2u);
+  EXPECT_EQ(b.int_at(0), 9);
+  EXPECT_EQ(b.int_at(1), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModels, GatherRowsModelTest,

@@ -491,14 +491,18 @@ TEST_F(JoinBuildReuseTest, ChainMapsAreSizedByDistinctKeys) {
       db_.join_build_cache().Retained(r);
   ASSERT_EQ(kept.size(), 2u);
   for (const std::shared_ptr<const JoinBuild>& build : kept) {
-    size_t keys = build->value_chains.size() + build->row_chains.size();
-    size_t buckets = build->value_chains.empty()
-                         ? build->row_chains.bucket_count()
-                         : build->value_chains.bucket_count();
-    EXPECT_EQ(keys, build->value_chains.empty() ? 400u : 200u);
+    // The single INT key is int64-keyed; the two-column key is Row-keyed.
+    size_t keys = build->int_chains.size() + build->value_chains.size() +
+                  build->row_chains.size();
+    size_t buckets = build->row_chains.empty()
+                         ? build->int_chains.bucket_count()
+                         : build->row_chains.bucket_count();
+    EXPECT_TRUE(build->value_chains.empty());
+    EXPECT_EQ(keys, build->row_chains.empty() ? 200u : 400u);
     EXPECT_LE(buckets, 2 * keys);
     // The same build with a bucket reserved per build row estimates more.
     JoinBuild per_row = *build;
+    per_row.int_chains.reserve(per_row.next.size());
     per_row.value_chains.reserve(per_row.next.size());
     per_row.row_chains.reserve(per_row.next.size());
     per_row.MeasureBytes();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <random>
 #include <thread>
 
@@ -2093,6 +2094,213 @@ TEST_P(BuildReuseTransparencyTest, ReusedBuildsMatchTheRowPipeline) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BuildReuseTransparencyTest,
                          ::testing::Values(15u, 1515u, 151515u));
+
+
+// ---------------------------------------------------------------------------
+// Invariant 16: the batch layout is invisible (DESIGN.md §6b "Batch
+// layout"). Random single-table and join SELECTs run row at a time and in
+// batches of 1, 3, 512 and 1024 rows, over all four storage models, must
+// return identical ResultSets — or fail with the same status code. Scans
+// fill typed int64/REAL/BOOL/arena-TEXT columns; the predicates mix shapes
+// with typed kernels (same-type operands — columns, arithmetic that cannot
+// raise, literals — compared; IS NULL; AND/OR/NOT of those) with shapes
+// that fall back to the Value evaluator (INT against REAL, division, other
+// expressions, ones that raise). The data holds NULLs in
+// filter, join and GROUP BY keys, integral REALs equal to INT keys, empty
+// TEXT and TEXT longer than 15 bytes; RANGETABLE inputs carry mixed types
+// and ERROR values; LEFT JOINs NULL-extend; and the 1,200-row table's
+// top-K winners by id all arrive in its first batch.
+// ---------------------------------------------------------------------------
+
+class TypedBatchDifferentialTest : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(TypedBatchDifferentialTest, RowAndTypedBatchPipelinesAgree) {
+  constexpr StorageModel kModels[] = {StorageModel::kRow,
+                                      StorageModel::kColumn,
+                                      StorageModel::kRcv,
+                                      StorageModel::kHybrid};
+  std::mt19937 rng(GetParam());
+  auto pick = [&rng](size_t n) { return static_cast<size_t>(rng() % n); };
+  const std::string kLong = "a-string-longer-than-fifteen-bytes-";
+  auto text = [&]() -> Value {
+    switch (pick(5)) {
+      case 0: return Value::Null();
+      case 1: return Value::Text("");
+      case 2: return Value::Text("short" + std::to_string(pick(4)));
+      default: return Value::Text(kLong + std::to_string(pick(6)));
+    }
+  };
+  auto maybe_null = [&](Value v) { return pick(8) == 0 ? Value::Null() : v; };
+
+  Schema a_schema({ColumnDef{"id", DataType::kInt, true},
+                   ColumnDef{"k", DataType::kInt, false},
+                   ColumnDef{"r", DataType::kReal, false},
+                   ColumnDef{"s", DataType::kText, false},
+                   ColumnDef{"b", DataType::kBool, false}});
+  Schema c_schema({ColumnDef{"k", DataType::kInt, false},
+                   ColumnDef{"r", DataType::kReal, false},
+                   ColumnDef{"s", DataType::kText, false}});
+  std::vector<Row> a_rows, c_rows;
+  for (int64_t id = 0; id < 1200; ++id) {
+    a_rows.push_back(
+        {Value::Int(id), maybe_null(Value::Int(static_cast<int64_t>(pick(50)))),
+         maybe_null(Value::Real(static_cast<double>(pick(50)) / 2.0)), text(),
+         maybe_null(Value::Bool(pick(2) == 0))});
+  }
+  for (int64_t i = 0; i < 80; ++i) {
+    c_rows.push_back(
+        {maybe_null(Value::Int(static_cast<int64_t>(pick(60)))),
+         maybe_null(Value::Real(static_cast<double>(pick(30)))), text()});
+  }
+  class Ranges : public ExternalResolver {
+   public:
+    Result<Value> ResolveRangeValue(const std::string&) override {
+      return Value::Int(5);
+    }
+    Result<RangeTableData> ResolveRangeTable(const std::string&) override {
+      return RangeTableData{
+          {"k", "s", "e"},
+          {{Value::Int(3), Value::Text("x"), Value::Int(1)},
+           {Value::Real(3.0), Value::Text(""), Value::Error("#DIV/0!")},
+           {Value::Null(), Value::Text("a-string-longer-than-fifteen-bytes"),
+            Value::Real(2.5)},
+           {Value::Int(7), Value::Null(), Value::Text("t")},
+           {Value::Real(12.5), Value::Text("y"), Value::Bool(true)},
+           {Value::Int(12), Value::Text("short1"), Value::Error("#REF!")}}};
+    }
+  } ranges;
+
+  // Predicate leaves; `$` stands for the qualifier of table a. The first
+  // group has typed kernels, the second falls back, the third can raise.
+  const std::vector<std::string> kernel_leaves = {
+      "$k >= 20", "$k < 7", "13 = $k", "$k <> 40", "$r > 10.5", "$r <= 3.0",
+      "12.0 = $r", "$s = ''", "$s > 'm'", "$s < '" + kLong + "3'",
+      "$s <> 'short1'", "$b = TRUE", "FALSE <> $b", "$k IS NULL",
+      "$r IS NOT NULL", "$s IS NULL", "$b IS NOT NULL", "$k < $id",
+      "$s >= $s", "$r = $r", "$k = NULL", "NULL < $s", "$k % 5 = 1",
+      "$k + 1 > $id", "2 * $k = $id", "$k - $id < 0", "$r * 2.0 > 30.5",
+      "$r / 4.0 <= 2.0", "$k * 4611686018427387904 > 0", "20 <= $k",
+      "'m' < $s", "10.5 > $r", "TRUE > $b"};
+  const std::vector<std::string> fallback_leaves = {
+      "$r > 12", "$k = 12.0", "$k < $r", "$r >= $k", "$k % -1 = 0",
+      "$k / 2 > 3", "1 - $k < 0", "LENGTH($s) > 15", "$s LIKE '%ong%'",
+      "$b"};
+  const std::vector<std::string> raising_leaves = {
+      "$s > 5", "$k / ($k - $k) > 1", "$k = 'x'", "$r / 0.0 > 1",
+      "$k % 0 = 1"};
+  std::function<std::string(const std::string&, int, bool)> pred =
+      [&](const std::string& q, int depth, bool raising) -> std::string {
+    size_t shape = depth == 0 ? 3 : pick(6);
+    if (shape == 0) {
+      return "(" + pred(q, depth - 1, raising) + " AND " +
+             pred(q, depth - 1, raising) + ")";
+    }
+    if (shape == 1) {
+      return "(" + pred(q, depth - 1, raising) + " OR " +
+             pred(q, depth - 1, raising) + ")";
+    }
+    if (shape == 2) return "NOT (" + pred(q, depth - 1, raising) + ")";
+    size_t group = pick(raising ? 3 : 5);  // kernels weighted 3:1:(1)
+    const std::vector<std::string>& leaves =
+        group == 2 && raising ? raising_leaves
+        : group == 1          ? fallback_leaves
+                              : kernel_leaves;
+    std::string leaf = leaves[pick(leaves.size())];
+    for (size_t at; (at = leaf.find('$')) != std::string::npos;) {
+      leaf.replace(at, 1, q);
+    }
+    return leaf;
+  };
+
+  std::vector<std::string> queries;
+  const char* const kGroupKeys[] = {"k", "r", "s", "b"};
+  const char* const kJoinKeys[][2] = {{"k", "k"}, {"s", "s"}, {"k", "r"},
+                                      {"r", "k"}, {"r", "r"}};
+  for (int i = 0; i < 12; ++i) {
+    bool raising = pick(3) == 0;
+    queries.push_back("SELECT id, k, r, s, b FROM a WHERE " +
+                      pred("", 2, raising) + " ORDER BY id");
+    queries.push_back("SELECT id, s FROM a WHERE " + pred("", 2, false) +
+                      " LIMIT 9 OFFSET 2");
+    std::string g = kGroupKeys[pick(4)];
+    queries.push_back("SELECT " + g +
+                      ", COUNT(*), COUNT(s), SUM(k), SUM(r), MIN(s), MAX(s), "
+                      "AVG(r), MIN(k), MAX(b) FROM a WHERE " +
+                      pred("", 1, raising) + " GROUP BY " + g + " ORDER BY 1");
+    queries.push_back("SELECT COUNT(*), SUM(k), MAX(r), MIN(s) FROM a WHERE " +
+                      pred("", 2, raising));
+    const char* const* keys = kJoinKeys[pick(5)];
+    std::string join = pick(2) == 0 ? " JOIN " : " LEFT JOIN ";
+    queries.push_back("SELECT a.id, c.k, c.r, c.s FROM a" + join + "c ON a." +
+                      keys[0] + " = c." + keys[1] + " WHERE " +
+                      pred("a.", 1, raising) + " ORDER BY a.id, c.k, c.r, c.s");
+    queries.push_back("SELECT a.s, c.s FROM a JOIN c ON a.k = c.k JOIN a a2 "
+                      "ON c.k = a2.id WHERE " +
+                      pred("a.", 1, false) + " ORDER BY a.s, c.s LIMIT 8");
+    queries.push_back("SELECT id, s FROM a WHERE " + pred("", 1, raising) +
+                      (pick(2) == 0 ? " ORDER BY s DESC, id LIMIT 5"
+                                    : " ORDER BY k, r DESC LIMIT 10 OFFSET 3"));
+  }
+  // Top-K whose winners all arrive in the first batch; RANGETABLE inputs
+  // with mixed types and ERROR values, on either side of a join.
+  const std::vector<std::string> fixed = {
+      "SELECT id, s FROM a ORDER BY id LIMIT 4",
+      "SELECT id FROM a WHERE k IS NOT NULL ORDER BY id DESC LIMIT 3",
+      "SELECT * FROM RANGETABLE(A1:C7) x WHERE x.k > 2",
+      "SELECT x.k, COUNT(*) FROM RANGETABLE(A1:C7) x GROUP BY x.k ORDER BY 1",
+      "SELECT a.id, x.e FROM a JOIN RANGETABLE(A1:C7) x ON a.k = x.k "
+      "ORDER BY a.id",
+      "SELECT x.s, a.id FROM RANGETABLE(A1:C7) x LEFT JOIN a ON x.k = a.k "
+      "WHERE a.id IS NULL OR a.id < 300",
+      "SELECT x.e, a.r FROM RANGETABLE(A1:C7) x JOIN a ON x.k = a.r "
+      "ORDER BY a.id",
+      "SELECT SUM(x.e) FROM RANGETABLE(A1:C7) x",
+      "SELECT MAX(x.e), MIN(x.k) FROM RANGETABLE(A1:C7) x",
+      "SELECT id FROM a WHERE k = RANGEVALUE(B1) ORDER BY id",
+  };
+  queries.insert(queries.end(), fixed.begin(), fixed.end());
+
+  const ExecOptions modes[] = {ExecOptions{0, /*row_at_a_time=*/true},
+                               ExecOptions{1, false}, ExecOptions{3, false},
+                               ExecOptions{512, false},
+                               ExecOptions{1024, false}};
+  size_t failed = 0, nonempty = 0;  // the tape exercises both outcomes
+  for (StorageModel model : kModels) {
+    Database db;
+    Table* a = db.CreateTable("a", a_schema, model).ValueOrDie();
+    Table* c = db.CreateTable("c", c_schema, model).ValueOrDie();
+    for (const Row& r : a_rows) ASSERT_TRUE(a->AppendRow(r).ok());
+    for (const Row& r : c_rows) ASSERT_TRUE(c->AppendRow(r).ok());
+    for (const std::string& q : queries) {
+      db.set_exec_options(modes[0]);
+      Result<ResultSet> want = db.Execute(q, &ranges);
+      failed += !want.ok();
+      nonempty += want.ok() && want.value().num_rows() > 0;
+      for (const ExecOptions& mode : modes) {
+        db.set_exec_options(mode);
+        Result<ResultSet> have = db.Execute(q, &ranges);
+        std::string context = q + " model " + StorageModelName(model) +
+                              " batch " +
+                              (mode.row_at_a_time
+                                   ? std::string("row")
+                                   : std::to_string(mode.batch_size));
+        ASSERT_EQ(have.ok(), want.ok())
+            << context << ": " << (have.ok() ? want : have).status().ToString();
+        if (!want.ok()) {
+          EXPECT_EQ(have.status().code(), want.status().code()) << context;
+          continue;
+        }
+        ExpectSameRows(want.value(), have.value(), context);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+  EXPECT_GT(failed, 0u);
+  EXPECT_GT(nonempty, failed);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TypedBatchDifferentialTest,
+                         ::testing::Values(16u, 1616u, 161616u));
 
 }  // namespace
 }  // namespace dataspread
