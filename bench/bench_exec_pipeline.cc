@@ -1,14 +1,14 @@
-// Execution-pipeline A/B: the vectorized batch-at-a-time pipeline against
-// the row-at-a-time Volcano baseline and the morsel-parallel leaf, over
-// identical plans and data. Series: scan→filter→aggregate (row vs batch vs
-// parallel at 1/2/4 threads) and the Figure-2a join shape at 1k/10k/100k
-// rows, unbounded and bounded (64-frame) pools. The recorded op_ms of the
-// "/row/", "/batch/" and "/parN/" runs back the ci/check.sh exec perf gates
-// (batch ≥2x over row; parallel ≥1.8x over batch at 4 threads on ≥4 cores;
-// par1 within 10% of batch). Those join runs time a cold build: every
-// execution follows a write to both build tables. The "/warm/" join runs
-// time the retained-build path (DESIGN.md §6a "Build reuse") and back the
-// count gate: 0 builds warm, exactly 1 after one build table is written.
+// Execution-pipeline bench: the serial batch pipeline against the
+// morsel-parallel leaf, over identical plans and data. Series:
+// scan→filter→aggregate (serial vs parallel at 1/2/4 threads) and the
+// Figure-2a join shape at 1k/10k/100k rows, unbounded and bounded (64-frame)
+// pools. The recorded op_ms of the "/batch/" and "/parN/" runs back the
+// ci/check.sh exec perf gates (parallel ≥1.8x over batch at 4 threads on
+// ≥4 cores; par1 within 10% of batch; absolute ceilings). The "/batch/"
+// join runs time a cold build: every execution follows a write to both
+// build tables. The "/warm/" join runs time the retained-build path
+// (DESIGN.md §6a "Build reuse") and back the count gate: 0 builds warm,
+// exactly 1 after one build table is written.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -48,9 +48,7 @@ void ReportTimedQuery(
   state.counters["op_ms"] = op_ms;
   state.counters["rows_per_s"] = rows_per_s;
   state.counters["pages_read"] = static_cast<double>(pager.EpochPagesRead());
-  size_t batch = db.exec_options().row_at_a_time
-                     ? 0
-                     : EffectiveBatchSize(db.exec_options());
+  size_t batch = EffectiveBatchSize(db.exec_options());
   size_t threads = db.exec_options().num_threads;  // 0 = serial pipeline
   state.counters["join_builds"] =
       static_cast<double>(db.join_builds() - builds);
@@ -68,32 +66,25 @@ void ReportTimedQuery(
                             std::move(fields));
 }
 
-/// Args: {rows, row_mode (0 = batch, 1 = row), pool cap (0 = unbounded),
-/// threads (0 = serial)}.
-std::string RunName(const std::string& series, const benchmark::State& state) {
-  std::string run = series;
-  if (state.range(3) != 0) {
-    run += "/par" + std::to_string(state.range(3)) + "/";
-  } else {
-    run += state.range(1) != 0 ? "/row/" : "/batch/";
-  }
-  run += std::to_string(state.range(0));
-  if (state.range(2) != 0) run += "/pool" + std::to_string(state.range(2));
-  return run;
+/// Args: {rows, pool cap (0 = unbounded), threads (0 = serial)}.
+std::string ModeLabel(const benchmark::State& state) {
+  return state.range(2) != 0 ? "par" + std::to_string(state.range(2))
+                             : "batch";
 }
 
-std::string ModeLabel(const benchmark::State& state) {
-  if (state.range(3) != 0) return "par" + std::to_string(state.range(3));
-  return state.range(1) != 0 ? "row" : "batch";
+std::string RunName(const std::string& series, const benchmark::State& state) {
+  std::string run = series + "/" + ModeLabel(state) + "/" +
+                    std::to_string(state.range(0));
+  if (state.range(1) != 0) run += "/pool" + std::to_string(state.range(1));
+  return run;
 }
 
 DatabaseOptions OptionsFor(const benchmark::State& state) {
   DatabaseOptions opts;
-  opts.pager = PagerConfigFromEnv(static_cast<size_t>(state.range(2)));
-  opts.exec.row_at_a_time = state.range(1) != 0;
+  opts.pager = PagerConfigFromEnv(static_cast<size_t>(state.range(1)));
   opts.exec.batch_size = ExecBatchSizeFromEnv();
   opts.exec.num_threads =
-      ExecThreadsFromEnv(static_cast<size_t>(state.range(3)));
+      ExecThreadsFromEnv(static_cast<size_t>(state.range(2)));
   return opts;
 }
 
@@ -117,23 +108,19 @@ void BM_ScanFilterAggregate(benchmark::State& state) {
   state.SetLabel(std::to_string(rows) + " rows, " + ModeLabel(state));
 }
 BENCHMARK(BM_ScanFilterAggregate)
-    ->Args({1000, 0, 0, 0})
-    ->Args({1000, 1, 0, 0})
-    ->Args({10000, 0, 0, 0})
-    ->Args({10000, 1, 0, 0})
-    ->Args({10000, 0, 0, 4})
-    ->Args({100000, 0, 0, 0})
-    ->Args({100000, 1, 0, 0})
-    ->Args({100000, 0, 0, 1})
-    ->Args({100000, 0, 0, 2})
-    ->Args({100000, 0, 0, 4})
-    ->Args({100000, 0, 64, 0})
-    ->Args({100000, 1, 64, 0})
-    ->Args({100000, 0, 64, 4})
+    ->Args({1000, 0, 0})
+    ->Args({10000, 0, 0})
+    ->Args({10000, 0, 4})
+    ->Args({100000, 0, 0})
+    ->Args({100000, 0, 1})
+    ->Args({100000, 0, 2})
+    ->Args({100000, 0, 4})
+    ->Args({100000, 64, 0})
+    ->Args({100000, 64, 4})
     ->Unit(benchmark::kMillisecond);
 
 // The Figure-2a join shape (three-relation NATURAL JOIN + filter + top-k),
-// minus the spreadsheet wrapping: pure engine, row vs batch. Joins are not
+// minus the spreadsheet wrapping: pure engine. Joins are not
 // morsel-eligible (the parallel leaf covers single-table shapes), so these
 // families record threads = 0.
 const char* const kJoinTopKQuery =
@@ -174,14 +161,10 @@ void BM_JoinFilterTopK(benchmark::State& state) {
   state.SetLabel(std::to_string(movies) + " movies, " + ModeLabel(state));
 }
 BENCHMARK(BM_JoinFilterTopK)
-    ->Args({1000, 0, 0, 0})
-    ->Args({1000, 1, 0, 0})
-    ->Args({10000, 0, 0, 0})
-    ->Args({10000, 1, 0, 0})
-    ->Args({100000, 0, 0, 0})
-    ->Args({100000, 1, 0, 0})
-    ->Args({100000, 0, 64, 0})
-    ->Args({100000, 1, 64, 0})
+    ->Args({1000, 0, 0})
+    ->Args({10000, 0, 0})
+    ->Args({100000, 0, 0})
+    ->Args({100000, 64, 0})
     ->Unit(benchmark::kMillisecond);
 
 /// Warm: the build tables never change, so every execution after the first

@@ -10,13 +10,11 @@
 # (SIGKILL a durable workload, reopen, diff, gate recovery time), a
 # catalog-recovery smoke (SIGKILL a durable *database* mid-DDL-stream,
 # reopen by path, verify schemas + data), an execution-pipeline perf smoke
-# (the vectorized batch pipeline must hold a >= 2x win over the row-at-a-time
-# baseline on scan->filter->aggregate at 100k rows and on the join->filter->
-# top-K shape at 100k movies, its builds cold; a warm re-run of that join
-# must make 0 hash-join builds, and exactly 1 after a write to one build
-# table; the morsel-parallel leaf
-# must hold >= 1.8x over the serial batch pipeline at 4 threads on >= 4-core
-# machines, and its 1-thread run must stay within 10% of serial batch), an
+# (a warm re-run of the join->filter->top-K shape at 100k movies must make
+# 0 hash-join builds, and exactly 1 after a write to one build table; the
+# morsel-parallel leaf must hold >= 1.8x over the serial batch pipeline at
+# 4 threads on >= 4-core machines, and its 1-thread run must stay within
+# 10% of serial batch; absolute ceilings on the batch pipeline), an
 # end-to-end correctness smoke over the four user workloads (bench/e2e), and
 # a docs-consistency check (BENCH field coverage + markdown cross-references).
 set -euo pipefail
@@ -173,66 +171,24 @@ else
 fi
 
 # ---------------------------------------------------------------------------
-# Execution-pipeline perf smoke: the same scan->filter->aggregate query at
-# 100k rows through the row-at-a-time Volcano baseline and the vectorized
-# batch pipeline (both unbounded pool). The batch path's whole reason to
-# exist is throughput, so the gate requires row_op_ms >= 2 * batch_op_ms
-# (measured ~2.4x on an idle machine; the 2x floor leaves headroom for
-# loaded CI runners while still catching a vectorization regression).
+# Execution-pipeline perf smoke. The serial batch pipeline's
+# scan->filter->aggregate run at 100k rows (unbounded pool) is the baseline
+# of the morsel-parallel gates below.
 # ---------------------------------------------------------------------------
 if [[ -x "${BUILD_DIR}/bench_exec_pipeline" ]]; then
   DS_SPILL_DIR="${SMOKE_DIR}" DS_BENCH_JSON_DIR="${SMOKE_DIR}" \
     "${BUILD_DIR}/bench_exec_pipeline" \
-    --benchmark_filter='BM_ScanFilterAggregate/100000/(0|1)/0/0$' \
+    --benchmark_filter='BM_ScanFilterAggregate/100000/0/0$' \
     --benchmark_min_time=0.02
 
   batch_op_ms="$(sed -n 's/.*"run":"ScanFilterAggregate\/batch\/100000".*"op_ms":\([0-9][0-9.e+-]*\),.*/\1/p' \
     "${SMOKE_DIR}/BENCH_exec_pipeline.json" | head -n1)"
-  row_op_ms="$(sed -n 's/.*"run":"ScanFilterAggregate\/row\/100000".*"op_ms":\([0-9][0-9.e+-]*\),.*/\1/p' \
-    "${SMOKE_DIR}/BENCH_exec_pipeline.json" | head -n1)"
-  if [[ -z "${batch_op_ms}" || -z "${row_op_ms}" ]]; then
+  if [[ -z "${batch_op_ms}" ]]; then
     echo "ci/check.sh: could not parse op_ms from BENCH_exec_pipeline.json" >&2
     exit 1
   fi
   echo "ci/check.sh: exec pipeline scan-filter-aggregate @100k:" \
-       "batch=${batch_op_ms} ms row=${row_op_ms} ms (need >= 2x)"
-  if ! awk -v r="${row_op_ms}" -v b="${batch_op_ms}" \
-       'BEGIN { exit !(b > 0 && r >= 2 * b) }'; then
-    echo "ci/check.sh: batch pipeline (${batch_op_ms} ms) is not >= 2x faster" \
-         "than the row pipeline (${row_op_ms} ms) at 100k rows —" \
-         "vectorized-execution regression" >&2
-    exit 1
-  fi
-  # -------------------------------------------------------------------------
-  # Join-shape gate: the Figure-2a join (three-relation NATURAL JOIN + WHERE
-  # + ORDER BY ... LIMIT 8) at 100k movies, serial batch vs row. WHERE
-  # conjuncts below the joins, the columnar hash-join build table and the
-  # top-K sort must hold batch_op_ms <= row_op_ms / 2 (measured 2.6-2.8x).
-  # Both runs write both build tables before every execution, so the batch
-  # run times a cold build, not a retained one.
-  # -------------------------------------------------------------------------
-  DS_SPILL_DIR="${SMOKE_DIR}" DS_BENCH_JSON_DIR="${SMOKE_DIR}" \
-    "${BUILD_DIR}/bench_exec_pipeline" \
-    --benchmark_filter='BM_JoinFilterTopK/100000/(0|1)/0/0$' \
-    --benchmark_min_time=0.02
-
-  join_batch_op_ms="$(sed -n 's/.*"run":"JoinFilterTopK\/batch\/100000".*"op_ms":\([0-9][0-9.e+-]*\),.*/\1/p' \
-    "${SMOKE_DIR}/BENCH_exec_pipeline.json" | head -n1)"
-  join_row_op_ms="$(sed -n 's/.*"run":"JoinFilterTopK\/row\/100000".*"op_ms":\([0-9][0-9.e+-]*\),.*/\1/p' \
-    "${SMOKE_DIR}/BENCH_exec_pipeline.json" | head -n1)"
-  if [[ -z "${join_batch_op_ms}" || -z "${join_row_op_ms}" ]]; then
-    echo "ci/check.sh: could not parse JoinFilterTopK op_ms from BENCH_exec_pipeline.json" >&2
-    exit 1
-  fi
-  echo "ci/check.sh: exec pipeline join-filter-top-k @100k:" \
-       "batch=${join_batch_op_ms} ms row=${join_row_op_ms} ms (need >= 2x)"
-  if ! awk -v r="${join_row_op_ms}" -v b="${join_batch_op_ms}" \
-       'BEGIN { exit !(b > 0 && r >= 2 * b) }'; then
-    echo "ci/check.sh: batch join pipeline (${join_batch_op_ms} ms) is not >= 2x" \
-         "faster than the row pipeline (${join_row_op_ms} ms) at 100k movies —" \
-         "join/filter/top-K regression" >&2
-    exit 1
-  fi
+       "batch=${batch_op_ms} ms"
   # -------------------------------------------------------------------------
   # Join-build reuse gate (DESIGN.md §6a "Build reuse"), count-based and so
   # noise-free: a warm re-execution of the same join at 10k and 100k movies
@@ -273,7 +229,7 @@ if [[ -x "${BUILD_DIR}/bench_exec_pipeline" ]]; then
   # -------------------------------------------------------------------------
   DS_SPILL_DIR="${SMOKE_DIR}" DS_BENCH_JSON_DIR="${SMOKE_DIR}" \
     "${BUILD_DIR}/bench_exec_pipeline" \
-    --benchmark_filter='BM_ScanFilterAggregate/100000/0/0/(1|4)$' \
+    --benchmark_filter='BM_ScanFilterAggregate/100000/0/(1|4)$' \
     --benchmark_min_time=0.02
 
   par1_op_ms="$(sed -n 's/.*"run":"ScanFilterAggregate\/par1\/100000".*"op_ms":\([0-9][0-9.e+-]*\),.*/\1/p' \
@@ -320,7 +276,7 @@ if [[ -x "${BUILD_DIR}/bench_exec_pipeline" ]]; then
     for _ in 1 2 3 4 5; do
       DS_SPILL_DIR="${SMOKE_DIR}" DS_BENCH_JSON_DIR="${ceiling_dir}" \
         "${BUILD_DIR}/bench_exec_pipeline" \
-        --benchmark_filter='BM_ScanFilterAggregate/100000/0/0/0$|BM_JoinFilterTopKWarm/100000$' \
+        --benchmark_filter='BM_ScanFilterAggregate/100000/0/0$|BM_JoinFilterTopKWarm/100000$' \
         --benchmark_min_time=0.02 > /dev/null
     done
     check_ceiling() {  # <run, sed-escaped> <ceiling ms>

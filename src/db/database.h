@@ -39,9 +39,9 @@ struct DatabaseOptions {
   /// Database::Open on the same path — recovers every table, schema, and
   /// row with no application-side rebuild (DESIGN.md §6, docs/DURABILITY.md).
   storage::PagerConfig pager;
-  /// Query-execution shape: vectorized batch size and the row-at-a-time
-  /// fallback (see ExecOptions). Defaults drive every SELECT through the
-  /// batch pipeline at kDefaultExecBatchSize tuples per batch.
+  /// Query-execution shape: batch size and the morsel-parallel leaf (see
+  /// ExecOptions). Defaults drive every SELECT through the serial batch
+  /// pipeline at kDefaultExecBatchSize tuples per batch.
   ExecOptions exec;
   /// Fsync the WAL at the end of every successful mutating statement, making
   /// each commit individually durable. Off (the default) keeps the PR 5

@@ -33,15 +33,6 @@ AggState::AggState(const sql::Expr* call) : call_(call), op_(Op::kUnknown) {
   }
 }
 
-Status AggState::Update(const Row& input) {
-  if (!needs_arg()) {
-    UpdateStar();
-    return Status::OK();
-  }
-  DS_ASSIGN_OR_RETURN(Value v, EvalScalar(*call_->args[0], &input));
-  return UpdateValue(v);
-}
-
 bool AggState::Improves(const Value& v) const {
   int c = Value::Compare(v, extreme_);
   return op_ == Op::kMin ? c < 0 : c > 0;

@@ -26,9 +26,6 @@ class AggState {
   /// `call` must outlive the state (it lives in the statement AST).
   explicit AggState(const sql::Expr* call);
 
-  /// Folds one input row into the state (evaluates the call's argument).
-  Status Update(const Row& input);
-
   /// True when the call consumes an argument value per row; false only for
   /// COUNT(*), which counts rows without evaluating anything.
   bool needs_arg() const { return op_ != Op::kCountStar; }

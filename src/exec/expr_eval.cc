@@ -63,6 +63,10 @@ int64_t WrappingArith(BinOpCode op, int64_t x, int64_t y) {
   }
 }
 
+/// INTEGER `x % y` for a non-zero `y`. A divisor of -1 always leaves 0; it
+/// is answered before the division, which traps for INT64_MIN % -1.
+int64_t IntMod(int64_t x, int64_t y) { return y == -1 ? 0 : x % y; }
+
 /// Numeric addition/subtraction/multiplication preserving INT when both sides
 /// are INT (with wrap-around like typical engines), REAL otherwise. The one
 /// per-value kernel behind both the scalar and the batch evaluator.
@@ -82,9 +86,11 @@ Result<Value> ArithCode(BinOpCode op, const Value& a, const Value& b) {
         return Value::Int(WrappingArith(op, x, y));
       case BinOpCode::kMod:
         if (y == 0) return Status::InvalidArgument("division by zero");
-        return Value::Int(x % y);
+        return Value::Int(IntMod(x, y));
       case BinOpCode::kDiv:
         if (y == 0) return Status::InvalidArgument("division by zero");
+        // x / -1 negates, wrapping INT64_MIN the way * does.
+        if (y == -1) return Value::Int(WrappingArith(BinOpCode::kSub, 0, x));
         if (x % y == 0) return Value::Int(x / y);
         return Value::Real(static_cast<double>(x) / static_cast<double>(y));
       default: break;
@@ -146,7 +152,9 @@ Result<Value> UnaryKernel(const Expr& e, const Value& a) {
   }
   if (e.op == "-") {
     if (a.is_null()) return Value::Null();
-    if (a.type() == DataType::kInt) return Value::Int(-a.int_value());
+    if (a.type() == DataType::kInt) {  // wraps INT64_MIN, like x / -1
+      return Value::Int(WrappingArith(BinOpCode::kSub, 0, a.int_value()));
+    }
     DS_ASSIGN_OR_RETURN(double d, a.AsReal());
     return Value::Real(-d);
   }
@@ -269,7 +277,7 @@ bool LikeMatch(std::string_view text, std::string_view pattern) {
 }
 
 // ---------------------------------------------------------------------------
-// Scalar (row-at-a-time) driver
+// Scalar driver (one row at a time: DML, HAVING and finalize, formulas)
 // ---------------------------------------------------------------------------
 
 Result<Value> EvalScalar(const sql::Expr& e, const Row* input,
@@ -622,7 +630,7 @@ ColumnKind OperandKind(const Expr& e, const RowBatch& batch);
 
 /// The kind of `a op b` for a typed arithmetic node: both sides of one
 /// numeric kind (literals included, one side at least not a literal) for
-/// + - *; an INT operand by an INT literal other than 0 and -1 for %; a
+/// + - *; an INT operand by a non-zero INT literal for %; a
 /// REAL operand by a non-zero REAL literal for /. kValue otherwise — every
 /// shape that could raise or change kind falls back.
 ColumnKind ArithKind(BinOpCode op, const Expr& a, const Expr& b,
@@ -648,8 +656,7 @@ ColumnKind ArithKind(BinOpCode op, const Expr& a, const Expr& b,
     case BinOpCode::kMul:
       return kind;
     case BinOpCode::kMod:
-      return kind == ColumnKind::kInt && literal &&
-                     b.literal.int_value() != 0 && b.literal.int_value() != -1
+      return kind == ColumnKind::kInt && literal && b.literal.int_value() != 0
                  ? kind
                  : ColumnKind::kValue;
     case BinOpCode::kDiv:
@@ -721,8 +728,8 @@ void ArithLoop(BinOpCode op, const ColumnVector& a, const ColumnVector* b,
                T literal, size_t n, ColumnVector* out) {
   auto apply = [op](T x, T y) -> T {
     if constexpr (std::is_same_v<T, int64_t>) {
-      // kMod's divisor is a literal other than 0 and -1 (ArithKind).
-      return op == BinOpCode::kMod ? x % y : WrappingArith(op, x, y);
+      // kMod's divisor is a non-zero literal (ArithKind).
+      return op == BinOpCode::kMod ? IntMod(x, y) : WrappingArith(op, x, y);
     } else {
       switch (op) {
         case BinOpCode::kAdd: return x + y;

@@ -35,7 +35,7 @@ Result<bool> EvalPredicate(const sql::Expr& e, const Row* input,
 ///
 /// Semantics are shared with EvalScalar through common per-value kernels,
 /// including lazy evaluation: AND/OR right sides, CASE branches, and IN-list
-/// items are evaluated only at the positions the row-at-a-time path would
+/// items are evaluated only at the positions the scalar evaluator would
 /// reach them, so data-dependent errors (e.g. `x <> 0 AND 1/x > 2`) surface
 /// for exactly the same inputs. Aggregate call sites are rejected (batches
 /// only flow below the aggregation boundary).
@@ -57,7 +57,7 @@ Status EvalPredicateBatch(const sql::Expr& e, const RowBatch& batch,
 /// aggregate calls) and its evaluation succeeds — an erroring constant
 /// (e.g. `1/0` inside a CASE branch that may never be taken) is left for
 /// runtime so error behavior is position-exact. Planner calls this after
-/// binding; both execution modes benefit equally.
+/// binding.
 void FoldConstants(sql::Expr* e);
 
 /// SQL LIKE with `%` (any run) and `_` (any single character).

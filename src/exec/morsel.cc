@@ -93,7 +93,7 @@ struct WorkerPipeline {
   void Init(const Table* table, const sql::Expr* where, size_t batch_size,
             const std::vector<size_t>& columns) {
     if (chain != nullptr) return;
-    auto s = std::make_unique<TableScanOp>(table, 0, 0, batch_size);
+    auto s = std::make_unique<TableScanOp>(table, 0, 0);
     s->SetColumns(columns);
     scan = s.get();
     chain = std::move(s);
@@ -179,16 +179,6 @@ Status ParallelScanOp::Build() {
     for (Row& r : rows) rows_.push_back(std::move(r));
   }
   return Status::OK();
-}
-
-Result<bool> ParallelScanOp::Next(Row* out) {
-  if (!built_) {
-    DS_RETURN_IF_ERROR(Build());
-    built_ = true;
-  }
-  if (index_ >= rows_.size()) return false;
-  *out = std::move(rows_[index_++]);
-  return true;
 }
 
 Result<bool> ParallelScanOp::Next(RowBatch* out) {
@@ -294,16 +284,6 @@ Status ParallelAggregateOp::Build() {
       FinalizeAggregateGroups(output_exprs_, having_, merged, &results_));
   if (group_sink_ != nullptr) *group_sink_ = std::move(merged);
   return Status::OK();
-}
-
-Result<bool> ParallelAggregateOp::Next(Row* out) {
-  if (!built_) {
-    DS_RETURN_IF_ERROR(Build());
-    built_ = true;
-  }
-  if (index_ >= results_.size()) return false;
-  *out = std::move(results_[index_++]);
-  return true;
 }
 
 Result<bool> ParallelAggregateOp::Next(RowBatch* out) {

@@ -97,7 +97,6 @@ class ParallelScanOp : public Operator {
                  const sql::Expr* where, const ExecOptions& exec,
                  size_t limit_hint);
   Status Open() override;
-  Result<bool> Next(Row* out) override;
   Result<bool> Next(RowBatch* out) override;
 
   /// Column pruning for the workers' scans (TableScanOp::SetColumns).
@@ -135,7 +134,6 @@ class ParallelAggregateOp : public Operator {
                       std::vector<const sql::Expr*> output_exprs,
                       const sql::Expr* having, const ExecOptions& exec);
   Status Open() override;
-  Result<bool> Next(Row* out) override;
   Result<bool> Next(RowBatch* out) override;
 
   /// Column pruning for the workers' scans (TableScanOp::SetColumns).

@@ -30,13 +30,8 @@ void AppendJoined(RowBatch* out, const Row& left, const Row* right,
 // TableScanOp
 // ---------------------------------------------------------------------------
 
-TableScanOp::TableScanOp(const Table* table, size_t start, size_t count,
-                         size_t row_batch_hint)
-    : table_(table),
-      start_(start),
-      remaining_(count),
-      row_batch_hint_(row_batch_hint == 0 ? kDefaultExecBatchSize
-                                          : row_batch_hint) {
+TableScanOp::TableScanOp(const Table* table, size_t start, size_t count)
+    : table_(table), start_(start), remaining_(count) {
   std::vector<size_t> all(table->schema().num_columns());
   for (size_t c = 0; c < all.size(); ++c) all[c] = c;
   SetColumns(std::move(all));
@@ -44,8 +39,6 @@ TableScanOp::TableScanOp(const Table* table, size_t start, size_t count,
 
 Status TableScanOp::Open() {
   next_pos_ = start_;
-  batch_.clear();
-  batch_index_ = 0;
   return Status::OK();
 }
 
@@ -53,27 +46,11 @@ void TableScanOp::SetWindow(size_t start, size_t count) {
   start_ = start;
   remaining_ = count;
   next_pos_ = start;
-  batch_.clear();
-  batch_index_ = 0;
 }
 
 void TableScanOp::SetColumns(std::vector<size_t> columns) {
   columns_ = std::move(columns);
   column_out_.assign(columns_.size(), nullptr);
-}
-
-Result<bool> TableScanOp::Next(Row* out) {
-  if (batch_index_ >= batch_.size()) {
-    if (remaining_ == 0 || next_pos_ >= table_->num_rows()) return false;
-    size_t want = std::min(row_batch_hint_, remaining_);
-    batch_ = table_->GetWindow(next_pos_, want);
-    if (batch_.empty()) return false;
-    next_pos_ += batch_.size();
-    remaining_ -= batch_.size();
-    batch_index_ = 0;
-  }
-  *out = std::move(batch_[batch_index_++]);
-  return true;
 }
 
 Result<bool> TableScanOp::Next(RowBatch* out) {
@@ -116,13 +93,6 @@ Status KeyLookupOp::Open() {
   return Status::OK();
 }
 
-Result<bool> KeyLookupOp::Next(Row* out) {
-  if (!pending_) return false;
-  pending_ = false;
-  *out = std::move(row_);
-  return true;
-}
-
 Result<bool> KeyLookupOp::Next(RowBatch* out) {
   out->Reset(table_->schema().num_columns());
   if (!pending_) return false;
@@ -151,15 +121,6 @@ Result<bool> RowsScanOp::Next(RowBatch* out) {
 // FilterOp / ProjectOp
 // ---------------------------------------------------------------------------
 
-Result<bool> FilterOp::Next(Row* out) {
-  while (true) {
-    DS_ASSIGN_OR_RETURN(bool more, child_->Next(out));
-    if (!more) return false;
-    DS_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*predicate_, out));
-    if (pass) return true;
-  }
-}
-
 Result<bool> FilterOp::Next(RowBatch* out) {
   while (true) {
     DS_ASSIGN_OR_RETURN(bool more, child_->Next(out));
@@ -171,19 +132,6 @@ Result<bool> FilterOp::Next(RowBatch* out) {
     out->SetSelection(std::move(passing));
     if (out->ActiveSize() > 0) return true;
   }
-}
-
-Result<bool> ProjectOp::Next(Row* out) {
-  Row input;
-  DS_ASSIGN_OR_RETURN(bool more, child_->Next(&input));
-  if (!more) return false;
-  out->clear();
-  out->reserve(exprs_.size());
-  for (const sql::Expr* e : exprs_) {
-    DS_ASSIGN_OR_RETURN(Value v, EvalScalar(*e, &input));
-    out->push_back(std::move(v));
-  }
-  return true;
 }
 
 Result<bool> ProjectOp::Next(RowBatch* out) {
@@ -226,18 +174,7 @@ Status NestedLoopJoinOp::Open() {
   return Status::OK();
 }
 
-Status NestedLoopJoinOp::BuildRightRows() {
-  Row r;
-  while (true) {
-    auto more = right_->Next(&r);
-    if (!more.ok()) return more.status();
-    if (!more.value()) break;
-    right_rows_.push_back(r);
-  }
-  return Status::OK();
-}
-
-Status NestedLoopJoinOp::BuildRightBatched(size_t batch_size) {
+Status NestedLoopJoinOp::BuildRight(size_t batch_size) {
   RowBatch b(batch_size);
   std::vector<uint32_t> scratch;
   while (true) {
@@ -250,42 +187,7 @@ Status NestedLoopJoinOp::BuildRightBatched(size_t batch_size) {
   return Status::OK();
 }
 
-Result<bool> NestedLoopJoinOp::Next(Row* out) {
-  if (!right_built_) {
-    DS_RETURN_IF_ERROR(BuildRightRows());
-    right_built_ = true;
-  }
-  while (true) {
-    if (!have_left_) {
-      DS_ASSIGN_OR_RETURN(bool more, left_->Next(&left_row_));
-      if (!more) return false;
-      have_left_ = true;
-      left_matched_ = false;
-      right_index_ = 0;
-    }
-    while (right_index_ < right_rows_.size()) {
-      const Row& r = right_rows_[right_index_++];
-      Row combined = left_row_;
-      combined.insert(combined.end(), r.begin(), r.end());
-      if (on_ != nullptr) {
-        DS_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*on_, &combined));
-        if (!pass) continue;
-      }
-      left_matched_ = true;
-      *out = std::move(combined);
-      return true;
-    }
-    // Right side exhausted for this left row.
-    have_left_ = false;
-    if (left_outer_ && !left_matched_) {
-      *out = left_row_;
-      out->resize(out->size() + right_width_, Value::Null());
-      return true;
-    }
-  }
-}
-
-Result<bool> NestedLoopJoinOp::AdvanceLeftBatched() {
+Result<bool> NestedLoopJoinOp::AdvanceLeft() {
   while (left_cursor_ >= left_positions_.size()) {
     DS_ASSIGN_OR_RETURN(bool more, left_->Next(&left_batch_));
     if (!more) return false;
@@ -304,7 +206,7 @@ Result<bool> NestedLoopJoinOp::AdvanceLeftBatched() {
 Result<bool> NestedLoopJoinOp::Next(RowBatch* out) {
   if (!right_built_) {
     left_batch_.set_capacity(out->capacity());
-    DS_RETURN_IF_ERROR(BuildRightBatched(out->capacity()));
+    DS_RETURN_IF_ERROR(BuildRight(out->capacity()));
     right_built_ = true;
   }
   bool shaped = false;
@@ -314,7 +216,7 @@ Result<bool> NestedLoopJoinOp::Next(RowBatch* out) {
   }
   while (true) {
     if (!have_left_) {
-      DS_ASSIGN_OR_RETURN(bool more, AdvanceLeftBatched());
+      DS_ASSIGN_OR_RETURN(bool more, AdvanceLeft());
       if (!more) break;
       if (!shaped) {
         out->Reset(left_row_.size() + right_width_);
@@ -405,9 +307,6 @@ Status HashJoinOp::Open() {
   DS_RETURN_IF_ERROR(left_->Open());
   DS_RETURN_IF_ERROR(right_->Open());
   built_ = false;
-  build_.clear();
-  have_left_ = false;
-  matches_ = nullptr;
   table_.reset();
   left_positions_.clear();
   left_cursor_ = 0;
@@ -416,37 +315,7 @@ Status HashJoinOp::Open() {
   return Status::OK();
 }
 
-namespace {
-
-/// Extracts the key tuple at `offsets` from `row`; false if any key is NULL
-/// (NULL keys never join).
-bool ExtractKey(const Row& row, const std::vector<int>& offsets, Row* key) {
-  key->clear();
-  key->reserve(offsets.size());
-  for (int k : offsets) {
-    const Value& v = row[static_cast<size_t>(k)];
-    if (v.is_null()) return false;
-    key->push_back(v);
-  }
-  return true;
-}
-
-}  // namespace
-
-Status HashJoinOp::BuildRows() {
-  Row r, key;
-  while (true) {
-    auto more = right_->Next(&r);
-    if (!more.ok()) return more.status();
-    if (!more.value()) break;
-    if (!ExtractKey(r, right_keys_, &key)) continue;
-    build_[key].push_back(r);
-  }
-  return Status::OK();
-}
-
-Result<std::shared_ptr<JoinBuild>> HashJoinOp::BuildBatched(
-    size_t batch_size) {
+Result<std::shared_ptr<JoinBuild>> HashJoinOp::Build(size_t batch_size) {
   auto build = std::make_shared<JoinBuild>();
   JoinBuild& t = *build;
   // Read the keys and the live columns; the others stay absent.
@@ -529,42 +398,6 @@ Result<std::shared_ptr<JoinBuild>> HashJoinOp::BuildBatched(
     if (!RightLive(k)) t.columns[k] = ColumnVector(ColumnKind::kAbsent);
   }
   return build;
-}
-
-Result<bool> HashJoinOp::Next(Row* out) {
-  if (!built_) {
-    DS_RETURN_IF_ERROR(BuildRows());
-    built_ = true;
-  }
-  while (true) {
-    if (!have_left_) {
-      DS_ASSIGN_OR_RETURN(bool more, left_->Next(&left_row_));
-      if (!more) return false;
-      have_left_ = true;
-      left_matched_ = false;
-      match_index_ = 0;
-      Row key;
-      if (!ExtractKey(left_row_, left_keys_, &key)) {
-        matches_ = nullptr;
-      } else {
-        auto it = build_.find(key);
-        matches_ = it == build_.end() ? nullptr : &it->second;
-      }
-    }
-    if (matches_ != nullptr && match_index_ < matches_->size()) {
-      const Row& r = (*matches_)[match_index_++];
-      *out = left_row_;
-      out->insert(out->end(), r.begin(), r.end());
-      left_matched_ = true;
-      return true;
-    }
-    have_left_ = false;
-    if (left_outer_ && !left_matched_) {
-      *out = left_row_;
-      out->resize(out->size() + right_width_, Value::Null());
-      return true;
-    }
-  }
 }
 
 namespace {
@@ -654,7 +487,7 @@ void HashJoinOp::FlushPairs(RowBatch* out) {
 Result<bool> HashJoinOp::Next(RowBatch* out) {
   if (!built_) {
     left_batch_.set_capacity(out->capacity());
-    auto build = [&] { return BuildBatched(out->capacity()); };
+    auto build = [&] { return Build(out->capacity()); };
     if (cache_ != nullptr) {
       JoinBuildShape shape{right_keys_, {}};
       for (size_t c = 0; c < right_width_; ++c) {
@@ -754,51 +587,7 @@ Status HashAggregateOp::Open() {
   return Status::OK();
 }
 
-Status HashAggregateOp::BuildRows() {
-  std::vector<AggGroup> groups;  // deterministic output: first-seen order
-  std::unordered_map<Row, size_t, RowHash, RowEq> ids;
-
-  Row input;
-  while (true) {
-    auto more = child_->Next(&input);
-    if (!more.ok()) return more.status();
-    if (!more.value()) break;
-    Row key;
-    key.reserve(group_exprs_.size());
-    for (const sql::Expr* g : group_exprs_) {
-      auto v = EvalScalar(*g, &input);
-      if (!v.ok()) return v.status();
-      key.push_back(std::move(v).value());
-    }
-    auto it = ids.find(key);
-    if (it == ids.end()) {
-      AggGroup g = MakeAggGroup(agg_calls_);
-      g.key = key;
-      g.first_row = input;
-      it = ids.emplace(std::move(key), groups.size()).first;
-      groups.push_back(std::move(g));
-    }
-    AggGroup& group = groups[it->second];
-    ++group.rows;
-    for (AggState& s : group.states) {
-      DS_RETURN_IF_ERROR(s.Update(input));
-    }
-  }
-  // Global aggregate over empty input still yields one group.
-  if (groups.empty() && group_exprs_.empty()) {
-    groups.push_back(MakeAggGroup(agg_calls_));
-  }
-  return Finish(std::move(groups));
-}
-
-Status HashAggregateOp::Finish(std::vector<AggGroup> groups) {
-  DS_RETURN_IF_ERROR(
-      FinalizeAggregateGroups(output_exprs_, having_, groups, &results_));
-  if (group_sink_ != nullptr) *group_sink_ = std::move(groups);
-  return Status::OK();
-}
-
-Status HashAggregateOp::BuildBatched(size_t batch_size) {
+Status HashAggregateOp::Build(size_t batch_size) {
   AggregateFold fold(group_exprs_, agg_calls_);
   input_.set_capacity(batch_size);
   uint64_t seq = 0;
@@ -807,7 +596,11 @@ Status HashAggregateOp::BuildBatched(size_t batch_size) {
     if (!more) break;
     DS_RETURN_IF_ERROR(fold.Fold(input_, &seq));
   }
-  return Finish(fold.TakeGroups());
+  std::vector<AggGroup> groups = fold.TakeGroups();
+  DS_RETURN_IF_ERROR(
+      FinalizeAggregateGroups(output_exprs_, having_, groups, &results_));
+  if (group_sink_ != nullptr) *group_sink_ = std::move(groups);
+  return Status::OK();
 }
 
 Status FinalizeAggregateGroups(
@@ -838,19 +631,9 @@ Status FinalizeAggregateGroups(
   return Status::OK();
 }
 
-Result<bool> HashAggregateOp::Next(Row* out) {
-  if (!built_) {
-    DS_RETURN_IF_ERROR(BuildRows());
-    built_ = true;
-  }
-  if (index_ >= results_.size()) return false;
-  *out = std::move(results_[index_++]);
-  return true;
-}
-
 Result<bool> HashAggregateOp::Next(RowBatch* out) {
   if (!built_) {
-    DS_RETURN_IF_ERROR(BuildBatched(out->capacity()));
+    DS_RETURN_IF_ERROR(Build(out->capacity()));
     built_ = true;
   }
   out->Reset(output_exprs_.size());
@@ -872,27 +655,7 @@ Status SortOp::Open() {
   return Status::OK();
 }
 
-Status SortOp::BuildRows() {
-  Row r;
-  while (true) {
-    auto more = child_->Next(&r);
-    if (!more.ok()) return more.status();
-    if (!more.value()) break;
-    rows_.push_back(std::move(r));
-  }
-  std::vector<Row> keys(rows_.size());
-  for (size_t i = 0; i < rows_.size(); ++i) {
-    keys[i].reserve(keys_.size());
-    for (const Key& k : keys_) {
-      auto v = EvalScalar(*k.expr, &rows_[i]);
-      if (!v.ok()) return v.status();
-      keys[i].push_back(std::move(v).value());
-    }
-  }
-  return SortCollected(std::move(keys));
-}
-
-Status SortOp::BuildBatched(size_t batch_size) {
+Status SortOp::Build(size_t batch_size) {
   input_.set_capacity(batch_size);
   std::vector<uint32_t> scratch;
   // Per key, the column holding its values in the current batch: the input
@@ -1000,19 +763,9 @@ Status SortOp::SortCollected(std::vector<Row> keys) {
   return Status::OK();
 }
 
-Result<bool> SortOp::Next(Row* out) {
-  if (!built_) {
-    DS_RETURN_IF_ERROR(BuildRows());
-    built_ = true;
-  }
-  if (index_ >= rows_.size()) return false;
-  *out = std::move(rows_[index_++]);
-  return true;
-}
-
 Result<bool> SortOp::Next(RowBatch* out) {
   if (!built_) {
-    DS_RETURN_IF_ERROR(BuildBatched(out->capacity()));
+    DS_RETURN_IF_ERROR(Build(out->capacity()));
     built_ = true;
   }
   if (index_ >= rows_.size()) {
@@ -1032,26 +785,8 @@ Result<bool> SortOp::Next(RowBatch* out) {
 
 Status LimitOp::Open() {
   emitted_ = 0;
-  to_skip_ = offset_;
-  skipped_ = offset_ <= 0;
+  to_skip_ = std::max<int64_t>(offset_, 0);
   return child_->Open();
-}
-
-Result<bool> LimitOp::Next(Row* out) {
-  if (!skipped_) {
-    skipped_ = true;
-    Row scratch;
-    for (int64_t i = 0; i < to_skip_; ++i) {
-      DS_ASSIGN_OR_RETURN(bool more, child_->Next(&scratch));
-      if (!more) break;
-    }
-    to_skip_ = 0;
-  }
-  if (limit_ >= 0 && emitted_ >= limit_) return false;
-  DS_ASSIGN_OR_RETURN(bool more, child_->Next(out));
-  if (!more) return false;
-  ++emitted_;
-  return true;
 }
 
 Result<bool> LimitOp::Next(RowBatch* out) {
@@ -1065,12 +800,8 @@ Result<bool> LimitOp::Next(RowBatch* out) {
     if (!more) return false;
     const std::vector<uint32_t>& active = out->ActivePositions(&scratch);
     size_t n = active.size();
-    size_t drop = 0;
-    if (!skipped_) {
-      drop = std::min<size_t>(static_cast<size_t>(to_skip_), n);
-      to_skip_ -= static_cast<int64_t>(drop);
-      if (to_skip_ == 0) skipped_ = true;
-    }
+    size_t drop = std::min<size_t>(static_cast<size_t>(to_skip_), n);
+    to_skip_ -= static_cast<int64_t>(drop);
     size_t take = n - drop;
     if (limit_ >= 0) {
       take = std::min<size_t>(take, static_cast<size_t>(limit_ - emitted_));
@@ -1083,16 +814,6 @@ Result<bool> LimitOp::Next(RowBatch* out) {
                                   static_cast<ptrdiff_t>(take));
     out->SetSelection(std::move(sel));
     return true;
-  }
-}
-
-Result<bool> DistinctOp::Next(Row* out) {
-  while (true) {
-    DS_ASSIGN_OR_RETURN(bool more, child_->Next(out));
-    if (!more) return false;
-    auto [it, inserted] = seen_.emplace(*out, true);
-    (void)it;
-    if (inserted) return true;
   }
 }
 
@@ -1114,18 +835,6 @@ Result<bool> DistinctOp::Next(RowBatch* out) {
 }
 
 // ---------------------------------------------------------------------------
-
-Result<std::vector<Row>> Materialize(Operator* op) {
-  DS_RETURN_IF_ERROR(op->Open());
-  std::vector<Row> out;
-  Row r;
-  while (true) {
-    DS_ASSIGN_OR_RETURN(bool more, op->Next(&r));
-    if (!more) break;
-    out.push_back(std::move(r));
-  }
-  return out;
-}
 
 Result<std::vector<Row>> MaterializeBatched(Operator* op, size_t batch_size) {
   DS_RETURN_IF_ERROR(op->Open());

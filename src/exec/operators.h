@@ -16,26 +16,17 @@
 
 namespace dataspread {
 
-/// Pull operator with two drive modes over one tree.
+/// Pull operator over column-major batches (the one execution contract).
 ///
-/// Open() prepares state; then the *driver* picks exactly one contract and
-/// sticks with it for the whole execution:
-///   - Next(Row*): the Volcano row-at-a-time baseline — one output tuple per
-///     call, false at end of stream;
-///   - Next(RowBatch*): the vectorized pipeline — fills `out` (column-major,
-///     up to out->capacity() tuples, possibly with a selection vector) and
-///     returns true iff the batch holds at least one live tuple.
-/// Operators propagate the chosen mode to their children (a batch-driven
-/// aggregate drains its child in batches), so the mode decision stays at the
-/// root. Blocking operators (joins' build sides, sort, aggregate, limit's
-/// offset skip) defer child-draining work from Open() to the first Next() so
-/// the mode is known when it happens. Mixing modes on one opened tree is
-/// unsupported.
+/// Open() prepares state; each Next() fills `out` (column-major, up to
+/// out->capacity() tuples, possibly with a selection vector) and returns
+/// true iff the batch holds at least one live tuple. Blocking operators
+/// (joins' build sides, sort, aggregate) drain their children at the first
+/// Next(), with batches of the caller's capacity.
 class Operator {
  public:
   virtual ~Operator() = default;
   virtual Status Open() = 0;
-  virtual Result<bool> Next(Row* out) = 0;
   virtual Result<bool> Next(RowBatch* out) = 0;
 };
 
@@ -45,7 +36,7 @@ using OperatorPtr = std::unique_ptr<Operator>;
 /// implement the interface-aware LIMIT/OFFSET pushdown: a pane fetch reads
 /// exactly the window's tuples (paper §2.2 "Window").
 ///
-/// The batch path fills the batch's columns straight from storage: one
+/// The scan fills the batch's columns straight from storage: one
 /// Table::GatherWindow per batch (one GatherRows page-cursor sweep per
 /// touched file), each read column typed by its declared type (DESIGN.md
 /// §6b "Batch layout"), so a tuple costs one native copy per *read* column
@@ -53,15 +44,11 @@ using OperatorPtr = std::unique_ptr<Operator>;
 /// callback. SetColumns() narrows the read to the columns the plan above
 /// references (planner column pruning); every other column is absent and
 /// reads as NULL, so MaterializeRow, DISTINCT, and the join emit path stay
-/// valid. The row
-/// path fetches whole-tuple GetWindow slices of `row_batch_hint` tuples (the
-/// pre-vectorization behavior).
+/// valid.
 class TableScanOp : public Operator {
  public:
-  TableScanOp(const Table* table, size_t start, size_t count,
-              size_t row_batch_hint = kDefaultExecBatchSize);
+  TableScanOp(const Table* table, size_t start, size_t count);
   Status Open() override;
-  Result<bool> Next(Row* out) override;
   Result<bool> Next(RowBatch* out) override;
 
   /// Re-targets the scan to display window [start, start+count) and rewinds
@@ -69,18 +56,15 @@ class TableScanOp : public Operator {
   /// constructing an operator chain per morsel (src/exec/morsel.cc).
   void SetWindow(size_t start, size_t count);
 
-  /// Restricts the batch path to the listed columns (ascending, each below
+  /// Restricts the scan to the listed columns (ascending, each below
   /// the table's column count); the others are absent. Default: all.
   void SetColumns(std::vector<size_t> columns);
 
  private:
   const Table* table_;
   size_t start_, remaining_, next_pos_ = 0;
-  size_t row_batch_hint_;
-  std::vector<size_t> columns_;  // read by the batch path
+  std::vector<size_t> columns_;  // the columns read
   std::vector<ColumnVector*> column_out_;
-  std::vector<Row> batch_;
-  size_t batch_index_ = 0;
 };
 
 /// The key-direct leaf (DESIGN.md §6a): the one row of `table` whose primary
@@ -92,7 +76,6 @@ class KeyLookupOp : public Operator {
   KeyLookupOp(const Table* table, Value key)
       : table_(table), key_(std::move(key)) {}
   Status Open() override;
-  Result<bool> Next(Row* out) override;
   Result<bool> Next(RowBatch* out) override;
 
  private:
@@ -103,7 +86,7 @@ class KeyLookupOp : public Operator {
 };
 
 /// Scan over materialized rows (RANGETABLE contents, join build sides, ...).
-/// The batch path moves values out of the shared vector into batch columns
+/// It moves values out of the shared vector into batch columns
 /// instead of copying a Row per call; the vector's tuples must not be read
 /// again after the scan (each plan materializes its own copy).
 class RowsScanOp : public Operator {
@@ -114,11 +97,6 @@ class RowsScanOp : public Operator {
     index_ = 0;
     return Status::OK();
   }
-  Result<bool> Next(Row* out) override {
-    if (index_ >= rows_->size()) return false;
-    *out = (*rows_)[index_++];
-    return true;
-  }
   Result<bool> Next(RowBatch* out) override;
 
  private:
@@ -126,14 +104,12 @@ class RowsScanOp : public Operator {
   size_t index_ = 0;
 };
 
-/// Emits input rows for which the (bound) predicate is TRUE. The batch path
-/// narrows the child batch's selection vector in place — no tuple is copied.
+/// Emits input rows for which the (bound) predicate is TRUE. It narrows the child batch's selection vector in place — no tuple is copied.
 class FilterOp : public Operator {
  public:
   FilterOp(OperatorPtr child, const sql::Expr* predicate)
       : child_(std::move(child)), predicate_(predicate) {}
   Status Open() override { return child_->Open(); }
-  Result<bool> Next(Row* out) override;
   Result<bool> Next(RowBatch* out) override;
 
  private:
@@ -148,7 +124,6 @@ class ProjectOp : public Operator {
   ProjectOp(OperatorPtr child, std::vector<const sql::Expr*> exprs)
       : child_(std::move(child)), exprs_(std::move(exprs)) {}
   Status Open() override { return child_->Open(); }
-  Result<bool> Next(Row* out) override;
   Result<bool> Next(RowBatch* out) override;
 
  private:
@@ -159,8 +134,8 @@ class ProjectOp : public Operator {
 };
 
 /// Nested-loop join; supports CROSS (no condition), INNER, and LEFT OUTER.
-/// The right input is materialized at the first Next(). The batch path
-/// evaluates the join condition vectorized: for each left tuple it builds a
+/// The right input is materialized at the first Next(). The join condition
+/// is evaluated vectorized: for each left tuple it builds a
 /// combined batch (left values broadcast against a chunk of right tuples)
 /// and filters it with one EvalPredicateBatch call.
 class NestedLoopJoinOp : public Operator {
@@ -168,15 +143,13 @@ class NestedLoopJoinOp : public Operator {
   NestedLoopJoinOp(OperatorPtr left, OperatorPtr right, const sql::Expr* on,
                    bool left_outer, size_t right_width);
   Status Open() override;
-  Result<bool> Next(Row* out) override;
   Result<bool> Next(RowBatch* out) override;
 
  private:
-  Status BuildRightRows();
-  Status BuildRightBatched(size_t batch_size);
-  /// Pulls the next live left tuple into left_row_ (from the child batch in
-  /// batch mode). Returns false at end of the left stream.
-  Result<bool> AdvanceLeftBatched();
+  Status BuildRight(size_t batch_size);
+  /// Pulls the next live left tuple of the child batch into left_row_.
+  /// Returns false at end of the left stream.
+  Result<bool> AdvanceLeft();
 
   OperatorPtr left_, right_;
   const sql::Expr* on_;  // may be null (cross join)
@@ -188,7 +161,6 @@ class NestedLoopJoinOp : public Operator {
   bool have_left_ = false;
   bool left_matched_ = false;
   size_t right_index_ = 0;
-  // Batch-mode state.
   RowBatch left_batch_;
   std::vector<uint32_t> left_positions_;
   size_t left_cursor_ = 0;  // index into left_positions_
@@ -200,7 +172,7 @@ class NestedLoopJoinOp : public Operator {
 /// joins. The planner takes this path only when every key pair's declared
 /// types compare without raising (DESIGN.md §6a), so a probe cannot fail.
 ///
-/// The batch path probes an immutable JoinBuild (exec/join_build.h), made
+/// The join probes an immutable JoinBuild (exec/join_build.h), made
 /// from the right input at the first Next() — or, given a cache and the
 /// catalog table the right input scans, reused from an earlier execution
 /// while that table's version is unchanged. The probe reads each left key
@@ -212,19 +184,17 @@ class NestedLoopJoinOp : public Operator {
 /// TableScanOp::SetColumns leaves them — and the build stores only the
 /// live right columns, typed as the right input's columns are. A chain
 /// longer than the room left in the output batch resumes mid-chain on the
-/// next call, so batches never exceed capacity. The row path keeps a
-/// Row-keyed map of right Rows and is never cached.
+/// next call, so batches never exceed capacity.
 class HashJoinOp : public Operator {
  public:
   HashJoinOp(OperatorPtr left, OperatorPtr right, std::vector<int> left_keys,
              std::vector<int> right_keys, bool left_outer, size_t right_width,
              JoinBuildCache* cache = nullptr, const Table* right_table = nullptr);
   Status Open() override;
-  Result<bool> Next(Row* out) override;
   Result<bool> Next(RowBatch* out) override;
 
   /// Marks the left and right columns read above the join (empty = all);
-  /// the batch path copies only those and leaves the others absent.
+  /// the join copies only those and leaves the others absent.
   void SetColumns(std::vector<bool> left_live, std::vector<bool> right_live);
 
  private:
@@ -239,9 +209,8 @@ class HashJoinOp : public Operator {
   bool RightLive(size_t c) const {
     return right_live_.empty() || right_live_[c];
   }
-  Status BuildRows();
   /// Drains the right input into a new build table.
-  Result<std::shared_ptr<JoinBuild>> BuildBatched(size_t batch_size);
+  Result<std::shared_ptr<JoinBuild>> Build(size_t batch_size);
   /// First build index whose key equals the key at left batch position
   /// `pos`, or kNoMatch.
   uint32_t ProbeChain(uint32_t pos);
@@ -256,14 +225,8 @@ class HashJoinOp : public Operator {
   const Table* right_table_;  // null: the right input is not a table scan
   std::vector<bool> left_live_, right_live_;
   bool built_ = false;
-  bool left_matched_ = false;  // the current left tuple has joined (both modes)
-  // Row-mode state.
-  std::unordered_map<Row, std::vector<Row>, RowHash, RowEq> build_;
-  Row left_row_;
-  const std::vector<Row>* matches_ = nullptr;
-  size_t match_index_ = 0;
-  bool have_left_ = false;
-  // Batch-mode state: the build table and the probe cursor.
+  bool left_matched_ = false;  // the current left tuple has joined
+  // The build table and the probe cursor.
   std::shared_ptr<const JoinBuild> table_;
   Row probe_key_;
   RowBatch left_batch_;
@@ -290,7 +253,7 @@ Status FinalizeAggregateGroups(
 /// by their finalized values and non-aggregate parts evaluated on the group's
 /// first input row. `having` (optional) filters groups. With no group
 /// expressions, produces exactly one (possibly empty-input) global group.
-/// The batch build is the shared AggregateFold (exec/aggregates.h): group
+/// The build is the shared AggregateFold (exec/aggregates.h): group
 /// keys and aggregate arguments are computed once per batch and each
 /// aggregate folds its argument column.
 class HashAggregateOp : public Operator {
@@ -300,7 +263,6 @@ class HashAggregateOp : public Operator {
                   std::vector<const sql::Expr*> output_exprs,
                   const sql::Expr* having);
   Status Open() override;
-  Result<bool> Next(Row* out) override;
   Result<bool> Next(RowBatch* out) override;
 
   /// After the build, the folded groups (first-seen order, before HAVING)
@@ -309,9 +271,7 @@ class HashAggregateOp : public Operator {
   void set_group_sink(std::vector<AggGroup>* sink) { group_sink_ = sink; }
 
  private:
-  Status BuildRows();
-  Status BuildBatched(size_t batch_size);
-  Status Finish(std::vector<AggGroup> groups);
+  Status Build(size_t batch_size);
 
   OperatorPtr child_;
   std::vector<const sql::Expr*> group_exprs_;
@@ -325,11 +285,11 @@ class HashAggregateOp : public Operator {
   RowBatch input_;
 };
 
-/// Blocking sort. Keys are expressions over the child's rows; the batch
-/// build computes key tuples vectorized per input batch.
+/// Blocking sort. Keys are expressions over the child's rows; the build
+/// computes key tuples vectorized per input batch.
 ///
 /// With `keep` set (the planner passes LIMIT + OFFSET when a LIMIT sits
-/// above the sort and no DISTINCT between them), the batch path is a top-K
+/// above the sort and no DISTINCT between them), the sort is a top-K
 /// sort: a bounded max-heap ordered by (keys, arrival sequence) holds the
 /// `keep` best rows seen so far. A later row ties with a kept one only to
 /// lose on arrival, so the heap keeps exactly the stable sort's first `keep`
@@ -337,8 +297,7 @@ class HashAggregateOp : public Operator {
 /// compared in place and never moved out of its batch; a key that is a
 /// plain column reference is compared on the typed column itself, so only
 /// a row entering the heap is materialized. Every row's keys are
-/// still evaluated, so key errors surface as in the full sort. The row path
-/// always runs the full stable sort.
+/// still evaluated, so key errors surface as in the full sort.
 class SortOp : public Operator {
  public:
   struct Key {
@@ -349,12 +308,10 @@ class SortOp : public Operator {
   SortOp(OperatorPtr child, std::vector<Key> keys, size_t keep = kKeepAll)
       : child_(std::move(child)), keys_(std::move(keys)), keep_(keep) {}
   Status Open() override;
-  Result<bool> Next(Row* out) override;
   Result<bool> Next(RowBatch* out) override;
 
  private:
-  Status BuildRows();
-  Status BuildBatched(size_t batch_size);
+  Status Build(size_t batch_size);
   Status SortCollected(std::vector<Row> keys);
   /// Orders two key tuples as the output does: <0 when `a` sorts first.
   int CompareKeys(const Row& a, const Row& b) const;
@@ -368,14 +325,13 @@ class SortOp : public Operator {
   RowBatch input_;
 };
 
-/// OFFSET/LIMIT. The offset rows are skipped at the first Next() (batch mode
-/// slices whole batches past the offset instead of pulling row by row).
+/// OFFSET/LIMIT. The offset rows are skipped by narrowing (or dropping)
+/// the first batches' selections.
 class LimitOp : public Operator {
  public:
   LimitOp(OperatorPtr child, int64_t limit, int64_t offset)
       : child_(std::move(child)), limit_(limit), offset_(offset) {}
   Status Open() override;
-  Result<bool> Next(Row* out) override;
   Result<bool> Next(RowBatch* out) override;
 
  private:
@@ -383,12 +339,10 @@ class LimitOp : public Operator {
   int64_t limit_;   // -1 = unlimited
   int64_t offset_;
   int64_t emitted_ = 0;
-  int64_t to_skip_ = 0;
-  bool skipped_ = false;
+  int64_t to_skip_ = 0;  // offset rows not yet dropped
 };
 
-/// Row-level DISTINCT. The batch path narrows the selection to first
-/// occurrences.
+/// Row-level DISTINCT: narrows each batch's selection to first occurrences.
 class DistinctOp : public Operator {
  public:
   explicit DistinctOp(OperatorPtr child) : child_(std::move(child)) {}
@@ -396,7 +350,6 @@ class DistinctOp : public Operator {
     seen_.clear();
     return child_->Open();
   }
-  Result<bool> Next(Row* out) override;
   Result<bool> Next(RowBatch* out) override;
 
  private:
@@ -404,9 +357,6 @@ class DistinctOp : public Operator {
   std::unordered_map<Row, bool, RowHash, RowEq> seen_;
   std::vector<uint32_t> scratch_positions_;
 };
-
-/// Drains an operator tree into a vector, row at a time (the baseline path).
-Result<std::vector<Row>> Materialize(Operator* op);
 
 /// Drains an operator tree into a vector through the batch contract with
 /// batches of `batch_size` tuples.

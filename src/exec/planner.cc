@@ -23,10 +23,9 @@ using sql::SelectStmt;
 constexpr size_t kScanAll = std::numeric_limits<size_t>::max();
 
 /// Builds the scan operator for a bound source.
-OperatorPtr MakeScan(const BoundSource& src, size_t start, size_t count,
-                     size_t batch_size) {
+OperatorPtr MakeScan(const BoundSource& src, size_t start, size_t count) {
   if (src.table != nullptr) {
-    return std::make_unique<TableScanOp>(src.table, start, count, batch_size);
+    return std::make_unique<TableScanOp>(src.table, start, count);
   }
   auto rows = std::make_shared<std::vector<Row>>(src.range->rows);
   // Window pushdown for ranges is handled by LimitOp upstream; ranges are
@@ -170,13 +169,12 @@ Result<PlannedQuery> PlanSelect(SelectStmt* stmt, Catalog& catalog,
                                 const ExecOptions& exec,
                                 std::vector<AggGroup>* groups,
                                 JoinBuildCache* join_builds) {
-  size_t batch_size = EffectiveBatchSize(exec);
   PlannedQuery plan;
   Scope scope;
   OperatorPtr root;
 
   // Morsel-parallel leaf eligibility (DESIGN.md §6b): a single named table,
-  // no joins, batch mode, and a thread count requested. Everything above the
+  // no joins, and a thread count requested. Everything above the
   // scan→filter[→aggregate] leaf (sort, project, distinct, limit, join
   // shapes) stays serial; ineligible shapes fall back to the serial plan
   // unchanged.
@@ -213,7 +211,7 @@ Result<PlannedQuery> PlanSelect(SelectStmt* stmt, Catalog& catalog,
                         BindTableRef(*stmt->from, catalog, resolver));
     AppendToScope(first, &scope);
     if (stmt->joins.empty()) key_table = first.table;
-    if (exec.num_threads >= 1 && !exec.row_at_a_time && stmt->joins.empty()) {
+    if (exec.num_threads >= 1 && stmt->joins.empty()) {
       leaf_table = first.table;  // null for RANGETABLE sources → serial
     }
 
@@ -230,13 +228,13 @@ Result<PlannedQuery> PlanSelect(SelectStmt* stmt, Catalog& catalog,
       size_t count = stmt->limit.has_value()
                          ? static_cast<size_t>(*stmt->limit)
                          : kScanAll;
-      root = MakeScan(first, start, count, batch_size);
+      root = MakeScan(first, start, count);
       leaf_start = start;
       leaf_count = count;
       stmt->limit.reset();
       stmt->offset.reset();
     } else {
-      root = MakeScan(first, 0, kScanAll, batch_size);
+      root = MakeScan(first, 0, kScanAll);
     }
     if (first.table != nullptr) {
       scan_leaf = static_cast<TableScanOp*>(root.get());
@@ -369,7 +367,7 @@ Result<PlannedQuery> PlanSelect(SelectStmt* stmt, Catalog& catalog,
   for (size_t i = 0; i < steps.size(); ++i) {
     JoinStep& step = steps[i];
     size_t right_width = step.right.num_columns();
-    OperatorPtr right_op = MakeScan(step.right, 0, kScanAll, batch_size);
+    OperatorPtr right_op = MakeScan(step.right, 0, kScanAll);
     if (!step.left_keys.empty()) {
       // A catalog table's build may be reused across executions
       // (JoinBuildCache); a RANGETABLE's is built every time.
@@ -645,13 +643,9 @@ Result<ResultSet> RunSelect(SelectStmt* stmt, Catalog& catalog,
                             JoinBuildCache* join_builds) {
   DS_ASSIGN_OR_RETURN(PlannedQuery plan, PlanSelect(stmt, catalog, resolver,
                                                     exec, groups, join_builds));
-  std::vector<Row> rows;
-  if (exec.row_at_a_time) {
-    DS_ASSIGN_OR_RETURN(rows, Materialize(plan.root.get()));
-  } else {
-    DS_ASSIGN_OR_RETURN(rows, MaterializeBatched(plan.root.get(),
-                                                 EffectiveBatchSize(exec)));
-  }
+  DS_ASSIGN_OR_RETURN(std::vector<Row> rows,
+                      MaterializeBatched(plan.root.get(),
+                                         EffectiveBatchSize(exec)));
   ResultSet rs;
   rs.columns = std::move(plan.columns);
   rs.rows = std::move(rows);

@@ -58,8 +58,8 @@ struct PlannedQuery {
 /// the first source's scan, each hash join's copy-out and build table, and
 /// each build side's scan (keys plus live columns).
 ///
-/// `exec` shapes execution: batch size for the vectorized pipeline (also the
-/// table scan's fetch granularity) and the row-at-a-time fallback switch.
+/// `exec` shapes execution: the batch size every operator fills to, and the
+/// morsel-parallel leaf's worker count and morsel size.
 /// With `groups` set, an aggregate query's operator hands its folded groups
 /// (first-seen order, before HAVING) to `*groups` when it has built them.
 /// With `join_builds` set, batch hash joins count their builds there and
@@ -71,10 +71,9 @@ Result<PlannedQuery> PlanSelect(sql::SelectStmt* stmt, Catalog& catalog,
                                 std::vector<AggGroup>* groups = nullptr,
                                 JoinBuildCache* join_builds = nullptr);
 
-/// Plans, executes, and materializes a SELECT into a ResultSet. Drives the
-/// plan through the vectorized batch pipeline unless `exec.row_at_a_time`
-/// asks for the Volcano baseline; both produce identical results. `groups`
-/// and `join_builds` as for PlanSelect.
+/// Plans, executes, and materializes a SELECT into a ResultSet, pulling the
+/// plan in batches of EffectiveBatchSize(exec) tuples. `groups` and
+/// `join_builds` as for PlanSelect.
 Result<ResultSet> RunSelect(sql::SelectStmt* stmt, Catalog& catalog,
                             ExternalResolver* resolver,
                             const ExecOptions& exec = {},

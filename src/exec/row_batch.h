@@ -12,18 +12,12 @@
 namespace dataspread {
 
 /// Execution-pipeline configuration, plumbed from DatabaseOptions down to the
-/// planner. Two knob pairs: the batch size every batched operator fills to
-/// plus the row-at-a-time escape hatch that drives the same operator tree
-/// through the legacy Volcano `Next(Row*)` contract (the A/B baseline of
-/// `bench_exec_pipeline` and the transparency property tests), and the
-/// morsel-parallel pair below (DESIGN.md §6b).
+/// planner: the batch size every operator fills to, and the morsel-parallel
+/// pair below (DESIGN.md §6b).
 struct ExecOptions {
   /// Tuples per RowBatch (0 = kDefaultExecBatchSize). Benches sweep this via
   /// the DS_EXEC_BATCH environment variable (bench/workloads.h).
   size_t batch_size = 0;
-  /// When true the plan is pulled one Row at a time — the pre-vectorization
-  /// behavior, kept as the measurable baseline.
-  bool row_at_a_time = false;
   /// Morsel-parallel leaf: 0 disables (serial pipeline, the default); N >= 1
   /// runs eligible scan→filter[→aggregate] leaves across N worker threads
   /// pulling morsels from a shared dispenser (src/exec/morsel.h). 1 is the

@@ -1425,13 +1425,10 @@ void Pager::Recover() {
   // A bracket the (already torn-tail-truncated) log ends inside never
   // committed — it is dropped wholesale, which is the whole contract: a
   // crash at any byte offset yields exactly the committed-bracket set.
-  // Empty-payload markers are the legacy single-bracket format (pre-tagged
-  // logs); untagged records outside any bracket replay immediately. No
-  // physical truncation is needed; recovery ends on a checkpoint that
-  // rewrites the log anyway.
+  // Untagged records outside any bracket replay immediately. No physical
+  // truncation is needed; recovery ends on a checkpoint that rewrites the
+  // log anyway.
   std::unordered_map<uint64_t, std::vector<Wal::Record>> brackets;
-  std::vector<Wal::Record> legacy_bracket;
-  bool legacy_in_bracket = false;
   bool opened = wal_->Open([&](const Wal::Record& rec) {
     if (records == 0) first_lsn = rec.lsn;
     last_lsn = rec.lsn;
@@ -1439,11 +1436,6 @@ void Pager::Recover() {
     records += 1;
     switch (rec.type) {
       case WalRecordType::kTxnBegin: {
-        if (rec.payload.empty()) {  // legacy single-bracket log
-          legacy_bracket.clear();
-          legacy_in_bracket = true;
-          return;
-        }
         size_t pos = 0;
         uint64_t id = 0;
         DS_PAGER_CHECK(ReadU64(rec.payload, &pos, &id),
@@ -1471,12 +1463,6 @@ void Pager::Recover() {
       }
       case WalRecordType::kTxnCommit:
       case WalRecordType::kTxnAbort: {
-        if (rec.payload.empty()) {  // legacy close
-          for (const Wal::Record& r : legacy_bracket) ReplayRecord(r);
-          legacy_bracket.clear();
-          legacy_in_bracket = false;
-          return;
-        }
         size_t pos = 0;
         uint64_t id = 0;
         DS_PAGER_CHECK(ReadU64(rec.payload, &pos, &id),
@@ -1490,15 +1476,10 @@ void Pager::Recover() {
       default:
         break;
     }
-    if (legacy_in_bracket) {
-      legacy_bracket.push_back(rec);
-    } else {
-      ReplayRecord(rec);
-    }
+    ReplayRecord(rec);
   });
   // Unterminated brackets: the torn transactions, dropped wholesale.
   brackets.clear();
-  legacy_bracket.clear();
   accounting_ = accounting_was;
   replaying_ = false;
   if (!opened) {

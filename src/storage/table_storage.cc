@@ -94,8 +94,7 @@ TableStorage::TableStorage(storage::Pager* pager,
                            const storage::PagerConfig& config)
     : owned_pager_(pager == nullptr ? std::make_unique<storage::Pager>(config)
                                     : nullptr),
-      pager_(pager == nullptr ? owned_pager_.get() : pager),
-      accountant_(pager_) {}
+      pager_(pager == nullptr ? owned_pager_.get() : pager) {}
 
 std::unique_ptr<TableStorage> CreateStorage(StorageModel model,
                                             size_t num_columns,

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "storage/page.h"
 #include "storage/pager.h"
 #include "types/column_vector.h"
 #include "types/value.h"
@@ -146,10 +145,6 @@ class TableStorage {
     return std::move(retired_files_);
   }
 
-  /// Block-level accounting for this table's files (compatibility facade).
-  PageAccountant& accountant() { return accountant_; }
-  const PageAccountant& accountant() const { return accountant_; }
-
   /// The paged storage engine this table's heaps live in.
   storage::Pager& pager() { return *pager_; }
   const storage::Pager& pager() const { return *pager_; }
@@ -186,7 +181,6 @@ class TableStorage {
 
   std::unique_ptr<storage::Pager> owned_pager_;
   storage::Pager* pager_;
-  PageAccountant accountant_;
   bool retain_files_ = false;
   std::vector<storage::FileId> retired_files_;  // durable DDL (see above)
 };

@@ -75,23 +75,19 @@ enum class WalRecordType : uint8_t {
   // with that id. Recovery buffers each bracket's records independently and
   // applies a bracket only when its closing record is reached: a log that
   // ends inside a bracket replays to the state *before* that transaction.
-  // Legacy logs (pre-multi-writer) used empty-payload markers with untagged
-  // records between them; recovery still accepts that single-bracket form.
-  // Records outside any bracket (checkpoints, DDL, pre-PR-7 logs) replay
-  // immediately, so old logs stay readable.
+  // Records outside any bracket (checkpoints, DDL) replay immediately.
 
-  /// Opens a statement/transaction bracket. Payload: owning txn id (u64);
-  /// empty in legacy single-bracket logs. Appended lazily before the first
-  /// record a bracketed statement logs.
+  /// Opens a statement/transaction bracket. Payload: owning txn id (u64).
+  /// Appended lazily before the first record a bracketed statement logs.
   kTxnBegin = 15,
   /// Closes a bracket: the transaction committed; replay applies its
-  /// records. Payload: txn id (u64), or empty (legacy).
+  /// records. Payload: txn id (u64).
   kTxnCommit = 16,
   /// Closes a bracket after a rollback. The bracket contains the
   /// transaction's mutations *and* their logged compensations, so replay
   /// applies it like a commit (net no-op) — and a bracket torn before this
   /// record is discarded, which reaches the same state. Payload: txn id
-  /// (u64), or empty (legacy).
+  /// (u64).
   kTxnAbort = 17,
   /// One record logged inside a bracket. Payload: owning txn id (u64) +
   /// inner record type (u8) + the inner record's payload. The envelope lets

@@ -398,7 +398,9 @@ TEST(MultiWriterTest, DisjointAndContendingWritersBesideReaders) {
   DatabaseOptions options;
   options.sync_on_commit = true;
   options.group_commit = true;
-  options.exec = ExecOptions{8, false, 4, 16};  // 4 workers, tiny morsels
+  options.exec.batch_size = 8;
+  options.exec.num_threads = 4;  // 4 workers, tiny morsels
+  options.exec.morsel_size = 16;
   auto db = Database::Open(files.base, options);
   for (int t = 0; t < kDisjoint; ++t) {
     ASSERT_TRUE(
@@ -560,7 +562,9 @@ TEST(MorselScanTest, ParallelScanBesideAWriterObservesCommittedPrefixes) {
   DatabaseOptions options;
   options.sync_on_commit = true;
   options.group_commit = true;
-  options.exec = ExecOptions{8, false, 4, 16};  // 4 workers, tiny morsels
+  options.exec.batch_size = 8;
+  options.exec.num_threads = 4;  // 4 workers, tiny morsels
+  options.exec.morsel_size = 16;
   auto db = Database::Open(files.base, options);
   ASSERT_TRUE(db->Execute("CREATE TABLE t (a INT, b INT)").ok());
 

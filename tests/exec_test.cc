@@ -12,6 +12,13 @@
 namespace dataspread {
 namespace {
 
+/// The serial pipeline at `batch_size` tuples per batch (0 = the default).
+ExecOptions Batches(size_t batch_size) {
+  ExecOptions exec;
+  exec.batch_size = batch_size;
+  return exec;
+}
+
 /// Executes against a fresh database pre-loaded with a small emp table.
 class ExecTest : public ::testing::Test {
  protected:
@@ -123,16 +130,18 @@ TEST_F(ExecTest, GroupByWithHaving) {
 
 TEST_F(ExecTest, IntegerSumIsExactInEveryFoldOrder) {
   // A running int64 total of {INT64_MAX, 1, -1} overflows after the second
-  // value; the exact 128-bit total is INT64_MAX whatever the batch size,
-  // pipeline, or morsel split ({1 row per morsel} × 4 workers).
+  // value; the exact 128-bit total is INT64_MAX whatever the batch size or
+  // morsel split ({1 row per morsel} × 4 workers).
   Run("CREATE TABLE big (k INT PRIMARY KEY, v INT)");
   Run("INSERT INTO big VALUES (1, 9223372036854775807), (2, 1), (3, -1)");
   std::vector<ExecOptions> modes;
   for (size_t batch : {size_t{1}, size_t{3}, size_t{512}}) {
-    modes.push_back(ExecOptions{batch, false});
-    modes.push_back(ExecOptions{batch, true});
+    modes.push_back(Batches(batch));
   }
-  modes.push_back(ExecOptions{1, false, 4, 1});
+  ExecOptions morsels = Batches(1);
+  morsels.num_threads = 4;
+  morsels.morsel_size = 1;
+  modes.push_back(morsels);
   for (const ExecOptions& exec : modes) {
     db_.set_exec_options(exec);
     ResultSet rs = Run("SELECT SUM(v), AVG(v) FROM big");
@@ -335,6 +344,22 @@ TEST_F(ExecTest, IntegerDivisionStaysExactWhenPossible) {
   EXPECT_EQ(rs.rows[0][1], Value::Real(3.5));
   EXPECT_EQ(rs.rows[0][2], Value::Int(1));
   EXPECT_EQ(rs.rows[0][3], Value::Text("a1"));
+  // INT64_MIN by -1: % is 0, / and negation wrap the way * does, and none
+  // of them traps (constant folding evaluates them at plan time).
+  rs = Run("SELECT (-9223372036854775807 - 1) % -1, "
+           "(-9223372036854775807 - 1) / -1, -(-9223372036854775807 - 1)");
+  EXPECT_EQ(rs.rows[0][0], Value::Int(0));
+  EXPECT_EQ(rs.rows[0][1], Value::Int(INT64_MIN));
+  EXPECT_EQ(rs.rows[0][2], Value::Int(INT64_MIN));
+  // The same through a column: the typed % kernel and the Value evaluator.
+  Run("CREATE TABLE lo (v INT)");
+  Run("INSERT INTO lo VALUES (-9223372036854775807 - 1), (7)");
+  rs = Run("SELECT v % -1, v / -1, -v FROM lo WHERE v % -1 = 0");
+  ASSERT_EQ(rs.num_rows(), 2u);
+  EXPECT_EQ(rs.rows[0][0], Value::Int(0));
+  EXPECT_EQ(rs.rows[0][1], Value::Int(INT64_MIN));
+  EXPECT_EQ(rs.rows[0][2], Value::Int(INT64_MIN));
+  EXPECT_EQ(rs.rows[1][1], Value::Int(-7));
 }
 
 TEST_F(ExecTest, BinderErrors) {
@@ -364,14 +389,10 @@ TEST_F(ExecTest, MixedTypeJoinKeysRaiseInsteadOfMatchingNothing) {
                         "SELECT * FROM a LEFT JOIN b ON a.id = b.k",
                         "SELECT * FROM a JOIN b ON a.id = b.k AND 1 = 1",
                         "SELECT * FROM a, b WHERE a.id = b.k"}) {
-    for (bool row_mode : {true, false}) {
-      db_.set_exec_options(ExecOptions{0, row_mode});
-      Status st = RunErr(q);
-      EXPECT_EQ(st.code(), StatusCode::kTypeError) << q;
-      EXPECT_EQ(st.message(), "cannot compare INTEGER with TEXT") << q;
-    }
+    Status st = RunErr(q);
+    EXPECT_EQ(st.code(), StatusCode::kTypeError) << q;
+    EXPECT_EQ(st.message(), "cannot compare INTEGER with TEXT") << q;
   }
-  db_.set_exec_options(ExecOptions{});
   // A NATURAL JOIN over a clashing shared column fails at plan time and
   // names the column.
   Run("CREATE TABLE c (id TEXT)");
@@ -395,8 +416,8 @@ TEST_F(ExecTest, FromlessSelect) {
 
 // ---- Batch pipeline (vectorized execution) ---------------------------------
 
-/// The row pipeline is the semantic reference; every query here must come out
-/// byte-identical through the batch pipeline at several batch sizes,
+/// Batch-size transparency: the default batch size is the reference; every
+/// query here must come out byte-identical at several other batch sizes,
 /// including degenerate (1) and larger-than-input (512) batches.
 class BatchPipelineTest : public ExecTest {
  protected:
@@ -408,16 +429,16 @@ class BatchPipelineTest : public ExecTest {
   }
 
   void ExpectSame(const std::string& sql) {
-    ResultSet row = RunWith(sql, ExecOptions{0, /*row_at_a_time=*/true});
+    ResultSet reference = RunWith(sql, ExecOptions{});
     for (size_t batch : {size_t{1}, size_t{3}, size_t{512}}) {
-      ResultSet b = RunWith(sql, ExecOptions{batch, false});
-      EXPECT_EQ(row.columns, b.columns) << sql;
-      EXPECT_EQ(row.rows, b.rows) << sql << " (batch=" << batch << ")";
+      ResultSet b = RunWith(sql, Batches(batch));
+      EXPECT_EQ(reference.columns, b.columns) << sql;
+      EXPECT_EQ(reference.rows, b.rows) << sql << " (batch=" << batch << ")";
     }
   }
 };
 
-TEST_F(BatchPipelineTest, MatchesRowPipelineOnCoreQueries) {
+TEST_F(BatchPipelineTest, BatchSizeIsInvisibleOnCoreQueries) {
   Run("CREATE TABLE dept (dept TEXT, floor INT)");
   Run("INSERT INTO dept VALUES ('eng', 3), ('ops', 1)");
   for (const char* q : {
@@ -472,18 +493,19 @@ TEST_F(BatchPipelineTest, ExactBatchBoundary) {
   // only batch respectively.
   Run("CREATE TABLE six (a INT)");
   Run("INSERT INTO six VALUES (1), (2), (3), (4), (5), (6)");
-  ResultSet row = RunWith("SELECT a * 10 FROM six WHERE a <> 4 ORDER BY a",
-                          ExecOptions{0, /*row_at_a_time=*/true});
+  ResultSet reference = RunWith(
+      "SELECT a * 10 FROM six WHERE a <> 4 ORDER BY a", ExecOptions{});
+  ASSERT_EQ(reference.num_rows(), 5u);
   for (size_t batch : {size_t{2}, size_t{3}, size_t{4}, size_t{6}, size_t{7}}) {
     ResultSet b = RunWith("SELECT a * 10 FROM six WHERE a <> 4 ORDER BY a",
-                          ExecOptions{batch, false});
-    EXPECT_EQ(row.rows, b.rows) << "batch=" << batch;
+                          Batches(batch));
+    EXPECT_EQ(reference.rows, b.rows) << "batch=" << batch;
   }
 }
 
 TEST_F(BatchPipelineTest, LimitOffsetPushdownBoundaries) {
   // The bare-scan pushdown window (no WHERE/ORDER) and the generic LimitOp
-  // path must agree in both modes at every boundary.
+  // path must agree at every batch size and boundary.
   for (const char* q : {
            "SELECT id FROM emp LIMIT 2",
            "SELECT id FROM emp LIMIT 2 OFFSET 2",
@@ -499,13 +521,13 @@ TEST_F(BatchPipelineTest, LimitOffsetPushdownBoundaries) {
   }
 }
 
-TEST_F(BatchPipelineTest, ErrorsSurfaceInBothModes) {
-  db_.set_exec_options(ExecOptions{0, /*row_at_a_time=*/true});
-  RunErr("SELECT salary / (id - id) FROM emp");
-  RunErr("SELECT * FROM emp WHERE name > 5");
+TEST_F(BatchPipelineTest, ErrorsSurfaceAtEveryBatchSize) {
+  for (size_t batch : {size_t{1}, size_t{0}}) {
+    db_.set_exec_options(Batches(batch));
+    RunErr("SELECT salary / (id - id) FROM emp");
+    RunErr("SELECT * FROM emp WHERE name > 5");
+  }
   db_.set_exec_options(ExecOptions{});
-  RunErr("SELECT salary / (id - id) FROM emp");
-  RunErr("SELECT * FROM emp WHERE name > 5");
 }
 
 // ---- Morsel-parallel pipeline (DESIGN.md §6b) ------------------------------
@@ -544,11 +566,13 @@ class MorselPipelineTest : public ExecTest {
   /// {1 row, 8 rows (does not divide 50), default}.
   void ExpectParallelMatchesSerial(const std::string& sql,
                                    size_t batch_size = 4) {
-    ResultSet serial = RunWith(sql, ExecOptions{batch_size, false});
+    ResultSet serial = RunWith(sql, Batches(batch_size));
     for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
       for (size_t morsel : {size_t{1}, size_t{8}, size_t{0}}) {
-        ResultSet par =
-            RunWith(sql, ExecOptions{batch_size, false, threads, morsel});
+        ExecOptions exec = Batches(batch_size);
+        exec.num_threads = threads;
+        exec.morsel_size = morsel;
+        ResultSet par = RunWith(sql, exec);
         EXPECT_EQ(serial.columns, par.columns) << sql;
         EXPECT_EQ(serial.rows, par.rows)
             << sql << " (threads=" << threads << ", morsel=" << morsel << ")";
@@ -619,7 +643,10 @@ TEST_F(MorselPipelineTest, LimitCutsMidMorsel) {
 
 TEST_F(MorselPipelineTest, ErrorsSurfaceInParallelMode) {
   LoadNums();
-  db_.set_exec_options(ExecOptions{4, false, 4, 8});
+  ExecOptions exec = Batches(4);
+  exec.num_threads = 4;
+  exec.morsel_size = 8;
+  db_.set_exec_options(exec);
   RunErr("SELECT x / (k - k) FROM nums");
   RunErr("SELECT SUM(x / (k - k)) FROM nums");
   RunErr("SELECT * FROM nums WHERE grp > 5");

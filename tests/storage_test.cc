@@ -169,16 +169,16 @@ INSTANTIATE_TEST_SUITE_P(AllModels, StorageModelTest,
 
 size_t PagesDirtiedByAddColumn(StorageModel model, size_t rows) {
   auto s = CreateStorage(model, 4);
-  s->accountant().set_enabled(false);
+  s->pager().set_accounting_enabled(false);
   for (size_t i = 0; i < rows; ++i) {
     Row r{Value::Int(static_cast<int64_t>(i)), Value::Int(1), Value::Int(2),
           Value::Int(3)};
     EXPECT_TRUE(s->AppendRow(r).ok());
   }
-  s->accountant().set_enabled(true);
-  s->accountant().BeginEpoch();
+  s->pager().set_accounting_enabled(true);
+  s->pager().BeginEpoch();
   EXPECT_TRUE(s->AddColumn(Value::Int(0)).ok());
-  return s->accountant().EpochPagesWritten();
+  return s->pager().EpochPagesWritten();
 }
 
 TEST(PageAccountingTest, HybridAddColumnTouchesFarFewerBlocksThanRowStore) {
@@ -196,9 +196,9 @@ TEST(PageAccountingTest, HybridDropOfAddedColumnIsMetadataOnly) {
     ASSERT_TRUE(s->AppendRow(Row{Value::Int(1), Value::Int(2)}).ok());
   }
   ASSERT_TRUE(s->AddColumn(Value::Int(0)).ok());
-  s->accountant().BeginEpoch();
+  s->pager().BeginEpoch();
   ASSERT_TRUE(s->DropColumn(2).ok());  // its own group: zero page writes
-  EXPECT_EQ(s->accountant().EpochPagesWritten(), 0u);
+  EXPECT_EQ(s->pager().EpochPagesWritten(), 0u);
 }
 
 TEST(PageAccountingTest, RcvNullDefaultAddColumnIsFree) {
@@ -206,9 +206,9 @@ TEST(PageAccountingTest, RcvNullDefaultAddColumnIsFree) {
   for (size_t i = 0; i < 1000; ++i) {
     ASSERT_TRUE(s->AppendRow(Row{Value::Int(1), Value::Int(2)}).ok());
   }
-  s->accountant().BeginEpoch();
+  s->pager().BeginEpoch();
   ASSERT_TRUE(s->AddColumn(Value::Null()).ok());
-  EXPECT_EQ(s->accountant().EpochPagesWritten(), 0u);
+  EXPECT_EQ(s->pager().EpochPagesWritten(), 0u);
 }
 
 TEST(HybridStoreTest, GroupLifecycle) {
