@@ -49,7 +49,7 @@ if [[ -x "${BUILD_DIR}/bench_storage_models" ]]; then
   DS_MAX_RESIDENT_PAGES=64 DS_SPILL_DIR="${SMOKE_DIR}" \
     DS_BENCH_JSON_DIR="${SMOKE_DIR}" \
     "${BUILD_DIR}/bench_storage_models" \
-    --benchmark_filter='BM_Storage_FullScan_(Row|Hybrid)/100000' \
+    --benchmark_filter='BM_Storage_FullScan_(Row|Column|Hybrid)/100000' \
     --benchmark_min_time=0.02
 else
   echo "ci/check.sh: bench binaries not built; skipping bounded-pool bench smoke"

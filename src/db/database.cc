@@ -262,11 +262,15 @@ Result<std::unique_ptr<Database>> Database::TryOpen(
   // The lock is handed to the constructor pre-acquired (flock from a second
   // descriptor in the same process would conflict with our own lock).
   std::unique_ptr<Database> db(new Database(opts, std::move(lock)));
-  // A failure stops recovery before the orphan sweep and before the
-  // snapshot provider is installed, so the pager's closing checkpoint
-  // carries the recovered catalog state forward verbatim: a later open
-  // meets the same failure.
-  DS_RETURN_IF_ERROR(db->RecoverCatalog());
+  // A failure stops recovery before the orphan sweep, which is the first
+  // thing it logs. The refused pager then stands down without its closing
+  // checkpoint, so the files stay as they were and a later open meets the
+  // same failure.
+  Status s = db->RecoverCatalog();
+  if (!s.ok()) {
+    db->pager_.StandDown();
+    return s;
+  }
   return db;
 }
 

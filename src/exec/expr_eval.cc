@@ -5,6 +5,7 @@
 #include <type_traits>
 
 #include "common/str_util.h"
+#include "common/wrapping_arith.h"
 
 namespace dataspread {
 
@@ -52,15 +53,11 @@ bool IsCompareCode(BinOpCode c) {
          c == BinOpCode::kLe || c == BinOpCode::kGt || c == BinOpCode::kGe;
 }
 
-/// INTEGER + - * (`op`) with two's-complement wrap-around, computed unsigned
-/// so that overflow is defined.
-int64_t WrappingArith(BinOpCode op, int64_t x, int64_t y) {
-  uint64_t ux = static_cast<uint64_t>(x), uy = static_cast<uint64_t>(y);
-  switch (op) {
-    case BinOpCode::kAdd: return static_cast<int64_t>(ux + uy);
-    case BinOpCode::kSub: return static_cast<int64_t>(ux - uy);
-    default: return static_cast<int64_t>(ux * uy);  // kMul
-  }
+/// The shared INTEGER operator of kAdd, kSub or kMul.
+IntArithOp IntArithOf(BinOpCode c) {
+  return c == BinOpCode::kAdd   ? IntArithOp::kAdd
+         : c == BinOpCode::kSub ? IntArithOp::kSub
+                                : IntArithOp::kMul;
 }
 
 /// INTEGER `x % y` for a non-zero `y`. A divisor of -1 always leaves 0; it
@@ -83,14 +80,14 @@ Result<Value> ArithCode(BinOpCode op, const Value& a, const Value& b) {
       case BinOpCode::kAdd:
       case BinOpCode::kSub:
       case BinOpCode::kMul:
-        return Value::Int(WrappingArith(op, x, y));
+        return Value::Int(WrappingArith(IntArithOf(op), x, y));
       case BinOpCode::kMod:
         if (y == 0) return Status::InvalidArgument("division by zero");
         return Value::Int(IntMod(x, y));
       case BinOpCode::kDiv:
         if (y == 0) return Status::InvalidArgument("division by zero");
         // x / -1 negates, wrapping INT64_MIN the way * does.
-        if (y == -1) return Value::Int(WrappingArith(BinOpCode::kSub, 0, x));
+        if (y == -1) return Value::Int(WrappingArith(IntArithOp::kSub, 0, x));
         if (x % y == 0) return Value::Int(x / y);
         return Value::Real(static_cast<double>(x) / static_cast<double>(y));
       default: break;
@@ -153,7 +150,7 @@ Result<Value> UnaryKernel(const Expr& e, const Value& a) {
   if (e.op == "-") {
     if (a.is_null()) return Value::Null();
     if (a.type() == DataType::kInt) {  // wraps INT64_MIN, like x / -1
-      return Value::Int(WrappingArith(BinOpCode::kSub, 0, a.int_value()));
+      return Value::Int(WrappingArith(IntArithOp::kSub, 0, a.int_value()));
     }
     DS_ASSIGN_OR_RETURN(double d, a.AsReal());
     return Value::Real(-d);
@@ -726,10 +723,11 @@ T NativeAt(const ColumnVector& c, size_t pos) {
 template <typename T>
 void ArithLoop(BinOpCode op, const ColumnVector& a, const ColumnVector* b,
                T literal, size_t n, ColumnVector* out) {
-  auto apply = [op](T x, T y) -> T {
+  const IntArithOp int_op = IntArithOf(op);
+  auto apply = [op, int_op](T x, T y) -> T {
     if constexpr (std::is_same_v<T, int64_t>) {
       // kMod's divisor is a non-zero literal (ArithKind).
-      return op == BinOpCode::kMod ? IntMod(x, y) : WrappingArith(op, x, y);
+      return op == BinOpCode::kMod ? IntMod(x, y) : WrappingArith(int_op, x, y);
     } else {
       switch (op) {
         case BinOpCode::kAdd: return x + y;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <deque>
 
+#include "common/wrapping_arith.h"
 #include "formula/formula_parser.h"
 #include "formula/functions.h"
 
@@ -447,7 +448,9 @@ Value FormulaEngine::EvalScalarNode(const FExpr& e, Sheet* context) {
       if (a.is_error()) return a;
       Value n = CoerceToNumber(a);
       if (n.is_error()) return n;
-      if (n.type() == DataType::kInt) return Value::Int(-n.int_value());
+      if (n.type() == DataType::kInt) {
+        return Value::Int(WrappingArith(IntArithOp::kSub, 0, n.int_value()));
+      }
       return Value::Real(-n.AsReal().ValueOr(0.0));
     }
     case FKind::kBinary: {
@@ -478,15 +481,18 @@ Value FormulaEngine::EvalScalarNode(const FExpr& e, Sheet* context) {
       bool both_int =
           na.type() == DataType::kInt && nb.type() == DataType::kInt;
       if (op == "+") {
-        return both_int ? Value::Int(na.int_value() + nb.int_value())
+        return both_int ? Value::Int(WrappingArith(
+                              IntArithOp::kAdd, na.int_value(), nb.int_value()))
                         : Value::Real(x + y);
       }
       if (op == "-") {
-        return both_int ? Value::Int(na.int_value() - nb.int_value())
+        return both_int ? Value::Int(WrappingArith(
+                              IntArithOp::kSub, na.int_value(), nb.int_value()))
                         : Value::Real(x - y);
       }
       if (op == "*") {
-        return both_int ? Value::Int(na.int_value() * nb.int_value())
+        return both_int ? Value::Int(WrappingArith(
+                              IntArithOp::kMul, na.int_value(), nb.int_value()))
                         : Value::Real(x * y);
       }
       if (op == "/") {

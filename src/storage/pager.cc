@@ -111,6 +111,11 @@ void Pager::CrashForTesting() {
   min_open_begin_lsn_ = 0;
 }
 
+void Pager::StandDown() {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
+  crashed_ = true;
+}
+
 FileId Pager::CreateFile() {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   FileId id = next_file_id_++;
@@ -1417,6 +1422,7 @@ void Pager::Recover() {
   accounting_ = false;  // replay is physical redo, not workload I/O
   uint64_t records = 0;
   uint64_t first_lsn = 0, last_lsn = 0, last_bytes = 0;
+  WalRecordType last_type = WalRecordType::kCheckpoint;
   // Bracket atomicity at replay time: records inside a kTxnBegin..close
   // bracket are buffered — per transaction id, since several brackets may
   // be open at once — and applied only when the closing record is seen, in
@@ -1432,6 +1438,7 @@ void Pager::Recover() {
   bool opened = wal_->Open([&](const Wal::Record& rec) {
     if (records == 0) first_lsn = rec.lsn;
     last_lsn = rec.lsn;
+    last_type = rec.type;
     last_bytes = Wal::kRecordHeaderBytes + 1 + rec.payload.size();
     records += 1;
     switch (rec.type) {
@@ -1494,8 +1501,13 @@ void Pager::Recover() {
   recovery_records_ = records;
   recovery_bytes_ = last_lsn + last_bytes - first_lsn;
   last_checkpoint_lsn_ = wal_->checkpoint_lsn();
-  // Recovery ends on a checkpoint: the replayed state is flushed, the log
-  // truncated, and any spill space a crashed run leaked past the old
+  // A log that is exactly a checkpoint (snapshot + end marker, as every
+  // clean close leaves it) restored the state a new checkpoint would write:
+  // rewriting it would only advance the LSN, and would rewrite the files of
+  // an open the catalog then refuses.
+  if (records == 2 && last_type == WalRecordType::kCheckpointEnd) return;
+  // Otherwise recovery ends on a checkpoint: the replayed state is flushed,
+  // the log truncated, and any spill space a crashed run leaked past the old
   // snapshot is reclaimed by the fresh directory. Restartable at any point:
   // until the rewrite lands, the old log simply replays again.
   CheckpointInternal();

@@ -255,7 +255,8 @@ class Pager {
   /// runs right here — the WAL's checkpoint snapshot is restored and the
   /// log tail replayed (under the configured pool cap), so the constructed
   /// pager holds exactly the durable state; a fresh checkpoint is then
-  /// written, truncating the log.
+  /// written, truncating the log — unless the log held nothing but its
+  /// snapshot, which already is that checkpoint.
   explicit Pager(PagerConfig config = {});
   /// A durable pager checkpoints on destruction (unless CrashForTesting()
   /// was called), so a clean shutdown reopens with an empty log.
@@ -438,6 +439,12 @@ class Pager {
   /// Afterwards the pager keeps working as a scratch pool (so storages over
   /// it can still destruct), but nothing further is logged or durable.
   void CrashForTesting();
+  /// Leaves the durable pair exactly as it stands: nothing further is
+  /// logged and the destructor skips its closing checkpoint, as after
+  /// CrashForTesting() but without dropping anything already buffered. For
+  /// an open refused after the pager recovered (Database::TryOpen), so a
+  /// refused open does not rewrite the files it refused.
+  void StandDown();
 
   // ---- Catalog metadata channel (DESIGN.md §6 "Catalog recovery") -----------
   //
@@ -803,7 +810,8 @@ class Pager {
   uint64_t last_checkpoint_lsn_ = 0;
   bool replaying_ = false;      // inside recovery: mutations are not re-logged
   bool in_checkpoint_ = false;  // guards auto-checkpoint reentrancy
-  bool crashed_ = false;        // CrashForTesting: destructor stands down
+  bool crashed_ = false;        // CrashForTesting/StandDown: nothing is
+                                // logged, destructor stands down
   bool recovered_ = false;
   // Catalog metadata channel: provider (live) or carried-forward state
   // (recovered, pre-provider); see the public section.

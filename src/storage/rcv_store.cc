@@ -7,16 +7,6 @@
 
 namespace dataspread {
 
-namespace {
-Status CheckStorable(const Value& v) {
-  if (v.is_error()) {
-    return Status::TypeError("error value " + v.error_code() +
-                             " cannot enter relational storage");
-  }
-  return Status::OK();
-}
-}  // namespace
-
 RcvStore::RcvStore(size_t num_columns, storage::Pager* pager,
                    const storage::PagerConfig& config)
     : TableStorage(pager, config) {

@@ -15,11 +15,14 @@ namespace dataspread {
 /// Physical layout of a table. The paper's Relational Storage Manager is the
 /// hybrid attribute-group layout; the others are baselines for the storage
 /// ablation (DESIGN.md experiment A1) and the schema-change experiment (C2).
+/// Row, column and hybrid are three group policies of one attribute-group
+/// store (HybridStore); RCV has its own layout (RcvStore).
 enum class StorageModel {
-  kRow,     ///< ROM: one heap of whole tuples ("today's database" baseline).
-  kColumn,  ///< COM: one file per attribute.
+  kRow,     ///< ROM: one attribute group of whole tuples, restrided by ADD
+            ///< COLUMN ("today's database" baseline).
+  kColumn,  ///< COM: one width-1 attribute group per attribute.
   kRcv,     ///< Row-Column-Value triples, column-major (schema-less baseline).
-  kHybrid,  ///< Attribute groups (the paper's design).
+  kHybrid,  ///< Attribute groups; ADD COLUMN adds one (the paper's design).
 };
 
 const char* StorageModelName(StorageModel model);
@@ -30,12 +33,14 @@ const char* StorageModelName(StorageModel model);
 /// durable database can rebind a storage object to its recovered pager
 /// files instead of creating fresh ones.
 ///
-/// Per model:
-///   kRow:    files = {tuple heap}
-///   kColumn: files[c] = column c's heap
+/// Per model (the durable form; `files` and `groups` are never both used):
+///   kRow:    files = {tuple heap} — the one attribute group, of width
+///            num_columns (0 once every column was dropped)
+///   kColumn: files[c] = column c's heap — a width-1 attribute group
 ///   kRcv:    files[2c] = column c's value heap, files[2c+1] = its row
 ///            back-pointer file (present only on durable pagers)
 ///   kHybrid: groups[] carries the attribute-group structure; `files` unused
+/// HybridStore::ManifestGroups turns the row and column forms into groups.
 ///
 /// Row counts are deliberately absent: they are derived from recovered file
 /// sizes at attach time (a checkpoint-stale count would undercount rows the
@@ -93,12 +98,12 @@ class TableStorage {
   /// Columns may be listed in any order and need not cover the schema, so a
   /// query reads only the attributes it references (column pruning).
   ///
-  /// Every model serves this column by column with one PageCursor per file
-  /// it touches: one page pin per data page visited instead of a chain hash
-  /// lookup per cell, which also classifies the traversal as a scan for the
-  /// pager's scan-resistant eviction. Row-major files (row store, hybrid
-  /// attribute groups) copy the listed offsets out of one ReadSpan per run
-  /// of consecutive slots on a page and fall back to per-slot reads for a
+  /// Every model serves this with one PageCursor per file it touches: one
+  /// page pin per data page visited instead of a chain hash lookup per cell,
+  /// which also classifies the traversal as a scan for the pager's
+  /// scan-resistant eviction. Attribute groups (the row, column and hybrid
+  /// layouts) copy the listed offsets out of one ReadSpan per run of
+  /// consecutive slots on a page and fall back to per-slot reads for a
   /// tuple that straddles a page.
   /// A file holding no listed column is never touched. A slot >=
   /// num_rows() or a column >= num_columns() fails the whole call with
@@ -114,8 +119,9 @@ class TableStorage {
   virtual Result<size_t> DeleteRow(size_t row) = 0;
 
   /// Schema change: appends a column filled with `default_value`.
-  /// For the hybrid model this allocates a fresh attribute group and leaves
-  /// existing pages untouched — the paper's headline storage property.
+  /// For the hybrid and column models this allocates a fresh attribute group
+  /// and leaves existing pages untouched — the paper's headline storage
+  /// property; the row model rewrites every tuple.
   virtual Status AddColumn(const Value& default_value) = 0;
   /// Schema change: drops column `col`; higher columns shift down by one.
   virtual Status DropColumn(size_t col) = 0;
@@ -159,13 +165,8 @@ class TableStorage {
   Status CheckGather(const size_t* slots, size_t n,
                      const std::vector<size_t>& columns) const;
 
-  /// GatherRows over one row-major file of `width`-slot tuples (the row
-  /// store's heap, a hybrid attribute group): appends tuple offset
-  /// `offsets[j]` of every listed slot to `*out[j]`, for j in [0, k).
-  static void GatherRowMajor(storage::Pager& pager, storage::FileId file,
-                             size_t width, const size_t* slots, size_t n,
-                             const size_t* offsets,
-                             ColumnVector* const* out, size_t k);
+  /// Storage accepts any Value except errors.
+  static Status CheckStorable(const Value& v);
 
   Status CheckCell(size_t row, size_t col) const {
     if (row >= num_rows()) {

@@ -61,8 +61,8 @@ enum class WalRecordType : uint8_t {
   kDropColumn = 12,
   /// Full post-change descriptor after a column rename.
   kRenameColumn = 13,
-  /// Full post-change descriptor after HybridStore attribute groups were
-  /// merged (the group→file bindings changed wholesale).
+  /// Full post-change descriptor after a hybrid table's attribute groups
+  /// were merged (the group→file bindings changed wholesale).
   kReorganize = 14,
 
   // ---- Statement transaction brackets (DESIGN.md §7) -----------------------

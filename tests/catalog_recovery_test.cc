@@ -207,6 +207,73 @@ Schema ThreeColumnSchema() {
 }
 
 // ---------------------------------------------------------------------------
+// Durable-format guard: the row and column layouts' manifests keep their
+// files form, byte for byte, so databases written by earlier builds reopen.
+// ---------------------------------------------------------------------------
+
+std::string HexOf(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 15]);
+  }
+  return out;
+}
+
+TEST(DurableFormatTest, RowAndColumnDescriptorsKeepTheirFilesForm) {
+  // EncodeTableDescriptor of table "t" (id INT, real REAL, extra INT) after
+  // three appends, ADD COLUMN extra and DROP COLUMN txt on a durable pager,
+  // as the earlier dedicated row- and column-store classes wrote it: model
+  // byte, the files list, zero groups, rid file and next rid.
+  const std::pair<StorageModel, const char*> kCases[] = {
+      {StorageModel::kRow,
+       "0100000074030000000200000069640200040000007265616c03000500000065"
+       "7874726102000001000000040000000000000000000000020000000000000003"
+       "00000000000000"},
+      {StorageModel::kColumn,
+       "0100000074030000000200000069640200040000007265616c03000500000065"
+       "7874726102000103000000010000000000000003000000000000000500000000"
+       "0000000000000004000000000000000300000000000000"},
+  };
+  for (const auto& [model, want_hex] : kCases) {
+    SCOPED_TRACE(StorageModelName(model));
+    DurablePair pair(std::string("format_guard_") + StorageModelName(model));
+    std::string encoded;
+    {
+      Database db(pair.Options());
+      Table* t = db.catalog()
+                     .CreateTable("t", ThreeColumnSchema(), model)
+                     .ValueOrDie();
+      for (int i = 0; i < 3; ++i) {
+        ASSERT_TRUE(
+            t->AppendRow(Row{Value::Int(i), Value::Text("r"), Value::Real(i)})
+                .ok());
+      }
+      ASSERT_TRUE(
+          t->AddColumn(ColumnDef{"extra", DataType::kInt, false}, Value::Int(5))
+              .ok());
+      ASSERT_TRUE(t->DropColumn("txt").ok());
+      StorageManifest m = t->storage().Manifest();
+      EXPECT_EQ(m.model, model);
+      EXPECT_EQ(m.num_columns, 3u);
+      EXPECT_EQ(m.files.size(), model == StorageModel::kRow ? 1u : 3u);
+      EXPECT_TRUE(m.groups.empty());
+      EncodeTableDescriptor(t->Describe(), &encoded);
+      EXPECT_EQ(HexOf(encoded), want_hex);
+    }
+    // The same bytes come back through a close and reopen.
+    Database db(pair.Options());
+    Table* t = db.catalog().GetTable("t").ValueOrDie();
+    std::string reopened;
+    EncodeTableDescriptor(t->Describe(), &reopened);
+    EXPECT_EQ(HexOf(reopened), HexOf(encoded));
+    EXPECT_EQ(t->GetRowAt(2).ValueOrDie(),
+              (Row{Value::Int(2), Value::Real(2), Value::Int(5)}));
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Clean close → reopen, all four models, schema churn included
 // ---------------------------------------------------------------------------
 
@@ -450,6 +517,42 @@ TEST(CatalogCorruptionTest, ExtraHeapSlotFailsTryOpenInEveryModel) {
   ExpectCorruptionAfter("duplicate_rcv_triple",
                         forge(pair, {Value::Int(9), Value::Int(1)}),
                         "two triples for row 1", StorageModel::kRcv, &forged);
+}
+
+// A refused open writes nothing: the pager recovers before the catalog is
+// checked, and the refusal leaves both files as they were (no recovery or
+// closing checkpoint), so every later open meets the same failure.
+TEST(CatalogCorruptionTest, RefusedTryOpenLeavesBothFilesByteIdentical) {
+  DurablePair pair("refused_open_bytes");
+  {
+    Database db(pair.Options());
+    Table* t = db.catalog()
+                   .CreateTable("t", ThreeColumnSchema(), StorageModel::kRow)
+                   .ValueOrDie();
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(
+          t->AppendRow(Row{Value::Int(i), Value::Text("r"), Value::Real(i)})
+              .ok());
+    }
+    storage::StatementScope stmt(db.pager());
+    db.pager().Write(t->Describe().rid_file, 3, Value::Int(3));
+    stmt.Commit();
+  }  // clean close: the forged rid slot is checkpointed
+  const std::string wal_bytes = ReadFileBytes(pair.wal);
+  const std::string spill_bytes = ReadFileBytesIfAny(pair.spill);
+  std::vector<Status> refusals;
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    auto db = Database::TryOpen(pair.base);
+    ASSERT_FALSE(db.ok()) << "attempt " << attempt;
+    EXPECT_EQ(db.status().code(), StatusCode::kCorruption);
+    refusals.push_back(db.status());
+    EXPECT_TRUE(ReadFileBytes(pair.wal) == wal_bytes) << "attempt " << attempt;
+    EXPECT_TRUE(ReadFileBytesIfAny(pair.spill) == spill_bytes)
+        << "attempt " << attempt;
+  }
+  EXPECT_EQ(refusals[0].ToString(), refusals[1].ToString());
+  EXPECT_NE(refusals[0].message().find("rid file 4"), std::string::npos)
+      << refusals[0].ToString();
 }
 
 // Order records name a table incarnation (its rid file), not its name: a

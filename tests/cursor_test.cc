@@ -222,9 +222,9 @@ TEST(PageCursorTest, StreamsCorrectlyThroughATinyPool) {
 }
 
 TEST(PageCursorTest, TwoCursorRestrideSurvivesEvictionPressure) {
-  // The RowStore::AddColumn pattern: a source cursor taking values while a
-  // destination cursor rewrites them at a wider stride, same file, under a
-  // pool smaller than the data.
+  // The row layout's ADD COLUMN pattern: a source cursor taking values
+  // while a destination cursor rewrites them at a wider stride, same file,
+  // under a pool smaller than the data.
   Pager pager(Bounded(4));
   FileId f = pager.CreateFile();
   constexpr uint64_t kRows = 5 * kSlots;  // 5 pages at width 1

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
+#include "formula/engine.h"
 #include "formula/formula_parser.h"
 #include "formula/functions.h"
+#include "sheet/workbook.h"
 
 namespace dataspread::formula {
 namespace {
@@ -217,6 +222,27 @@ TEST(FunctionsTest, UnknownFunctionIsNameError) {
   EXPECT_EQ(CallBuiltin("FROBNICATE", none), Value::Error("#NAME?"));
   EXPECT_FALSE(IsBuiltinFunction("DBSQL"));  // hybrid, not built-in
   EXPECT_TRUE(IsBuiltinFunction("SUM"));
+}
+
+// INTEGER + - * and unary minus wrap in two's complement, as SQL
+// expressions do, instead of overflowing as signed arithmetic.
+TEST(FormulaEngineTest, IntegerArithmeticWrapsAtInt64Min) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  Workbook workbook;
+  Sheet* sheet = workbook.AddSheet("S").ValueOrDie();
+  FormulaEngine engine(&workbook);
+  engine.AttachSheet(sheet);
+  ASSERT_TRUE(sheet->SetValue(0, 0, Value::Int(kMin)).ok());  // A1
+  ASSERT_TRUE(sheet->SetFormula(0, 1, "=-A1").ok());
+  ASSERT_TRUE(sheet->SetFormula(0, 2, "=A1-1").ok());
+  ASSERT_TRUE(sheet->SetFormula(0, 3, "=A1*2").ok());
+  ASSERT_TRUE(sheet->SetFormula(0, 4, "=A1+(-1)").ok());
+  ASSERT_TRUE(engine.RecalcDirty().ok());
+  EXPECT_EQ(sheet->GetValue(0, 1), Value::Int(kMin));
+  EXPECT_EQ(sheet->GetValue(0, 2), Value::Int(kMax));
+  EXPECT_EQ(sheet->GetValue(0, 3), Value::Int(0));
+  EXPECT_EQ(sheet->GetValue(0, 4), Value::Int(kMax));
 }
 
 }  // namespace

@@ -314,7 +314,7 @@ TEST(PagerTest, SharedPagerPoolsAcrossStorageModels) {
 
 // ---------------------------------------------------------------------------
 // The paper's §2.2 headline claim, measured through real pages:
-// HybridStore::AddColumn dirties O(rows/256) pages, RowStore O(all).
+// hybrid ADD COLUMN dirties O(rows/256) pages, the row layout O(all).
 // ---------------------------------------------------------------------------
 
 size_t PagesDirtiedByAddColumn(TableStorage& s, size_t rows) {

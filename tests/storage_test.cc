@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <random>
+#include <string>
 
 #include "storage/hybrid_store.h"
 #include "storage/rcv_store.h"
@@ -154,6 +156,42 @@ TEST_P(StorageModelTest, RandomizedParityWithReferenceModel) {
   }
 }
 
+// A reopen rebinds a table's files only if each holds exactly what the row
+// count implies (AttachStorage refuses anything else). After deletes and
+// schema changes on a durable pager, every model's files must rebind as
+// they stand, to the same rows.
+TEST_P(StorageModelTest, FilesRebindAtTheRowCountAfterDeletesAndSchemaChanges) {
+  const std::string base = ::testing::TempDir() + "ds_storage_rebind_" +
+                           StorageModelName(GetParam());
+  storage::PagerConfig config;
+  config.wal_path = base + ".wal";
+  config.spill_path = base + ".pages";
+  config.durable_spill = true;
+  std::remove(config.wal_path.c_str());
+  std::remove(config.spill_path.c_str());
+  {
+    storage::Pager pager(config);
+    auto s = CreateStorage(GetParam(), 3, &pager);
+    for (int i = 0; i < 600; ++i) {
+      ASSERT_TRUE(s->AppendRow(MakeRow(i, "r" + std::to_string(i), i)).ok());
+    }
+    for (size_t i = 0; i < 250; ++i) {
+      ASSERT_TRUE(s->DeleteRow((i * 7) % s->num_rows()).ok());
+    }
+    ASSERT_TRUE(s->AddColumn(Value::Int(9)).ok());
+    ASSERT_TRUE(s->DropColumn(1).ok());
+    for (int i = 0; i < 20; ++i) ASSERT_TRUE(s->DeleteRow(0).ok());
+    auto attached = AttachStorage(s->Manifest(), s->num_rows(), &pager);
+    ASSERT_TRUE(attached.ok()) << attached.status().ToString();
+    ASSERT_EQ(attached.value()->num_rows(), 330u);
+    for (size_t r = 0; r < s->num_rows(); ++r) {
+      EXPECT_EQ(attached.value()->GetRow(r).value(), s->GetRow(r).value());
+    }
+  }
+  std::remove(config.wal_path.c_str());
+  std::remove(config.spill_path.c_str());
+}
+
 INSTANTIATE_TEST_SUITE_P(AllModels, StorageModelTest,
                          ::testing::Values(StorageModel::kRow,
                                            StorageModel::kColumn,
@@ -212,7 +250,7 @@ TEST(PageAccountingTest, RcvNullDefaultAddColumnIsFree) {
 }
 
 TEST(HybridStoreTest, GroupLifecycle) {
-  HybridStore s(3, nullptr);
+  HybridStore s(StorageModel::kHybrid, 3, nullptr);
   EXPECT_EQ(s.num_groups(), 1u);
   ASSERT_TRUE(s.AddColumn(Value::Int(0)).ok());
   ASSERT_TRUE(s.AddColumn(Value::Int(0)).ok());
@@ -225,7 +263,7 @@ TEST(HybridStoreTest, GroupLifecycle) {
 }
 
 TEST(HybridStoreTest, ReorganizeMergesGroupsAndPreservesData) {
-  HybridStore s(2, nullptr);
+  HybridStore s(StorageModel::kHybrid, 2, nullptr);
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(
         s.AppendRow(Row{Value::Int(i), Value::Text("x" + std::to_string(i))})
