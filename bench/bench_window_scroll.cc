@@ -5,7 +5,11 @@
 // fetch vs an Excel-like baseline that materializes the whole table.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
+#include <limits>
 #include <random>
+#include <thread>
 
 #include "workloads.h"
 
@@ -37,6 +41,84 @@ BENCHMARK(BM_WindowScroll_DataSpreadPane)
     ->Arg(10000)
     ->Arg(100000)
     ->Arg(1000000)
+    ->Unit(benchmark::kMicrosecond);
+
+// Per-op counts of delta materialization (DESIGN.md §6d): a one-screen hop
+// of the pane over an N-row bound table must write and clear exactly one
+// screen of rows (50 x width cells), not the 114-row span, and evaluate no
+// formula; a back-end UPDATE of one visible bound cell must write that one
+// cell. The sheet holds a formula beside the table that reads no bound cell.
+// ci/check.sh gates the counts at 10k and 1M rows.
+void BM_WindowScroll_DeltaCounts(benchmark::State& state) {
+  const size_t rows = static_cast<size_t>(state.range(0));
+  constexpr int64_t kScreen = 50;
+  DataSpreadOptions opts;
+  opts.auto_pump = false;
+  opts.viewport_rows = kScreen;
+  DataSpread ds(opts);
+  LoadWideTable(&ds.db(), "t", rows);
+  Table* table = ds.db().catalog().GetTable("t").ValueOrDie();
+  Sheet* sheet = ds.AddSheet("S").ValueOrDie();
+  (void)ds.ImportTable("S", "A1", "t");
+  (void)ds.SetCellAt(sheet, 0, 8, "5");          // I1
+  (void)ds.SetCellAt(sheet, 1, 8, "=I1*2");      // I2
+  int64_t top = static_cast<int64_t>(rows / 2);
+  (void)ds.ScrollTo("S", top, 0);
+  ds.Pump();
+  TableBinding* binding = ds.interface_manager().FindBindingAt(sheet, 0, 0);
+  const uint64_t written = binding->cells_written();
+  const uint64_t cleared = binding->cells_cleared();
+  const uint64_t evaluated = ds.engine().cells_evaluated();
+  double best_ms = std::numeric_limits<double>::infinity();
+  int64_t hops = 0;
+  for (auto _ : state) {
+    top += hops % 2 == 0 ? kScreen : -kScreen;  // down one screen, back up
+    auto t0 = std::chrono::steady_clock::now();
+    (void)ds.ScrollTo("S", top, 0);
+    ds.Pump();
+    auto t1 = std::chrono::steady_clock::now();
+    best_ms = std::min(
+        best_ms, std::chrono::duration<double, std::milli>(t1 - t0).count());
+    ++hops;
+  }
+  const double n_hops = static_cast<double>(std::max<int64_t>(hops, 1));
+  const double hop_written =
+      static_cast<double>(binding->cells_written() - written) / n_hops;
+  const double hop_cleared =
+      static_cast<double>(binding->cells_cleared() - cleared) / n_hops;
+  const double hop_evaluated =
+      static_cast<double>(ds.engine().cells_evaluated() - evaluated) / n_hops;
+  // One back-end UPDATE of a cell the pane shows.
+  size_t pos = static_cast<size_t>(top - binding->data_row());
+  Value key = table->GetAt(pos, 0).ValueOrDie();
+  const uint64_t before_update = binding->cells_written();
+  (void)ds.Sql("UPDATE t SET amount = 1.5 WHERE id = " + key.ToSqlLiteral());
+  ds.Pump();
+  const double update_written =
+      static_cast<double>(binding->cells_written() - before_update);
+  const double width = static_cast<double>(table->schema().num_columns());
+  state.counters["hop_cells_written"] = hop_written;
+  state.counters["hop_cells_cleared"] = hop_cleared;
+  state.counters["hop_cells_evaluated"] = hop_evaluated;
+  state.counters["update_cells_written"] = update_written;
+  AppendBenchJsonLine(
+      "window_scroll", "DeltaCounts/" + std::to_string(rows),
+      {{"op_ms", best_ms},
+       {"hop_rows", static_cast<double>(kScreen)},
+       {"width", width},
+       {"hop_cells_written", hop_written},
+       {"hop_cells_cleared", hop_cleared},
+       {"hop_cells_evaluated", hop_evaluated},
+       {"update_cells_written", update_written},
+       {"iterations", static_cast<double>(hops)},
+       {"nproc", static_cast<double>(std::thread::hardware_concurrency())},
+       {"threads", static_cast<double>(ds.db().exec_options().num_threads)}});
+  state.SetLabel(std::to_string(rows) + " rows, one-screen hops");
+}
+BENCHMARK(BM_WindowScroll_DeltaCounts)
+    ->Arg(10000)
+    ->Arg(1000000)
+    ->Iterations(200)
     ->Unit(benchmark::kMicrosecond);
 
 // Excel-like baseline: every displayed row is a materialized sheet cell, so

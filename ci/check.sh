@@ -6,7 +6,8 @@
 # smoke for the scan-resistant eviction policy, a per-edit cost gate for
 # maintained DBSQL aggregate cells (flat from 20k to 1M rows, no DBSQL
 # re-execution), a per-edit WAL gate for durable mid-sheet row edits (flat
-# from 10k to 1M rows), a crash-recovery smoke
+# from 10k to 1M rows), a per-op count gate for delta window materialization
+# (a one-screen hop writes one screen of cells), a crash-recovery smoke
 # (SIGKILL a durable workload, reopen, diff, gate recovery time), a
 # catalog-recovery smoke (SIGKILL a durable *database* mid-DDL-stream,
 # reopen by path, verify schemas + data), an execution-pipeline perf smoke
@@ -168,6 +169,50 @@ if [[ -x "${BUILD_DIR}/bench_positional_index" ]]; then
   fi
 else
   echo "ci/check.sh: bench_positional_index not built; skipping durable edit WAL gate"
+fi
+
+# ---------------------------------------------------------------------------
+# Delta materialization gate (DESIGN.md §6d "Materializing windows and spills"),
+# count-based and so noise-free: at 10k and 1M bound rows, a one-screen hop
+# of the pane writes and clears exactly one screen of rows (hop_rows x width
+# cells, not the whole materialized span) and evaluates no formula, and a
+# back-end UPDATE of one visible bound cell writes exactly that cell.
+# ---------------------------------------------------------------------------
+if [[ -x "${BUILD_DIR}/bench_window_scroll" ]]; then
+  DS_SPILL_DIR="${SMOKE_DIR}" DS_BENCH_JSON_DIR="${SMOKE_DIR}" \
+    "${BUILD_DIR}/bench_window_scroll" \
+    --benchmark_filter='BM_WindowScroll_DeltaCounts/(10000|1000000)/'
+  for rows in 10000 1000000; do
+    delta_field() {
+      sed -n "s/.*\"run\":\"DeltaCounts\/${rows}\".*\"$1\":\([0-9][0-9.e+-]*\).*/\1/p" \
+        "${SMOKE_DIR}/BENCH_window_scroll.json" | head -n1
+    }
+    hop_rows="$(delta_field hop_rows)"
+    width="$(delta_field width)"
+    written="$(delta_field hop_cells_written)"
+    cleared="$(delta_field hop_cells_cleared)"
+    evaluated="$(delta_field hop_cells_evaluated)"
+    update_written="$(delta_field update_cells_written)"
+    if [[ -z "${hop_rows}" || -z "${width}" || -z "${written}" ||
+          -z "${cleared}" || -z "${evaluated}" || -z "${update_written}" ]]; then
+      echo "ci/check.sh: could not parse DeltaCounts/${rows} from BENCH_window_scroll.json" >&2
+      exit 1
+    fi
+    echo "ci/check.sh: delta materialization @${rows}: hop writes ${written}," \
+         "clears ${cleared} (need $(( hop_rows * width )) each), evaluates" \
+         "${evaluated} (need 0); one-cell UPDATE writes ${update_written} (need 1)"
+    if ! awk -v w="${written}" -v c="${cleared}" -v e="${evaluated}" \
+         -v u="${update_written}" -v h="${hop_rows}" -v n="${width}" \
+         'BEGIN { exit !(w == h * n && c == h * n && e == 0 && u == 1) }'; then
+      echo "ci/check.sh: at ${rows} rows a one-screen hop wrote ${written} and" \
+           "cleared ${cleared} cells and evaluated ${evaluated} formulas, and a" \
+           "one-cell UPDATE wrote ${update_written} cells — delta" \
+           "materialization regression" >&2
+      exit 1
+    fi
+  done
+else
+  echo "ci/check.sh: bench_window_scroll not built; skipping delta materialization gate"
 fi
 
 # ---------------------------------------------------------------------------

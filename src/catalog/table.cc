@@ -340,11 +340,14 @@ Status Table::DeleteRowAt(size_t pos) {
   return Status::OK();
 }
 
-std::vector<Row> Table::GetWindow(size_t start, size_t count) const {
+std::vector<Row> Table::GetWindow(size_t start, size_t count,
+                                  std::vector<uint64_t>* rids) const {
   std::vector<Row> out;
   order_.Visit(start, count, [&](size_t, uint64_t rid) {
     auto row = storage_->GetRow(SlotOf(rid));
-    if (row.ok()) out.push_back(std::move(row).value());
+    if (!row.ok()) return;
+    out.push_back(std::move(row).value());
+    if (rids != nullptr) rids->push_back(rid);
   });
   return out;
 }

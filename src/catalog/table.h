@@ -144,8 +144,10 @@ class Table {
   Status DeleteRowAt(size_t pos);
 
   /// The pane read path: tuples at positions [start, start+count) clipped to
-  /// the table size. O(log n + count·cols).
-  std::vector<Row> GetWindow(size_t start, size_t count) const;
+  /// the table size. O(log n + count·cols). A non-null `rids` gets each
+  /// returned tuple's row id appended, in the same order.
+  std::vector<Row> GetWindow(size_t start, size_t count,
+                             std::vector<uint64_t>* rids = nullptr) const;
 
   /// Visits all tuples in display order; `fn` returns false to stop early.
   void Scan(const std::function<bool(size_t pos, const Row&)>& fn) const;

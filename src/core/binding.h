@@ -3,6 +3,8 @@
 
 #include <functional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "catalog/table.h"
 #include "common/result.h"
@@ -39,9 +41,11 @@ class TableBinding {
   /// any data position, materialized or not).
   bool ContainsCell(const Sheet* sheet, int64_t row, int64_t col) const;
 
-  /// Hook invoked for every sheet cell the binding writes; the Interface
-  /// Manager uses it to keep the formula engine's dirty set exact even when
-  /// sheet events are suppressed (mid-recalculation refreshes).
+  /// Hook invoked for every sheet cell the binding writes or clears. The
+  /// Interface Manager routes it to FormulaEngine::MarkDirty, so a formula
+  /// that reads a bound cell is recomputed even when the write happens inside
+  /// a recalculation, where the engine ignores sheet events (the DBTABLE
+  /// anchor's re-evaluation refreshes the window from there).
   void set_cell_written_hook(std::function<void(int64_t, int64_t)> hook) {
     cell_written_hook_ = std::move(hook);
   }
@@ -50,12 +54,28 @@ class TableBinding {
   /// delivered through the formula result).
   Status WriteHeader();
 
-  /// Slides the materialized window to positions [start, start+count),
-  /// clearing cells of the previously materialized span.
+  /// Slides the materialized window to positions [start, start+count). Only
+  /// the positions that enter the span are read and written, and only those
+  /// that leave it are cleared: the overlap is already current, because any
+  /// back-end change since it was written has queued its own refresh
+  /// (QueueChange).
   Status SetWindow(size_t start, size_t count);
 
-  /// Re-fetches the current window from the table (after back-end changes).
+  /// Re-reads the whole configured span from the table and rewrites it,
+  /// clearing rows that fell off the end when the table shrank. This is the
+  /// refresh for changes that move rows (insert, delete, schema, bulk) and
+  /// for a DBTABLE re-evaluation.
   Status RefreshWindow();
+
+  /// Records a back-end change for the next ApplyQueuedChanges. A kUpdate
+  /// queues its (rid, column); any other kind asks for a full RefreshWindow,
+  /// which absorbs every update queued before or after it.
+  void QueueChange(const TableChange& change);
+
+  /// The refresh task: a full RefreshWindow when one was asked for, else a
+  /// rewrite of just the queued cells whose rows are materialized, each read
+  /// by row id.
+  Status ApplyQueuedChanges();
 
   /// Clears every cell the binding materialized (used on unbind).
   Status ClearMaterialized();
@@ -67,8 +87,13 @@ class TableBinding {
 
   /// Number of window refreshes performed (observability for benches).
   uint64_t refreshes() const { return refreshes_; }
+  /// Data cells the binding has written and cleared (header excluded).
+  uint64_t cells_written() const { return cells_written_; }
+  uint64_t cells_cleared() const { return cells_cleared_; }
 
  private:
+  /// Reads positions [start, start+count) of the current window, writes
+  /// their cells and records their row ids in `rids_`.
   Status WriteRows(size_t start, size_t count);
   Status ClearRows(size_t start, size_t count);
   void WroteCell(int64_t row, int64_t col) {
@@ -84,7 +109,15 @@ class TableBinding {
   size_t window_count_ = 0;    // rows currently materialized (clipped)
   size_t requested_count_ = 0; // configured span; grows with the table
   size_t default_window_;
+  // Row ids of the materialized rows: rids_[i] displays at position
+  // window_start_ + i.
+  std::vector<uint64_t> rids_;
+  // Back-end changes not yet applied (QueueChange).
+  bool full_refresh_queued_ = false;
+  std::vector<std::pair<uint64_t, size_t>> queued_updates_;  // (rid, column)
   uint64_t refreshes_ = 0;
+  uint64_t cells_written_ = 0;
+  uint64_t cells_cleared_ = 0;
   std::function<void(int64_t, int64_t)> cell_written_hook_;
 };
 

@@ -440,20 +440,24 @@ void InterfaceManager::OnTableChanged(const std::string& table_name,
                                       const TableChange& change) {
   backend_refreshes_ += 1;
   std::string key = ToLower(table_name);
-  // 1. Refresh bindings on this table (coalesced per binding).
+  // 1. Queue the change on bindings of this table; one refresh task per
+  //    binding applies everything queued. It runs at visible priority when
+  //    the pane shows the materialized rows (at least the first row, which
+  //    an insert into an empty window fills).
   for (const auto& b : bindings_) {
     if (!EqualsIgnoreCase(b->table()->name(), table_name)) continue;
     TableBinding* raw = b.get();
-    int64_t r0 = raw->anchor_row();
-    int64_t r1 = raw->data_row() + static_cast<int64_t>(raw->window_count());
-    bool visible = RegionVisible(raw->sheet(), r0, raw->anchor_col(), r1,
-                                 raw->anchor_col() +
-                                     static_cast<int64_t>(
-                                         raw->table()->schema().num_columns()));
+    raw->QueueChange(change);
+    int64_t r0 = raw->data_row() + static_cast<int64_t>(raw->window_start());
+    int64_t r1 =
+        r0 + static_cast<int64_t>(std::max<size_t>(raw->window_count(), 1)) - 1;
+    int64_t c1 = raw->anchor_col() +
+                 static_cast<int64_t>(raw->table()->schema().num_columns()) - 1;
+    bool visible = RegionVisible(raw->sheet(), r0, raw->anchor_col(), r1, c1);
     scheduler_->EnqueueUnique(
         visible ? Priority::kVisible : Priority::kBackground,
         "binding-refresh-" + std::to_string(raw->id()),
-        [raw]() { (void)raw->RefreshWindow(); });
+        [raw]() { (void)raw->ApplyQueuedChanges(); });
   }
   // 2. Fold the change into maintained results, dirty the DBSQL anchors
   //    that referenced this table, and queue a recalc.

@@ -36,14 +36,15 @@ void FormulaEngine::OnSheetEvent(Sheet* sheet, const SheetEvent& event) {
   if (adjusting_) return;
   if (event.kind == SheetEvent::Kind::kCellChanged) {
     CellKey key{sheet, event.row, event.col};
-    const Cell* cell = sheet->GetCell(event.row, event.col);
+    const Cell* cell =
+        event.has_formula ? sheet->GetCell(event.row, event.col) : nullptr;
     if (cell != nullptr && cell->has_formula()) {
       CompileCell(sheet, event.row, event.col, cell->formula);
     } else {
       RemoveFormula(key);
     }
     // The cell's (new) value invalidates everything computed from it.
-    dirty_.insert(key);
+    MarkDirty(key);
     return;
   }
   OnStructuralChange(sheet, event);
@@ -148,6 +149,12 @@ void FormulaEngine::UnregisterDeps(const CellKey& key,
   }
 }
 
+bool FormulaEngine::HasDependents(const CellKey& key) const {
+  if (exact_rev_.count(key) > 0) return true;
+  auto rit = range_rev_.find(key.sheet);
+  return rit != range_rev_.end() && rit->second.Covers(key);
+}
+
 std::vector<CellKey> FormulaEngine::DependentsOf(const CellKey& key) const {
   std::vector<CellKey> out;
   auto it = exact_rev_.find(key);
@@ -201,6 +208,18 @@ void FormulaEngine::RangeDepIndex::Remove(const RangeDep& range,
       if (it != buckets.end()) drop(it->second);
     }
   }
+}
+
+bool FormulaEngine::RangeDepIndex::Covers(const CellKey& cell) const {
+  auto covers = [&](const Entry& e) {
+    return e.range.Contains(cell.sheet, cell.row, cell.col);
+  };
+  auto it = buckets.find(TileKey(cell.row, cell.col));
+  if (it != buckets.end() &&
+      std::any_of(it->second.begin(), it->second.end(), covers)) {
+    return true;
+  }
+  return std::any_of(large.begin(), large.end(), covers);
 }
 
 void FormulaEngine::RangeDepIndex::CollectDependents(
@@ -377,7 +396,13 @@ Status FormulaEngine::RecalcAll() {
 }
 
 void FormulaEngine::MarkDirty(Sheet* sheet, int64_t row, int64_t col) {
-  dirty_.insert(CellKey{sheet, row, col});
+  MarkDirty(CellKey{sheet, row, col});
+}
+
+void FormulaEngine::MarkDirty(const CellKey& key) {
+  // A value cell nothing reads would only seed DirtyClosure with itself and
+  // be dropped again by RecalcSet, so it stays out of the set.
+  if (formulas_.count(key) > 0 || HasDependents(key)) dirty_.insert(key);
 }
 
 Value FormulaEngine::EvaluateCell(const CellKey& key, const Compiled& compiled) {

@@ -121,9 +121,15 @@ class FormulaEngine {
   Result<Value> EvaluateImmediate(Sheet* sheet, std::string_view formula_text,
                                   int64_t row, int64_t col);
 
-  /// Marks a cell dirty explicitly (used by the Interface Manager when a
-  /// hybrid result arrives asynchronously).
+  /// Marks a cell dirty explicitly (used by the Interface Manager for the
+  /// cells a binding refresh or a DBSQL spill writes). Like a sheet event,
+  /// it marks only a cell that holds a formula or that something reads.
   void MarkDirty(Sheet* sheet, int64_t row, int64_t col);
+
+  /// True when some formula reads the cell: an exact reference, or a range
+  /// reference (tile bucket or overflow list) that covers it. Allocates
+  /// nothing.
+  bool HasDependents(const CellKey& key) const;
 
  private:
   struct Compiled {
@@ -144,6 +150,9 @@ class FormulaEngine {
 
   // -- dependency queries --
   std::vector<CellKey> DependentsOf(const CellKey& key) const;
+  /// The one dirty-mark rule: `key` enters `dirty_` only if it holds a
+  /// formula or has dependents.
+  void MarkDirty(const CellKey& key);
 
   // -- recalculation --
   /// Expands `seeds` to the full reverse-reachable closure.
@@ -196,6 +205,8 @@ class FormulaEngine {
     void Remove(const RangeDep& range, const CellKey& dependent);
     void CollectDependents(const CellKey& cell,
                            std::vector<CellKey>* out) const;
+    /// True when some registered range covers `cell`.
+    bool Covers(const CellKey& cell) const;
   };
 
   Workbook* workbook_;

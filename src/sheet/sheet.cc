@@ -127,7 +127,8 @@ Status Sheet::SetFormula(int64_t row, int64_t col, std::string formula) {
   if (existing != nullptr) cell.value = existing->value;
   cell.formula = std::move(formula);
   StoreCell(ids.first, ids.second, std::move(cell));
-  Notify(SheetEvent{SheetEvent::Kind::kCellChanged, row, col, 0, 0});
+  Notify(SheetEvent{SheetEvent::Kind::kCellChanged, row, col, 0, 0,
+                    /*has_formula=*/true});
   return Status::OK();
 }
 

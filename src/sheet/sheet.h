@@ -36,6 +36,7 @@ struct SheetEvent {
   Kind kind;
   int64_t row = 0, col = 0;   // kCellChanged
   int64_t index = 0, count = 0;  // structural events
+  bool has_formula = false;   // kCellChanged: the cell now holds a formula
 };
 
 /// The paper's Interface Storage Manager (§3): schema-less interface data

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/dataspread.h"
 #include "formula/engine.h"
 #include "sheet/workbook.h"
 
@@ -150,6 +151,92 @@ TEST_F(EngineTest, ReplacingFormulaWithValueDropsDependencies) {
   Set(0, 0, "2");
   Recalc();
   EXPECT_EQ(At(0, 1), Value::Int(9));  // no recompute
+}
+
+// The dirty-mark rule: a cell enters the dirty set only if it holds a
+// formula or some formula reads it.
+
+TEST_F(EngineTest, ValueWriteNothingReadsStaysOutOfTheDirtySet) {
+  Set(0, 0, "1");
+  Set(0, 1, "=A1+1");
+  Recalc();
+  uint64_t evaluated = engine_.cells_evaluated();
+  Set(5, 5, "42");  // F6: no formula reads it
+  ASSERT_TRUE(sheet_->ClearCell(6, 6).ok());
+  EXPECT_EQ(engine_.dirty_count(), 0u);
+  EXPECT_FALSE(engine_.HasDependents(CellKey{sheet_, 5, 5}));
+  engine_.MarkDirty(sheet_, 5, 5);  // the binding / spill hook
+  EXPECT_EQ(engine_.dirty_count(), 0u);
+  Recalc();
+  EXPECT_EQ(engine_.cells_evaluated(), evaluated);
+}
+
+TEST_F(EngineTest, EveryKindOfReaderMarksItsPrecedent) {
+  Set(10, 0, "1");               // A11: read by an exact reference
+  Set(0, 1, "=A11*2");           // B1
+  Set(20, 0, "1");               // A21: read by a range of a few tiles
+  Set(1, 1, "=SUM(A21:A30)");    // B2
+  Set(3000, 3, "1");             // D3001: read by a range of many tiles
+  Set(2, 1, "=SUM(D1:D5000)");   // B3 (overflow list)
+  Recalc();
+  ASSERT_EQ(At(0, 1), Value::Int(2));
+  struct Probe {
+    int64_t row, col;     // the precedent edited
+    int64_t reader_row;   // the formula in column B that reads it
+    Value want;
+  };
+  for (const Probe& p : {Probe{10, 0, 0, Value::Int(10)},
+                         Probe{20, 0, 1, Value::Real(5.0)},
+                         Probe{3000, 3, 2, Value::Real(5.0)}}) {
+    EXPECT_TRUE(engine_.HasDependents(CellKey{sheet_, p.row, p.col}));
+    Set(p.row, p.col, "5");
+    EXPECT_TRUE(engine_.IsDirty(sheet_, p.row, p.col)) << p.row;
+    Recalc();
+    EXPECT_EQ(At(p.reader_row, 1), p.want) << p.row;
+    // The hook path marks by the same rule.
+    engine_.MarkDirty(sheet_, p.row, p.col);
+    EXPECT_TRUE(engine_.IsDirty(sheet_, p.row, p.col)) << p.row;
+    Recalc();
+  }
+}
+
+TEST_F(EngineTest, ReplacingAFormulaWithAValueRecomputesItsReaders) {
+  Set(0, 0, "3");
+  Set(0, 1, "=A1*2");  // B1
+  Set(0, 2, "=B1+1");  // C1 reads B1
+  Recalc();
+  ASSERT_EQ(At(0, 2), Value::Int(7));
+  uint64_t evaluated = engine_.cells_evaluated();
+  Set(0, 1, "10");  // B1 stops being a formula; C1 still reads it
+  EXPECT_TRUE(engine_.IsDirty(sheet_, 0, 1));
+  Recalc();
+  EXPECT_EQ(At(0, 2), Value::Int(11));
+  EXPECT_EQ(engine_.cells_evaluated(), evaluated + 1);
+}
+
+TEST(EngineDirtyRuleTest, DbsqlRangeValueMarksItsParameterCell) {
+  DataSpreadOptions opts;
+  opts.auto_pump = false;
+  DataSpread ds(opts);
+  Sheet* s = ds.AddSheet("S").ValueOrDie();
+  ASSERT_TRUE(ds.Sql("CREATE TABLE t (id INT PRIMARY KEY, v INT)").ok());
+  ASSERT_TRUE(ds.Sql("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)").ok());
+  ASSERT_TRUE(ds.SetCellAt(s, 0, 0, "15").ok());  // A1, the parameter
+  ASSERT_TRUE(ds.SetCellAt(s, 0, 2,
+                           "=DBSQL(\"SELECT COUNT(*) FROM t WHERE v >= "
+                           "RANGEVALUE(A1)\")")
+                  .ok());
+  ASSERT_TRUE(ds.SetCellAt(s, 5, 5, "7").ok());  // F6: nothing reads it
+  ds.Pump();
+  ASSERT_EQ(ds.GetValueAt(s, 0, 2), Value::Int(2));
+  EXPECT_EQ(ds.engine().dirty_count(), 0u);
+  ASSERT_TRUE(ds.SetCellAt(s, 5, 5, "8").ok());
+  EXPECT_EQ(ds.engine().dirty_count(), 0u);
+  ASSERT_TRUE(ds.SetCellAt(s, 0, 0, "25").ok());
+  EXPECT_TRUE(ds.engine().IsDirty(s, 0, 0));
+  ds.Pump();
+  EXPECT_EQ(ds.GetValueAt(s, 0, 2), Value::Int(1));
+  EXPECT_EQ(ds.engine().dirty_count(), 0u);
 }
 
 TEST_F(EngineTest, InsertRowsAdjustsReferencesAndText) {

@@ -2345,5 +2345,208 @@ TEST_P(TypedBatchDifferentialTest, TypedTablesMatchTheirRangeTableTwins) {
 INSTANTIATE_TEST_SUITE_P(Seeds, TypedBatchDifferentialTest,
                          ::testing::Values(16u, 1616u, 161616u));
 
+// ---------------------------------------------------------------------------
+// Invariant 17: delta materialization is invisible (DESIGN.md §6d). A
+// binding's window slides by writing only the rows that enter it and
+// clearing only those that leave; a back-end UPDATE
+// rewrites only its cell, read by row id; every other change rewrites the
+// window; and a cell no formula reads never enters the dirty set. A small
+// window (hops overlap it) watches a random tape of ±1–3-screen hops and
+// jumps, back-end UPDATEs of visible and off-window rows, positional INSERTs
+// and DELETEs, front-end edits of bound cells, and BEGIN … UPDATE …
+// ROLLBACK, under an exact reference into the window, SUMs over the bound
+// column (one small range, one large), and a DBSQL with RANGEVALUE of a
+// bound cell. After every Pump: every materialized row equals the table's
+// window, no bound cell exists outside the window, nothing is dirty, and
+// every formula keeps its value when all of them are marked dirty and
+// recomputed.
+// ---------------------------------------------------------------------------
+
+class DeltaMaterializationTest : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(DeltaMaterializationTest, MaterializedWindowAlwaysMatchesTheTable) {
+  constexpr int64_t kWidth = 3;     // bound columns A:C (id, v, s)
+  constexpr int64_t kFormulaCol = 5;  // column F
+  const char* const kDbsql =
+      "SELECT COUNT(*), SUM(v) FROM t WHERE v >= RANGEVALUE(B4)";
+  const std::vector<std::string> kFormulas = {
+      "=B3*2",              // exact reference to position 1's v
+      "=SUM(B2:B40)",       // small range: tile buckets
+      "=SUM(B2:B3000)",     // large range: overflow list
+      std::string("=DBSQL(\"") + kDbsql + "\")",
+  };
+  std::mt19937 rng(GetParam());
+  auto pick = [&](uint32_t n) { return static_cast<int64_t>(rng() % n); };
+
+  DataSpreadOptions opts;
+  opts.auto_pump = false;
+  opts.binding_window = 24;
+  opts.viewport_rows = 10;
+  opts.viewport_cols = 8;
+  opts.prefetch_margin = 4;
+  DataSpread ds(opts);
+  Sheet* s = ds.AddSheet("S").ValueOrDie();
+  Table* table =
+      ds.db()
+          .CreateTable("t", Schema({ColumnDef{"id", DataType::kInt, true},
+                                    ColumnDef{"v", DataType::kInt, false},
+                                    ColumnDef{"s", DataType::kText, false}}))
+          .ValueOrDie();
+  int64_t next_id = 0;
+  auto row_of = [&] {
+    int64_t id = next_id++;
+    return Row{Value::Int(id), Value::Int(pick(100)),
+               Value::Text("s" + std::to_string(pick(1000)))};
+  };
+  for (int i = 0; i < 200; ++i) ASSERT_TRUE(table->AppendRow(row_of()).ok());
+  ASSERT_TRUE(ds.ImportTable("S", "A1", "t").ok());
+  for (size_t f = 0; f < kFormulas.size(); ++f) {
+    ASSERT_TRUE(ds.SetCellAt(s, static_cast<int64_t>(f), kFormulaCol,
+                             kFormulas[f])
+                    .ok());
+  }
+  ds.Pump();
+  TableBinding* binding = ds.interface_manager().FindBindingAt(s, 0, 0);
+  ASSERT_NE(binding, nullptr);
+  auto resolver = ds.interface_manager().MakeResolver(s);
+
+  int64_t top = 0;
+  auto check = [&](const std::string& what) {
+    ds.Pump();
+    // Every materialized row equals the table's window.
+    size_t ws = binding->window_start(), wc = binding->window_count();
+    std::vector<Row> window = table->GetWindow(ws, wc);
+    ASSERT_EQ(window.size(), wc) << what;
+    for (size_t i = 0; i < wc; ++i) {
+      int64_t r = binding->data_row() + static_cast<int64_t>(ws + i);
+      for (int64_t c = 0; c < kWidth; ++c) {
+        Value have = s->GetValue(r, c);
+        const Value& want = window[i][static_cast<size_t>(c)];
+        ASSERT_TRUE(have == want && have.type() == want.type())
+            << "cell (" << r << "," << c << ") is " << have.ToDisplayString()
+            << ", want " << want.ToDisplayString() << what;
+      }
+    }
+    // No bound cell exists outside the window.
+    int64_t lo = binding->data_row() + static_cast<int64_t>(ws);
+    int64_t hi = lo + static_cast<int64_t>(wc);
+    s->VisitRange(1, 0, s->num_rows() - 1, kWidth - 1,
+                  [&](int64_t r, int64_t c, const Cell&) {
+                    EXPECT_TRUE(r >= lo && r < hi)
+                        << "stale bound cell (" << r << "," << c << ")"
+                        << what;
+                  });
+    EXPECT_EQ(ds.engine().dirty_count(), 0u) << what;
+    // Every formula keeps its value when recomputed from scratch, and the
+    // DBSQL cell equals a fresh execution of its query.
+    std::vector<Value> shown;
+    for (size_t f = 0; f < kFormulas.size(); ++f) {
+      shown.push_back(ds.GetValueAt(s, static_cast<int64_t>(f), kFormulaCol));
+      ds.engine().MarkDirty(s, static_cast<int64_t>(f), kFormulaCol);
+    }
+    ASSERT_TRUE(ds.RecalcNow().ok()) << what;
+    for (size_t f = 0; f < kFormulas.size(); ++f) {
+      EXPECT_EQ(ds.GetValueAt(s, static_cast<int64_t>(f), kFormulaCol),
+                shown[f])
+          << kFormulas[f] << what;
+    }
+    auto fresh = ds.db().Execute(kDbsql, resolver.get());
+    ASSERT_TRUE(fresh.ok()) << what;
+    EXPECT_EQ(ds.GetValueAt(s, 3, kFormulaCol), fresh.value().rows[0][0])
+        << what;
+    EXPECT_EQ(ds.GetValueAt(s, 3, kFormulaCol + 1), fresh.value().rows[0][1])
+        << what;
+  };
+  auto id_at = [&](size_t pos) {
+    return table->GetAt(pos, 0).ValueOrDie().ToSqlLiteral();
+  };
+  auto update = [&](size_t pos) {
+    bool text = pick(3) == 0;
+    std::string set = text ? "s = 'u" + std::to_string(pick(1000)) + "'"
+                           : "v = " + std::to_string(pick(100));
+    return "UPDATE t SET " + set + " WHERE id = " + id_at(pos);
+  };
+  // A position the window materializes, else any position.
+  auto visible_pos = [&] {
+    size_t wc = binding->window_count();
+    if (wc == 0) return static_cast<size_t>(pick(
+        static_cast<uint32_t>(table->num_rows())));
+    return binding->window_start() + static_cast<size_t>(pick(
+        static_cast<uint32_t>(wc)));
+  };
+
+  check(" after setup");
+  for (int step = 0; step < 150; ++step) {
+    const std::string what = " at step " + std::to_string(step) + " seed " +
+                             std::to_string(GetParam());
+    const int64_t n = static_cast<int64_t>(table->num_rows());
+    switch (pick(8)) {
+      case 0: {  // hop of 1–3 screens either way
+        int64_t step_rows = (1 + pick(3)) * opts.viewport_rows;
+        top = std::clamp<int64_t>(top + (pick(2) == 0 ? step_rows : -step_rows),
+                                  0, n);
+        ASSERT_TRUE(ds.ScrollTo("S", top, 0).ok());
+        break;
+      }
+      case 1:  // jump
+        top = pick(static_cast<uint32_t>(n + 1));
+        ASSERT_TRUE(ds.ScrollTo("S", top, 0).ok());
+        break;
+      case 2:  // back-end UPDATE of a visible row
+        if (n > 0) ASSERT_TRUE(ds.Sql(update(visible_pos())).ok()) << what;
+        break;
+      case 3:  // back-end UPDATE of any row (mostly off-window)
+        if (n > 0) {
+          ASSERT_TRUE(ds.Sql(update(static_cast<size_t>(
+                                 pick(static_cast<uint32_t>(n)))))
+                          .ok())
+              << what;
+        }
+        break;
+      case 4:  // INSERT at a random position
+        ASSERT_TRUE(table
+                        ->InsertRowAt(static_cast<size_t>(pick(
+                                          static_cast<uint32_t>(n + 1))),
+                                      row_of())
+                        .ok())
+            << what;
+        break;
+      case 5:  // DELETE at a random position
+        if (n > 1) {
+          ASSERT_TRUE(
+              table->DeleteRowAt(static_cast<size_t>(
+                                     pick(static_cast<uint32_t>(n))))
+                  .ok())
+              << what;
+        }
+        break;
+      case 6: {  // front-end edit of a bound cell
+        if (n == 0) break;
+        int64_t row = binding->data_row() +
+                      static_cast<int64_t>(visible_pos());
+        std::string input = pick(2) == 0
+                                ? std::to_string(pick(100))
+                                : "e" + std::to_string(pick(1000));
+        ASSERT_TRUE(ds.SetCellAt(s, row, input[0] == 'e' ? 2 : 1, input).ok())
+            << what;
+        break;
+      }
+      default:  // BEGIN … UPDATE … ROLLBACK, checked mid-transaction
+        if (n == 0) break;
+        ASSERT_TRUE(ds.Sql("BEGIN").ok()) << what;
+        ASSERT_TRUE(ds.Sql(update(visible_pos())).ok()) << what;
+        check(" inside a transaction" + what);
+        ASSERT_TRUE(ds.Sql("ROLLBACK").ok()) << what;
+        break;
+    }
+    // Several changes sometimes land between pumps.
+    if (pick(3) != 0) check(what);
+  }
+  check(" at the end");
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DeltaMaterializationTest,
+                         ::testing::Values(17u, 1717u, 171717u, 17171717u));
+
 }  // namespace
 }  // namespace dataspread

@@ -140,5 +140,44 @@ TEST_F(WindowTest, WindowMoveCounterAdvances) {
   EXPECT_EQ(ds_->window_manager().window_moves(), before + 2);
 }
 
+// A back-end change to the rows the pane shows is refreshed at visible
+// priority wherever the user has scrolled to; a pane that starts right of
+// the table does not show it.
+TEST(WindowPriorityTest, BackEndRefreshOfAScrolledPaneRunsAtVisiblePriority) {
+  DataSpreadOptions opts;
+  opts.auto_pump = false;
+  DataSpread ds(opts);
+  Sheet* s = ds.AddSheet("S").ValueOrDie();
+  Table* table =
+      ds.db()
+          .CreateTable("t", Schema({ColumnDef{"id", DataType::kInt, true},
+                                    ColumnDef{"v", DataType::kInt, false}}))
+          .ValueOrDie();
+  for (int64_t i = 0; i < 10000; ++i) {
+    ASSERT_TRUE(table->AppendRow({Value::Int(i), Value::Int(0)}).ok());
+  }
+  ASSERT_TRUE(ds.ImportTable("S", "A1", "t").ok());
+  ds.Pump();
+  ASSERT_TRUE(ds.ScrollTo("S", 5000, 0).ok());
+  ds.Pump();
+  ASSERT_EQ(ds.GetValueAt(s, 5005, 0), Value::Int(5004));
+
+  // Sheet row 5005 shows id 5004.
+  ASSERT_TRUE(ds.Sql("UPDATE t SET v = 7 WHERE id = 5004").ok());
+  uint64_t visible = ds.scheduler().executed(Priority::kVisible);
+  ASSERT_TRUE(ds.scheduler().RunOne());
+  EXPECT_EQ(ds.scheduler().executed(Priority::kVisible), visible + 1);
+  EXPECT_EQ(ds.GetValueAt(s, 5005, 1), Value::Int(7));
+
+  // Columns A:B are bound; a pane starting at column C does not show them.
+  ASSERT_TRUE(ds.ScrollTo("S", 5000, 2).ok());
+  ds.Pump();
+  ASSERT_TRUE(ds.Sql("UPDATE t SET v = 8 WHERE id = 5004").ok());
+  uint64_t background = ds.scheduler().executed(Priority::kBackground);
+  ASSERT_TRUE(ds.scheduler().RunOne());
+  EXPECT_EQ(ds.scheduler().executed(Priority::kBackground), background + 1);
+  EXPECT_EQ(ds.GetValueAt(s, 5005, 1), Value::Int(8));
+}
+
 }  // namespace
 }  // namespace dataspread
